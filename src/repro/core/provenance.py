@@ -30,7 +30,7 @@ Lineage = Mapping[str, FrozenSet[int]]
 class HistoryTree:
     """Immutable provenance tree attached to every data token."""
 
-    __slots__ = ("producer", "index", "parents", "iteration", "_lineage", "_hash")
+    __slots__ = ("producer", "index", "parents", "iteration", "_lineage", "_hash", "_label")
 
     def __init__(
         self,
@@ -62,6 +62,7 @@ class HistoryTree:
         self._hash = hash(
             (self.producer, self.index, self.parents, self.iteration)
         )
+        self._label: Optional[str] = None  # computed on first label()
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -120,6 +121,11 @@ class HistoryTree:
         ``D(0-11)`` for a synchronization result over items 0..11,
         ``D0x1`` for a cross-product pair.
         """
+        if self._label is None:
+            self._label = self._compute_label()
+        return self._label
+
+    def _compute_label(self) -> str:
         lineage = self._lineage
         if not lineage:
             return f"{self.producer}()"

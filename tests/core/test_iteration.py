@@ -1,5 +1,8 @@
 """Tests for dot/cross iteration strategies."""
 
+import random
+import sys
+
 import pytest
 
 from repro.core.iteration import IterationEngine, expected_bindings
@@ -90,6 +93,74 @@ class TestDotProduct:
         assert eng.offer("b", derived("P", token("S", 0))) == []
 
 
+class TestConsumeBySequence:
+    """Dot buffers consume by arrival sequence, never by token equality."""
+
+    def test_equal_valued_tokens_consumed_oldest_first(self):
+        eng = IterationEngine(("a", "b"), "dot")
+        first, second = token("S", 0), token("S", 0)
+        assert first == second and first is not second
+        eng.offer("a", first)
+        eng.offer("a", second)
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is first
+        assert eng.buffered("a") == 1
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is second
+        assert eng.buffered("a") == 0
+
+    def test_equal_valued_tokens_around_an_unrelated_one(self):
+        eng = IterationEngine(("a", "b"), "dot")
+        first, other, second = token("S", 0), token("S", 1), token("S", 0)
+        for tok in (first, other, second):
+            eng.offer("a", tok)
+        assert eng.offer("b", derived("P", token("S", 1)))[0]["a"] is other
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is first
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is second
+        assert eng.offer("b", derived("P", token("S", 0))) == []
+        assert (eng.buffered("a"), eng.buffered("b")) == (0, 1)
+
+    def test_positional_pairing_skips_consumed_tokens(self):
+        # a0 is consumed by lineage; a b-token of unrelated ancestry must
+        # then pair with the oldest *remaining* token, a1.
+        eng = IterationEngine(("a", "b"), "dot")
+        a0, a1 = token("S", 0), token("S", 1)
+        eng.offer("a", a0)
+        eng.offer("a", a1)
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is a0
+        assert eng.offer("b", token("T", 0))[0]["a"] is a1
+
+
+def _calls_per_offer(n: int) -> float:
+    """Python-level function calls per offer: 3 ports x *n* shuffled lineages."""
+    ports = ("a", "b", "c")
+    arrivals = [(port, derived(port, token("S", i))) for port in ports for i in range(n)]
+    random.Random(n).shuffle(arrivals)
+    eng = IterationEngine(ports, "dot")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for port, tok in arrivals:
+            eng.offer(port, tok)
+    finally:
+        sys.setprofile(previous)
+    assert eng.fired == n
+    return calls / len(arrivals)
+
+
+class TestDotMatchingCost:
+    def test_calls_per_offer_do_not_grow_with_buffer_size(self):
+        # Deterministic complexity guard: counts calls, never reads a clock.
+        # A scan that calls compatible() per buffered token grows ~10x here.
+        small, large = _calls_per_offer(200), _calls_per_offer(2000)
+        assert large < 1.5 * small, (small, large)
+
+
 class TestCrossProduct:
     def test_full_cartesian(self):
         # paper: "producing m x n results"
@@ -127,6 +198,24 @@ class TestValidation:
         eng = IterationEngine(("a",), "dot")
         with pytest.raises(KeyError):
             eng.offer("zzz", token("S", 0))
+
+    @pytest.mark.parametrize("strategy", ["dot", "cross"])
+    def test_unknown_port_in_bookkeeping(self, strategy):
+        eng = IterationEngine(("a", "b"), strategy)
+        eng.offer("a", token("S", 0))
+        with pytest.raises(KeyError):
+            eng.offer("zzz", token("S", 0))
+        with pytest.raises(KeyError):
+            eng.buffered("zzz")
+        assert eng.buffered("a") == 1 and eng.buffered("b") == 0
+        assert repr(eng) == f"<IterationEngine {strategy} ports={{'a': 1, 'b': 0}} fired=0>"
+
+    @pytest.mark.parametrize("strategy", ["dot", "cross"])
+    def test_duplicate_port_names_rejected(self, strategy):
+        # Two ports sharing a name used to collapse into one buffer and
+        # fire one-port bindings.
+        with pytest.raises(ValueError, match="duplicate"):
+            IterationEngine(("a", "a"), strategy)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

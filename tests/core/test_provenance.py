@@ -131,6 +131,13 @@ class TestLabels:
         node = HistoryTree("generator")
         assert node.label() == "generator()"
 
+    def test_label_computed_once(self):
+        # The tree is immutable; the enactor asks for the label of every
+        # invocation at least twice (trace entry and span).
+        parents = tuple(HistoryTree.leaf("S", i) for i in range(12))
+        node = HistoryTree.derive("MTT", parents)
+        assert node.label() is node.label()
+
     def test_describe_renders_tree(self):
         node = HistoryTree.derive("P", (HistoryTree.leaf("S", 0),))
         text = node.describe()
