@@ -488,7 +488,8 @@ class MoteurEnactor:
                         f"synchronization processor {name!r} depends on a cyclic "
                         "region; its input stream length is undecidable"
                     )
-                self._spawn_sync(state)
+                self._note_in_flight(+1)
+                self.engine.process(self._sync_invoke(state), name=f"moteur-sync:{name}")
 
     def _register_input_files(self, dataset: InputDataSet) -> None:
         if self.grid is None:
@@ -498,19 +499,15 @@ class MoteurEnactor:
                 self.grid.add_input_file(file)
 
     def _emit_sources(self, dataset: InputDataSet) -> None:
-        profiler = self.profiler
         for source in self.workflow.sources():
             items = dataset.items(source.name)
             state = self._states[source.name]
             port = source.effective_output_ports()[0]
             for index, item in enumerate(items):
-                if profiler is not None:
-                    profiler.count("enactor.tokens")
                 token = DataToken(
                     data=item.grid_data(), history=HistoryTree.leaf(source.name, index)
                 )
-                state.emitted[port] += 1
-                self._deliver(source.name, port, token)
+                self._deliver(state, port, token)
             if state.drained is not None:
                 state.expected = 0
                 state.drained.succeed(len(items))
@@ -521,24 +518,22 @@ class MoteurEnactor:
                 self._spawn_invocation(self._states[processor.name], {})
 
     # -- token flow ---------------------------------------------------------------
-    def _deliver(self, from_processor: str, out_port: str, token: DataToken) -> None:
+    def _deliver(self, state: _ProcessorState, out_port: str, token: DataToken) -> None:
+        """Emit *token* on *out_port*: stream accounting, then every consumer."""
+        state.emitted[out_port] += 1
         profiler = self.profiler
-        if profiler is None:
-            fanout = 0
-            for link in self.workflow.links_out_of(from_processor, out_port):
-                self._accept(link.target.processor, link.target.port, token)
-                fanout += 1
-            self._note_routed_bytes(token, fanout)
-            return
-        profiler.enter("enactor.route")
+        if profiler is not None:
+            profiler.count("enactor.tokens")
+            profiler.enter("enactor.route")
         try:
             fanout = 0
-            for link in self.workflow.links_out_of(from_processor, out_port):
+            for link in self.workflow.links_out_of(state.processor.name, out_port):
                 self._accept(link.target.processor, link.target.port, token)
                 fanout += 1
             self._note_routed_bytes(token, fanout)
         finally:
-            profiler.exit()
+            if profiler is not None:
+                profiler.exit()
 
     def _note_routed_bytes(self, token: DataToken, fanout: int) -> None:
         """Account the enactor-routed data volume of one delivery.
@@ -584,18 +579,10 @@ class MoteurEnactor:
         for binding in state.iteration.offer(port, token):
             self._spawn_invocation(state, binding)
 
-    def _spawn_invocation(self, state: _ProcessorState, binding: Binding) -> None:
-        if self._cancelled:
-            return  # a cancelled run starts no new work
-        self._in_flight += 1
-        self._note_in_flight()
-        self.engine.process(
-            self._invoke(state, binding), name=f"moteur:{state.processor.name}"
-        )
-
     # -- instrumentation ---------------------------------------------------------
-    def _note_in_flight(self) -> None:
+    def _note_in_flight(self, delta: int) -> None:
         """Track the in-flight invocation gauge (peak = real concurrency)."""
+        self._in_flight += delta
         if self.instrumentation is not None:
             self.instrumentation.metrics.gauge("enactor.in_flight").set(self._in_flight)
 
@@ -620,10 +607,10 @@ class MoteurEnactor:
             processor=processor,
         )
 
-    def _record_invocation_span(
+    def _record(
         self,
-        processor: str,
-        label: str,
+        state: _ProcessorState,
+        history: HistoryTree,
         start: float,
         end: float,
         kind: str,
@@ -631,7 +618,9 @@ class MoteurEnactor:
         status: Optional[str] = None,
         **extra: Any,
     ) -> None:
-        """The invocation span, id tied to the token lineage label."""
+        """Trace event + invocation span (id tied to the lineage label)."""
+        processor, label = state.processor.name, history.label()
+        self._trace.add(TraceEvent(processor, label, start, end, kind=kind, job_ids=job_ids))
         bus = self.instrumentation
         if bus is None:
             return
@@ -654,53 +643,24 @@ class MoteurEnactor:
             **extra,
         )
 
-    # -- profiled hot-path helpers ----------------------------------------------------
-    def _profiled_key(self, processor: Processor, facts, unordered: bool = False) -> str:
-        """Provenance-key hashing, attributed to the ``enactor`` component."""
-        profiler = self.profiler
-        if profiler is None:
-            return invocation_key(processor.service, facts, unordered=unordered)
-        profiler.enter("enactor.key")
-        try:
-            profiler.count("enactor.keys")
-            return invocation_key(processor.service, facts, unordered=unordered)
-        finally:
-            profiler.exit()
-
-    def _profiled_lookup(self, key: str, name: str):
-        """Cache consultation, attributed to the ``cache`` component."""
-        profiler = self.profiler
-        if profiler is None:
-            return self.cache.lookup(key, name)
-        profiler.enter("cache.lookup")
-        try:
-            return self.cache.lookup(key, name)
-        finally:
-            profiler.exit()
-
-    def _profiled_put(self, key: str, name: str, outputs) -> None:
-        profiler = self.profiler
-        if profiler is None:
-            self.cache.put(key, name, outputs)
-            return
-        profiler.enter("cache.put")
-        try:
-            self.cache.put(key, name, outputs)
-        finally:
-            profiler.exit()
-
     # -- invocation lifecycle ---------------------------------------------------------
+    def _spawn_invocation(self, state: _ProcessorState, binding: Binding) -> None:
+        if self._cancelled:
+            return  # a cancelled run starts no new work
+        self._note_in_flight(+1)
+        self.engine.process(
+            self._invoke(state, binding), name=f"moteur:{state.processor.name}"
+        )
+
     def _invoke(self, state: _ProcessorState, binding: Binding):
-        processor = state.processor
-        key: Optional[str] = None
-        flight_open = False
+        """An ordinary invocation: one token per port."""
         began = self.engine.now
         profiler = self.profiler
         if profiler is not None:
             profiler.enter("enactor.prepare")
         try:
             parents = tuple(binding[port].history for port in sorted(binding))
-            history = HistoryTree.derive(processor.name, parents)
+            history = HistoryTree.derive(state.processor.name, parents)
         finally:
             if profiler is not None:
                 profiler.exit()
@@ -709,6 +669,8 @@ class MoteurEnactor:
             # starts once its predecessors finished their whole streams.
             if not self.config.service_parallelism and state.preds_drained is not None:
                 yield state.preds_drained
+                if self._cancelled:
+                    return  # parked on the barrier when the run was cancelled
 
             poisoned = next((t for t in binding.values() if t.poisoned), None)
             if poisoned is not None and poisoned.failure is not None:
@@ -716,113 +678,36 @@ class MoteurEnactor:
                 # propagate the error token so only this lineage is lost.
                 self._skip_poisoned(state, history, poisoned.failure)
             else:
-                outputs: Optional[Mapping[str, GridData]] = None
-                job_ids: Tuple[int, ...] = ()
-                kind = (
-                    "grouped"
-                    if getattr(processor.service, "stages", None)
-                    else "invocation"
-                )
-                if self.cache is not None or self.journal is not None or self._replay:
-                    facts = {
-                        port: ((token.history, token.data),)
-                        for port, token in binding.items()
-                    }
-                    key = self._profiled_key(processor, facts)
-                if key is not None and key in self._replay:
-                    # Journal replay: the previous (interrupted) run already
-                    # completed this invocation and persisted its outputs.
-                    entry = self._replay[key]
-                    outputs = dict(entry.outputs)
-                    job_ids = entry.job_ids
-                    kind = "replayed"
-                    start = end = self.engine.now
-                    self._register_cached_files(outputs)
-                    self._replayed_count += 1
-                elif self.cache is not None:
-                    lookup_start = self.engine.now
-                    outputs = self._profiled_lookup(key, processor.name)
-                    if outputs is not None:
-                        kind = "cached"
-                        start = end = self.engine.now
-                        self._register_cached_files(outputs)
-                        self._record_cache_lookup(processor.name, lookup_start, "hit")
-                    else:
-                        leader = self.cache.flight_leader(self.engine, key)
-                        if leader is not None:
-                            # Single-flight: an identical invocation is already
-                            # executing; wait for its result instead of
-                            # submitting the same work twice.
-                            outputs = yield leader
-                            self.cache.record_coalesced(processor.name)
-                            kind = "cached"
-                            start = end = self.engine.now
-                            self._register_cached_files(outputs)
-                            self._record_cache_lookup(
-                                processor.name, lookup_start, "coalesced"
-                            )
-                        else:
-                            self.cache.open_flight(self.engine, key)
-                            flight_open = True
-                            self.cache.record_miss(processor.name)
-                            self._record_cache_lookup(processor.name, lookup_start, "miss")
-
-                if outputs is None:
-                    request = state.gate.request()
-                    gate_requested = self.engine.now
-                    yield request
-                    start = self.engine.now
-                    if self.instrumentation is not None:
-                        self.instrumentation.metrics.histogram("enactor.gate_wait").observe(
-                            start - gate_requested
-                        )
-                    try:
-                        inputs = {port: token.data for port, token in binding.items()}
-                        call, record = processor.service.invoke_recorded(inputs)
-                        outputs = yield call
-                    finally:
-                        state.gate.release(request)
-                    end = self.engine.now
-                    job_ids = tuple(record.job_ids)
-                    if self.cache is not None and key is not None:
-                        self._profiled_put(key, processor.name, outputs)
-                        self.cache.close_flight(self.engine, key, outputs=outputs)
-                        flight_open = False
-
-                self._complete_invocation(
-                    state, history, outputs, start, end, kind, job_ids, key
-                )
+                bound = {port: (token,) for port, token in binding.items()}
+                done = yield from self._execute(state, bound, barrier=False)
+                if done is None:
+                    return
+                self._complete_invocation(state, history, *done)
                 self._check_drained(state)
         except Exception as exc:
-            if flight_open and key is not None:
-                self.cache.close_flight(self.engine, key, error=exc)
             if not self._contain(state, history, began, exc):
                 self._fail(exc)
                 return
         finally:
-            self._in_flight -= 1
-            self._note_in_flight()
+            self._note_in_flight(-1)
         self._check_completion()
-
-    def _spawn_sync(self, state: _ProcessorState) -> None:
-        if self._cancelled:
-            return
-        self._in_flight += 1
-        self._note_in_flight()
-        self.engine.process(
-            self._sync_invoke(state), name=f"moteur-sync:{state.processor.name}"
-        )
 
     def _sync_invoke(self, state: _ProcessorState):
         """Synchronization barrier: one invocation over the whole streams."""
-        processor = state.processor
-        key: Optional[str] = None
-        flight_open = False
         history: Optional[HistoryTree] = None
         began = self.engine.now
+
+        def derive(streams: Mapping[str, Sequence[DataToken]]) -> HistoryTree:
+            return HistoryTree.derive(
+                state.processor.name,
+                tuple(t.history for port in sorted(streams) for t in streams[port]),
+            )
+
         try:
             if state.preds_drained is not None:
                 yield state.preds_drained
+                if self._cancelled:
+                    return
 
             # Failure containment at the barrier: poisoned tokens are
             # dropped so the synchronization runs over the survivors.  A
@@ -847,13 +732,8 @@ class MoteurEnactor:
                     if tokens and not survivors[port]
                 ]
 
-            all_parents = tuple(
-                token.history
-                for port in sorted(state.sync_buffers)
-                for token in state.sync_buffers[port]
-            )
             if starved:
-                history = HistoryTree.derive(processor.name, all_parents)
+                history = derive(state.sync_buffers)
                 root = next(
                     t.failure
                     for port in starved
@@ -861,115 +741,152 @@ class MoteurEnactor:
                     if t.failure is not None
                 )
                 self._skip_poisoned(state, history, root)
-                state.expected = 1
-                if state.drained is not None and not state.drained.triggered:
-                    state.drained.succeed(state.invocations_done)
             else:
-                outputs: Optional[Mapping[str, GridData]] = None
-                job_ids: Tuple[int, ...] = ()
-                kind = "synchronization"
-                if self.cache is not None or self.journal is not None or self._replay:
-                    # A barrier consumes whole streams whose arrival order is
-                    # a DP+SP race artifact, so its key treats each port's
-                    # tokens as a multiset (unordered=True): a warm run whose
-                    # tokens arrive in a different order still hits.
-                    facts = {
-                        port: tuple((t.history, t.data) for t in tokens)
-                        for port, tokens in survivors.items()
-                    }
-                    key = self._profiled_key(processor, facts, unordered=True)
-                if key is not None and key in self._replay:
-                    entry = self._replay[key]
-                    outputs = dict(entry.outputs)
-                    job_ids = entry.job_ids
-                    kind = "replayed"
-                    start = end = self.engine.now
-                    self._register_cached_files(outputs)
-                    self._replayed_count += 1
-                elif self.cache is not None:
-                    lookup_start = self.engine.now
-                    outputs = self._profiled_lookup(key, processor.name)
-                    if outputs is not None:
-                        kind = "cached"
-                        start = end = self.engine.now
-                        self._register_cached_files(outputs)
-                        self._record_cache_lookup(processor.name, lookup_start, "hit")
-                    else:
-                        leader = self.cache.flight_leader(self.engine, key)
-                        if leader is not None:
-                            outputs = yield leader
-                            self.cache.record_coalesced(processor.name)
-                            kind = "cached"
-                            start = end = self.engine.now
-                            self._register_cached_files(outputs)
-                            self._record_cache_lookup(
-                                processor.name, lookup_start, "coalesced"
-                            )
-                        else:
-                            self.cache.open_flight(self.engine, key)
-                            flight_open = True
-                            self.cache.record_miss(processor.name)
-                            self._record_cache_lookup(processor.name, lookup_start, "miss")
-
-                if outputs is None:
-                    request = state.gate.request()
-                    gate_requested = self.engine.now
-                    yield request
-                    start = self.engine.now
-                    if self.instrumentation is not None:
-                        self.instrumentation.metrics.histogram("enactor.gate_wait").observe(
-                            start - gate_requested
-                        )
-                    try:
-                        inputs = {
-                            port: GridData(value=[t.value for t in tokens])
-                            for port, tokens in survivors.items()
-                        }
-                        call, record = processor.service.invoke_recorded(inputs)
-                        outputs = yield call
-                    finally:
-                        state.gate.release(request)
-                    end = self.engine.now
-                    job_ids = tuple(record.job_ids)
-                    if self.cache is not None and key is not None:
-                        self._profiled_put(key, processor.name, outputs)
-                        self.cache.close_flight(self.engine, key, outputs=outputs)
-                        flight_open = False
-
-                parents = tuple(
-                    token.history
-                    for port in sorted(survivors)
-                    for token in survivors[port]
-                )
-                history = HistoryTree.derive(processor.name, parents)
-                self._complete_invocation(
-                    state, history, outputs, start, end, kind, job_ids, key
-                )
-                state.expected = 1
-                if state.drained is not None and not state.drained.triggered:
-                    state.drained.succeed(state.invocations_done)
+                done = yield from self._execute(state, survivors, barrier=True)
+                if done is None:
+                    return
+                history = derive(survivors)
+                self._complete_invocation(state, history, *done)
+                # One invocation is the barrier's whole stream: this
+                # marks it drained (``expected`` is 1 for a barrier).
+                self._check_drained(state)
         except Exception as exc:
-            if flight_open and key is not None:
-                self.cache.close_flight(self.engine, key, error=exc)
             if history is None:
-                history = HistoryTree.derive(
-                    processor.name,
-                    tuple(
-                        token.history
-                        for port in sorted(state.sync_buffers)
-                        for token in state.sync_buffers[port]
-                    ),
-                )
+                history = derive(state.sync_buffers)
             if not self._contain(state, history, began, exc):
                 self._fail(exc)
                 return
-            state.expected = 1
-            if state.drained is not None and not state.drained.triggered:
-                state.drained.succeed(state.invocations_done)
         finally:
-            self._in_flight -= 1
-            self._note_in_flight()
+            self._note_in_flight(-1)
         self._check_completion()
+
+    def _execute(
+        self,
+        state: _ProcessorState,
+        bound: Mapping[str, Sequence[DataToken]],
+        barrier: bool,
+    ):
+        """The one invocation lifecycle (sub-generator, ``yield from`` it).
+
+        *bound* is what each port contributes: one token, or — for a
+        synchronization *barrier* — its whole stream.  In order: key,
+        journal replay, cache lookup, coalesce on / open a flight, gate,
+        service call, cache put + close flight.  An error while the
+        flight is open closes it (failing the followers) on its way to
+        the caller's containment.  Returns ``(outputs, start, end, kind,
+        job_ids, key)`` for :meth:`_complete_invocation`, or None when
+        the run was cancelled while this invocation was parked on the
+        gate: nothing was invoked, nothing may be recorded.
+        """
+        processor = state.processor
+        name = processor.name
+        engine = self.engine
+        cache = self.cache
+        profiler = self.profiler
+        key: Optional[str] = None
+        if cache is not None or self.journal is not None or self._replay:
+            # A barrier consumes whole streams whose arrival order is a
+            # DP+SP race artifact, so its key treats each port's tokens
+            # as a multiset (unordered): a warm run whose tokens arrive
+            # in a different order still hits.
+            facts = {
+                port: tuple((t.history, t.data) for t in tokens)
+                for port, tokens in bound.items()
+            }
+            if profiler is not None:
+                profiler.enter("enactor.key")
+                profiler.count("enactor.keys")
+            try:
+                key = invocation_key(processor.service, facts, unordered=barrier)
+            finally:
+                if profiler is not None:
+                    profiler.exit()
+        if key is not None and key in self._replay:
+            # Journal replay: the previous (interrupted) run already
+            # completed this invocation and persisted its outputs.
+            entry = self._replay[key]
+            outputs = dict(entry.outputs)
+            self._register_cached_files(outputs)
+            self._replayed_count += 1
+            return outputs, engine.now, engine.now, "replayed", entry.job_ids, key
+        flight_open = False
+        try:
+            if cache is not None:
+                lookup_start = engine.now
+                if profiler is not None:
+                    profiler.enter("cache.lookup")
+                try:
+                    outputs = cache.lookup(key, name)
+                finally:
+                    if profiler is not None:
+                        profiler.exit()
+                status = "hit"
+                if outputs is None:
+                    leader = cache.flight_leader(engine, key)
+                    if leader is not None:
+                        # Single-flight: an identical invocation is already
+                        # executing; wait for its result instead of
+                        # submitting the same work twice.
+                        outputs = yield leader
+                        cache.record_coalesced(name)
+                        status = "coalesced"
+                if outputs is not None:
+                    self._register_cached_files(outputs)
+                    self._record_cache_lookup(name, lookup_start, status)
+                    return outputs, engine.now, engine.now, "cached", (), key
+                cache.open_flight(engine, key)
+                flight_open = True
+                cache.record_miss(name)
+                self._record_cache_lookup(name, lookup_start, "miss")
+
+            request = state.gate.request()
+            gate_requested = engine.now
+            yield request
+            if self._cancelled:
+                # Parked on the gate when the run was cancelled: hand the
+                # slot on and fail the followers rather than strand them.
+                state.gate.release(request)
+                if flight_open:
+                    cache.close_flight(
+                        engine, key, error=ServiceError(f"{name}: run cancelled")
+                    )
+                return None
+            start = engine.now
+            if self.instrumentation is not None:
+                self.instrumentation.metrics.histogram("enactor.gate_wait").observe(
+                    start - gate_requested
+                )
+            try:
+                if barrier:
+                    inputs = {
+                        port: GridData(value=[t.value for t in tokens])
+                        for port, tokens in bound.items()
+                    }
+                else:
+                    inputs = {port: tokens[0].data for port, tokens in bound.items()}
+                call, record = processor.service.invoke_recorded(inputs)
+                outputs = yield call
+            finally:
+                state.gate.release(request)
+            end = engine.now
+            if cache is not None:
+                if profiler is not None:
+                    profiler.enter("cache.put")
+                try:
+                    cache.put(key, name, outputs)
+                finally:
+                    if profiler is not None:
+                        profiler.exit()
+                cache.close_flight(engine, key, outputs=outputs)
+        except Exception as exc:
+            if flight_open:  # a follower must never close its leader's flight
+                cache.close_flight(engine, key, error=exc)
+            raise
+        if barrier:
+            kind = "synchronization"
+        else:
+            kind = "grouped" if getattr(processor.service, "stages", None) else "invocation"
+        return outputs, start, end, kind, tuple(record.job_ids), key
 
     def _complete_invocation(
         self,
@@ -989,66 +906,36 @@ class MoteurEnactor:
         never have published results it did not persist.
         """
         profiler = self.profiler
-        if profiler is None:
-            self._complete_unprofiled(
-                state, history, outputs, start, end, kind, job_ids, key
-            )
-            return
-        profiler.enter("enactor.complete")
+        if profiler is not None:
+            profiler.enter("enactor.complete")
         try:
-            self._complete_unprofiled(
-                state, history, outputs, start, end, kind, job_ids, key
-            )
-        finally:
-            profiler.exit()
-
-    def _complete_unprofiled(
-        self,
-        state: _ProcessorState,
-        history: HistoryTree,
-        outputs: Mapping[str, GridData],
-        start: float,
-        end: float,
-        kind: str,
-        job_ids: Tuple[int, ...],
-        key: Optional[str],
-    ) -> None:
-        self._trace.add(
-            TraceEvent(
-                processor=state.processor.name,
-                label=history.label(),
-                start=start,
-                end=end,
-                kind=kind,
-                job_ids=job_ids,
-            )
-        )
-        self._record_invocation_span(
-            state.processor.name, history.label(), start, end, kind, job_ids
-        )
-        self._invocation_count += 1
-        if kind != "replayed":
-            if self.journal is not None and key is not None:
-                self.journal.append_invocation(
-                    JournalEntry(
-                        key=key,
-                        processor=state.processor.name,
-                        label=history.label(),
-                        kind=kind,
-                        started=start,
-                        finished=end,
-                        job_ids=job_ids,
-                        outputs=dict(outputs),
+            self._record(state, history, start, end, kind, job_ids)
+            self._invocation_count += 1
+            if kind != "replayed":
+                if self.journal is not None and key is not None:
+                    self.journal.append_invocation(
+                        JournalEntry(
+                            key=key,
+                            processor=state.processor.name,
+                            label=history.label(),
+                            kind=kind,
+                            started=start,
+                            finished=end,
+                            job_ids=job_ids,
+                            outputs=dict(outputs),
+                        )
                     )
-                )
-                if self.profiler is not None:
-                    self.profiler.count("enactor.journal_appends")
-            self._progress += 1
-            crash_after = self.crash_after_n_invocations
-            if crash_after is not None and self._progress >= crash_after:
-                raise SimulatedCrash(self._progress)
-        self._emit_outputs(state, history, outputs)
-        state.invocations_done += 1
+                    if profiler is not None:
+                        profiler.count("enactor.journal_appends")
+                self._progress += 1
+                crash_after = self.crash_after_n_invocations
+                if crash_after is not None and self._progress >= crash_after:
+                    raise SimulatedCrash(self._progress)
+            self._emit_outputs(state, history, outputs)
+            state.invocations_done += 1
+        finally:
+            if profiler is not None:
+                profiler.exit()
 
     def _contain(
         self,
@@ -1073,19 +960,9 @@ class MoteurEnactor:
             state.processor.name, history, exc, self.engine.now
         )
         self._report.failures.append(failure)
-        self._trace.add(
-            TraceEvent(
-                processor=state.processor.name,
-                label=history.label(),
-                start=began,
-                end=self.engine.now,
-                kind="failed",
-                job_ids=failure.job_ids,
-            )
-        )
-        self._record_invocation_span(
-            state.processor.name,
-            history.label(),
+        self._record(
+            state,
+            history,
             began,
             self.engine.now,
             "failed",
@@ -1094,8 +971,6 @@ class MoteurEnactor:
             error=failure.error,
         )
         self._emit_error_tokens(state, history, failure)
-        state.invocations_done += 1
-        self._check_drained(state)
         return True
 
     def _skip_poisoned(
@@ -1104,29 +979,10 @@ class MoteurEnactor:
         """Skip an invocation whose input lineage already died upstream."""
         self._report.skipped += 1
         now = self.engine.now
-        self._trace.add(
-            TraceEvent(
-                processor=state.processor.name,
-                label=history.label(),
-                start=now,
-                end=now,
-                kind="poisoned",
-                job_ids=(),
-            )
-        )
-        self._record_invocation_span(
-            state.processor.name,
-            history.label(),
-            now,
-            now,
-            "poisoned",
-            (),
-            status="skipped",
-            root=failure.processor,
+        self._record(
+            state, history, now, now, "poisoned", (), status="skipped", root=failure.processor
         )
         self._emit_error_tokens(state, history, failure)
-        state.invocations_done += 1
-        self._check_drained(state)
 
     def _emit_error_tokens(
         self, state: _ProcessorState, history: HistoryTree, failure: InvocationFailure
@@ -1136,18 +992,12 @@ class MoteurEnactor:
         Error tokens keep the normal derived history, so dot/cross
         iteration downstream still pairs them with their siblings (and
         the stream accounting stays exact) — the poison only kills the
-        lineage it belongs to.
+        lineage it belongs to.  The lost invocation still counts as done.
         """
-        profiler = self.profiler
         for port in state.processor.effective_output_ports():
-            state.emitted[port] += 1
-            if profiler is not None:
-                profiler.count("enactor.tokens")
-            self._deliver(
-                state.processor.name,
-                port,
-                DataToken(GridData(value=None), history, failure=failure),
-            )
+            self._deliver(state, port, DataToken(GridData(value=None), history, failure=failure))
+        state.invocations_done += 1
+        self._check_drained(state)
 
     def _register_cached_files(self, outputs: Mapping[str, GridData]) -> None:
         """Re-advertise a hit's grid files in the replica catalog.
@@ -1165,15 +1015,11 @@ class MoteurEnactor:
     def _emit_outputs(
         self, state: _ProcessorState, history: HistoryTree, outputs: Mapping[str, GridData]
     ) -> None:
-        profiler = self.profiler
         for port in state.processor.effective_output_ports():
             datum = outputs[port]
             if isinstance(datum.value, NoData):
                 continue  # conditional port chose not to emit (loop exits...)
-            state.emitted[port] += 1
-            if profiler is not None:
-                profiler.count("enactor.tokens")
-            self._deliver(state.processor.name, port, DataToken(datum, history))
+            self._deliver(state, port, DataToken(datum, history))
 
     # -- stream accounting -------------------------------------------------------------
     def _check_drained(self, state: _ProcessorState) -> None:

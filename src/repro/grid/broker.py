@@ -149,29 +149,26 @@ class ResourceBroker:
         penalty is added to each surviving CE's load estimate.
         """
         profiler = self.profiler
-        if profiler is None:
-            return self._choose_unprofiled(record)
-        profiler.enter("broker.rank")
+        if profiler is not None:
+            profiler.enter("broker.rank")
         try:
-            return self._choose_unprofiled(record)
+            candidates = self.computing_elements
+            health = self.health
+            if health is not None:
+                allowed = [ce for ce in candidates if not health.blacklisted(ce.name)]
+                if allowed and len(allowed) < len(candidates):
+                    self.demotions += 1
+                if allowed:
+                    candidates = allowed
+                if self.strategy_name == "least-loaded":
+                    return min(
+                        candidates,
+                        key=lambda ce: (ce.load_estimate() + health.penalty(ce.name), ce.name),
+                    )
+            return self._rank(candidates, record, self._rng)
         finally:
-            profiler.exit()
-
-    def _choose_unprofiled(self, record: JobRecord) -> ComputingElement:
-        candidates = self.computing_elements
-        health = self.health
-        if health is not None:
-            allowed = [ce for ce in candidates if not health.blacklisted(ce.name)]
-            if allowed and len(allowed) < len(candidates):
-                self.demotions += 1
-            if allowed:
-                candidates = allowed
-            if self.strategy_name == "least-loaded":
-                return min(
-                    candidates,
-                    key=lambda ce: (ce.load_estimate() + health.penalty(ce.name), ce.name),
-                )
-        return self._rank(candidates, record, self._rng)
+            if profiler is not None:
+                profiler.exit()
 
     @property
     def queue_length(self) -> int:

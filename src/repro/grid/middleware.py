@@ -716,44 +716,40 @@ class Grid:
     def submit(self, description: JobDescription) -> SubmissionHandle:
         """Submit a job; returns immediately with a handle."""
         profiler = self.profiler
-        if profiler is None:
-            return self._submit_unprofiled(description)
-        profiler.enter("grid.submit")
+        if profiler is not None:
+            profiler.enter("grid.submit")
         try:
-            return self._submit_unprofiled(description)
-        finally:
-            profiler.exit()
-
-    def _submit_unprofiled(self, description: JobDescription) -> SubmissionHandle:
-        for gfn in description.input_files:
-            if not self.catalog.knows(gfn):
-                raise ValueError(
-                    f"job {description.name!r} references unregistered input {gfn!r}"
+            for gfn in description.input_files:
+                if not self.catalog.knows(gfn):
+                    raise ValueError(
+                        f"job {description.name!r} references unregistered input {gfn!r}"
+                    )
+            record = JobRecord(description)
+            self.records.append(record)
+            completion = self.engine.event(name=f"job:{description.name}")
+            job_span: Optional[Span] = None
+            bus = self.instrumentation
+            if bus is not None:
+                bus.metrics.counter("grid.jobs.submitted").inc()
+                # Multi-tenant runs tag their jobs so spans stay attributable
+                # even when several enactments share this grid (the single
+                # bus.run_span slot cannot distinguish them).
+                job_span = bus.begin(
+                    "grid.job",
+                    "grid",
+                    self.engine.now,
+                    parent=bus.run_span,
+                    job_id=record.job_id,
+                    job_name=description.name,
+                    **self.tenancy(record),
                 )
-        record = JobRecord(description)
-        self.records.append(record)
-        completion = self.engine.event(name=f"job:{description.name}")
-        job_span: Optional[Span] = None
-        bus = self.instrumentation
-        if bus is not None:
-            bus.metrics.counter("grid.jobs.submitted").inc()
-            # Multi-tenant runs tag their jobs so spans stay attributable
-            # even when several enactments share this grid (the single
-            # bus.run_span slot cannot distinguish them).
-            tenancy = self._tenancy(record)
-            job_span = bus.begin(
-                "grid.job",
-                "grid",
-                self.engine.now,
-                parent=bus.run_span,
-                job_id=record.job_id,
-                job_name=description.name,
-                **tenancy,
+            self.engine.process(
+                self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
             )
-        self.engine.process(
-            self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
-        )
-        return SubmissionHandle(record, completion)
+            return SubmissionHandle(record, completion)
+        finally:
+            if profiler is not None:
+                profiler.exit()
 
     # -- monitoring feedback ------------------------------------------------
     def set_health_provider(self, provider) -> None:
@@ -835,7 +831,7 @@ class Grid:
         return str(record.description.tags.get("service", record.description.owner))
 
     @staticmethod
-    def _tenancy(record: JobRecord) -> Dict[str, str]:
+    def tenancy(record: JobRecord) -> Dict[str, str]:
         """Tenant/run attribution for a job's spans.
 
         Phase spans close in completion order, often *before* their
@@ -924,7 +920,7 @@ class Grid:
                         parent=job_span,
                         job_id=record.job_id,
                         attempt=tries,
-                        **self._tenancy(record),
+                        **self.tenancy(record),
                     )
                     self._attempt_spans[record.job_id] = attempt_span
                 sample = self.overhead.sample(rng).under_load(self._overhead_scale())
@@ -949,7 +945,7 @@ class Grid:
                     job_id=record.job_id,
                     attempt=tries,
                     ce=chosen.name,
-                    **self._tenancy(record),
+                    **self.tenancy(record),
                 )
 
             if self.faults.attempt_fails(fault_rng, ce=chosen.name):
@@ -973,7 +969,7 @@ class Grid:
                         attempt=tries,
                         ce=chosen.name,
                         job_name=record.description.name,
-                        **self._tenancy(record),
+                        **self.tenancy(record),
                     )
                     if attempt_span is not None:
                         bus.end(attempt_span, engine.now, status="error", error=last_error)
@@ -1134,7 +1130,7 @@ class Grid:
                 "attempt": record.attempts,
                 "ce": ce_name,
                 "job_name": record.description.name,
-                **self._tenancy(record),
+                **self.tenancy(record),
             }
             bus.record(
                 "job.schedule", "grid", matched_at, queued_at, parent=attempt_span, **common

@@ -256,6 +256,7 @@ class ComputingElement:
             record.enter(JobState.RUNNING, engine.now)
             grid = self.grid
             bus = grid.instrumentation if grid is not None else None
+            tenancy = grid.tenancy(record) if bus is not None else {}
 
             # Stage in: pull every input file from its closest replica.
             # Byte totals accumulate as ints (LogicalFile sizes are
@@ -288,11 +289,7 @@ class ComputingElement:
                     ce=self.name,
                     files=len(record.description.input_files),
                     bytes=stage_in_bytes,
-                    **{
-                        key: record.description.tags[key]
-                        for key in ("tenant", "run")
-                        if key in record.description.tags
-                    },
+                    **tenancy,
                 )
 
             # Execute the payload for its sampled duration.
@@ -336,11 +333,7 @@ class ComputingElement:
                     ce=self.name,
                     files=len(record.description.output_files),
                     bytes=stage_out_bytes,
-                    **{
-                        key: record.description.tags[key]
-                        for key in ("tenant", "run")
-                        if key in record.description.tags
-                    },
+                    **tenancy,
                 )
 
             # Evaluate the Python payload: real outputs for simulated work.

@@ -21,13 +21,26 @@ real measurements, a :class:`~.clock.TickClock` when the profile must
 be byte-identical across identically seeded runs.
 
 Toggleability is the contract that lets this live *permanently* inside
-``Engine.step``, ``MoteurEnactor._invoke`` and friends: every
+``Engine.step``, ``MoteurEnactor._execute`` and friends: every
 instrumented object carries a ``profiler`` attribute that defaults to
-``None``, and the hot path pays exactly one attribute load plus one
-``is not None`` test when profiling is off — the same idiom the
-instrumentation bus already uses (``if bus is None: return``).  The
-overhead benchmark (``benchmarks/bench_profiler_overhead.py``) holds
-the off-cost under 1% and the on-cost under 10%.
+``None``, and an instrumented region is one body bracketed by ::
+
+    if profiler is not None:
+        profiler.enter("component.region")
+    try:
+        ...
+    finally:
+        if profiler is not None:
+            profiler.exit()
+
+so there is one code path, not a profiled and an unprofiled twin, and
+the hot path pays one attribute load plus two ``is not None`` tests
+when profiling is off.  A null-object default was measured and
+rejected: on ``Engine.step``/``schedule`` its no-op calls cost ~150 ns
+per event (1 710/1 776/1 859 -> 1 871/2 083/1 840 ns medians on the
+trajectory benchmark's ``timeout_ns_per_event`` driver).  The overhead
+benchmark (``benchmarks/bench_profiler_overhead.py``) holds the
+off-cost under 1% and the on-cost under 10%.
 
 A :class:`Profile` is the immutable, serializable snapshot: scope tree
 plus churn counters plus optional memory report, with a stable sorted

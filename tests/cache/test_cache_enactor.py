@@ -46,15 +46,26 @@ def wrapped(engine, grid, name, compute=10.0, program=None, calls=None):
     )
 
 
-def chain_workflow(engine, grid, calls=None):
-    """in -> A -> B -> out over two wrapped grid services."""
+def chain_workflow(engine, grid, calls=None, synchronization=False):
+    """in -> A -> B -> out over two wrapped grid services.
+
+    With *synchronization*, B is a barrier summing A's whole stream.
+    """
     a = wrapped(engine, grid, "A", calls=calls)
     b = wrapped(engine, grid, "B", calls=calls)
+    if synchronization:
+
+        def gather(x):
+            if calls is not None:
+                calls.append("B")
+            return {"y": sum(x) + 1}
+
+        b = wrapped(engine, grid, "B", program=gather)
     return (
         WorkflowBuilder()
         .source("in")
         .service("A", a)
-        .service("B", b)
+        .service("B", b, synchronization=synchronization)
         .sink("out")
         .connect("in:output", "A:x")
         .connect("A:y", "B:x")
@@ -237,6 +248,32 @@ class TestSingleFlight:
         assert total.coalesced == 2
         assert total.misses == 2
         # flights are cleaned up
+        assert cache._inflight == {}
+
+    @pytest.mark.parametrize("synchronization", [False, True], ids=["ordinary", "synchronization"])
+    def test_follower_is_cached_with_one_job_per_invocation(self, synchronization):
+        """Both arms of the invocation lifecycle coalesce onto a leader."""
+        cache = ResultCache(store=InMemoryStore())
+        config = OptimizationConfig.sp_dp()
+        engine = Engine()
+        grid = ideal_testbed(engine)
+        calls = []
+        done = [
+            MoteurEnactor(
+                engine,
+                chain_workflow(engine, grid, calls=calls, synchronization=synchronization),
+                config,
+                cache=cache,
+            ).enact({"in": [7]})
+            for _ in range(2)
+        ]
+        leader, follower = (engine.run(until=event) for event in done)
+        assert sorted(calls) == ["A", "B"]
+        assert len(grid.records) == 2  # one job per service, not per enactment
+        assert leader.output_values("out") == follower.output_values("out") == [9]
+        assert follower.trace.count_by_kind() == {"cached": 2}
+        assert follower.cache_stats.total.coalesced == 2
+        assert leader.cache_stats.total.misses == 2
         assert cache._inflight == {}
 
     def test_follower_result_is_identical(self):

@@ -12,6 +12,7 @@ policies must land exactly on the paper's closed forms:
 import pytest
 
 from repro.core import MoteurEnactor, OptimizationConfig
+from repro.core.enactor import EnactmentCancelled
 from repro.model.makespan import makespans
 from repro.services.base import LocalService
 from repro.workflow.patterns import chain_workflow
@@ -140,3 +141,27 @@ class TestOrdering:
             ).makespan
         assert measured["SP+DP"] <= measured["DP"] <= measured["NOP"]
         assert measured["SP+DP"] <= measured["SP"] <= measured["NOP"]
+
+
+class TestCancellation:
+    @pytest.mark.parametrize("label,config", CASES)
+    def test_cancelled_run_invokes_nothing_more(self, engine, label, config):
+        """Invocations parked on a service gate (no DP) or on the stage
+        barrier (no SP) when the run is cancelled must not go on to call
+        their service once the gate frees."""
+        T, cancel_at = 10.0, 15.0
+        workflow = constant_chain(engine, 2, T=T)
+        enactor = MoteurEnactor(engine, workflow, config)
+        completion = enactor.enact({"input": list(range(10))})
+        engine.run(until=cancel_at)
+        enactor.cancel("operator")
+        engine.run()  # drain: only the calls already executing finish
+        with pytest.raises(EnactmentCancelled):
+            engine.run(until=completion)
+        began = [
+            record.submitted_at
+            for processor in workflow.services()
+            for record in processor.service.invocations
+        ]
+        assert began and max(began) <= cancel_at
+        assert engine.now <= cancel_at + T

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import InMemoryStore, ResultCache
 from repro.core import MoteurEnactor, OptimizationConfig
 from repro.core.enactor import EnactmentError
 from repro.core.failures import FailureReport
@@ -108,6 +109,54 @@ class TestBestEffortContainment:
         assert kinds.get("invocation") == 3  # item 6 runs all three stages
         # completed-invocation counter excludes failures and skips
         assert result.invocation_count == 3
+
+    @pytest.mark.parametrize("synchronization", [False, True], ids=["ordinary", "synchronization"])
+    def test_failing_leader_closes_its_flight_and_drains(self, engine, synchronization):
+        """A service that raises while its single-flight is open: the
+        flight closes with the error, the coalesced follower fails too,
+        each run records one failure, and the failed processor still
+        drains — or the barrier downstream of it would never fire."""
+        cache = ResultCache(store=InMemoryStore())
+        config = OptimizationConfig.sp_dp().with_best_effort()
+
+        def boom(x):
+            raise RuntimeError("injected failure")
+
+        def build():
+            return (
+                WorkflowBuilder("flight")
+                .source("items")
+                .service("S", LocalService(engine, "S", ("x",), ("y",), lambda x: {"y": x}, 1.0))
+                .service(
+                    "last",
+                    LocalService(engine, "last", ("x",), ("y",), boom, 1.0),
+                    synchronization=synchronization,
+                )
+                .service(
+                    "tail",
+                    LocalService(engine, "tail", ("x",), ("y",), lambda x: {"y": x}, 1.0),
+                    synchronization=True,
+                )
+                .sink("out")
+                .connect("items:output", "S:x")
+                .connect("S:y", "last:x")
+                .connect("last:y", "tail:x")
+                .connect("tail:y", "out:input")
+                .build()
+            )
+
+        done = [
+            MoteurEnactor(engine, build(), config, cache=cache).enact({"items": [1]})
+            for _ in range(2)
+        ]
+        for result in (engine.run(until=event) for event in done):
+            assert result.output_values("out") == []
+            assert [f.processor for f in result.failures.failures] == ["last"]
+            assert len(result.failures.dead_letters) == 1
+            kinds = result.trace.count_by_kind()
+            assert kinds.get("failed") == 1 and kinds.get("poisoned") == 1
+        assert cache.snapshot().total.coalesced == 1  # the follower's S; "last" failed
+        assert cache._inflight == {}
 
     def test_failures_under_every_policy(self, engine_factory=None):
         for config in (

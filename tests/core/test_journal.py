@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.core import MoteurEnactor, OptimizationConfig
 from repro.core.journal import EnactmentJournal, JournalEntry, SimulatedCrash
-from repro.services.base import GridData
+from repro.services.base import GridData, LocalService
+from repro.sim.engine import Engine
+from repro.workflow.builder import WorkflowBuilder
 
 
 def make_entry(key="k1", processor="P1", value=42, **overrides):
@@ -110,3 +113,53 @@ class TestSimulatedCrash:
     def test_is_a_runtime_error(self):
         with pytest.raises(RuntimeError):
             raise SimulatedCrash(1)
+
+
+class TestEnactorReplay:
+    @pytest.mark.parametrize("synchronization", [False, True], ids=["ordinary", "synchronization"])
+    def test_resume_replays_without_reappending(self, tmp_path, synchronization):
+        """Both arms of the invocation lifecycle replay a journalled entry."""
+        path = tmp_path / "wal.jsonl"
+        calls = []
+
+        def enactor():
+            engine = Engine()
+
+            def last(x):
+                calls.append(x)
+                return {"y": sum(x) if synchronization else x * 10}
+
+            workflow = (
+                WorkflowBuilder("replay")
+                .source("items")
+                .service(
+                    "S",
+                    LocalService(
+                        engine, "S", ("x",), ("y",), lambda x: {"y": x + 1},
+                        # later items finish first; replayed ones arrive in
+                        # item order, so a barrier key must ignore order
+                        duration=lambda inputs: 3.0 - inputs["x"].value,
+                    ),
+                )
+                .service(
+                    "last",
+                    LocalService(engine, "last", ("x",), ("y",), last, 1.0),
+                    synchronization=synchronization,
+                )
+                .sink("out")
+                .connect("items:output", "S:x")
+                .connect("S:y", "last:x")
+                .connect("last:y", "out:input")
+                .build()
+            )
+            return MoteurEnactor(engine, workflow, OptimizationConfig.sp_dp(), journal=path)
+
+        first = enactor().run({"items": [1, 2]})
+        executed = len(calls)
+        resumed = enactor()
+        second = resumed.resume({"items": [1, 2]})
+        assert len(calls) == executed  # nothing ran again
+        assert second.trace.count_by_kind() == {"replayed": first.invocation_count}
+        assert second.replayed_count == first.invocation_count
+        assert sorted(second.output_values("out")) == sorted(first.output_values("out"))
+        assert resumed.journal.appended == 1  # the run marker only

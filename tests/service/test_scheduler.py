@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.grid.job import JobState
 from repro.grid.testbeds import cluster_testbed
 from repro.service import (
     EnactmentService,
@@ -159,6 +160,30 @@ class TestCancellation:
         runs = {run.run_id: run for run in service.drain()}
         assert runs[survivor.run_id].state is RunState.DONE
         assert runs[victim.run_id].state is RunState.CANCELLED
+
+    def test_cancelled_run_submits_no_further_grid_jobs(self):
+        """Without DP every service has one slot, so invocations wait on
+        its gate; once the run is cancelled (and its queued jobs were
+        withdrawn for good) they must not submit fresh jobs."""
+        service = make_service(testbed=one_slot_cluster)
+        service.add_tenant(TenantSpec(name="a"))
+        run = service.submit("a", n_items=3, config_label="NOP")
+        for _ in range(400):
+            service.tick(max_events=5)
+            if service.grid.records:
+                break
+        else:
+            pytest.fail("the run never submitted a grid job")
+        cancelled_at = service.engine.now
+        assert service.cancel(run.run_id).state is RunState.CANCELLED
+        service.drain()
+        service.engine.run()  # let the abandoned enactment's processes unwind
+        late = [
+            record
+            for record in service.grid.records
+            if record.first(JobState.SUBMITTED) > cancelled_at
+        ]
+        assert late == []
 
     def test_cancel_is_idempotent_and_rejects_unknown_runs(self):
         service = make_service()
