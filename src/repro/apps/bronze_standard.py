@@ -50,10 +50,15 @@ from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.datasets import DataItem, InputDataSet
 from repro.workflow.graph import Workflow
 
-__all__ = ["BronzeStandardApplication", "DEFAULT_SCALE"]
+__all__ = ["BronzeStandardApplication", "BRONZE_CRITICAL_PATH", "DEFAULT_SCALE"]
 
 #: the crest-line extraction scale used on the command line (-s option)
 DEFAULT_SCALE = 8
+
+#: the critical path's compute services (Baladin/Yasmina run on parallel
+#: branches; MultiTransfoTest is a synchronization barrier) — the rows
+#: of the Section 3.5 T matrix for drift reporting.
+BRONZE_CRITICAL_PATH = ("crestLines", "crestMatch", "PFMatchICP", "PFRegister")
 
 
 class BronzeStandardApplication:

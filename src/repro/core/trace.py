@@ -7,11 +7,10 @@ per-configuration statistics the experiment harness reports.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from repro.observability.timeline import busy_seconds, peak, step_function
 
 __all__ = ["TraceEvent", "ExecutionTrace"]
 
@@ -151,135 +150,21 @@ class ExecutionTrace:
             self._kind_counts = counts
         return dict(self._kind_counts)
 
+    # The interval sweeps live in repro.observability.timeline, shared
+    # with the span-based CE timelines.
     def busy_time(self, processor: str) -> float:
-        """Total union-of-intervals busy seconds for *processor*.
-
-        Overlapping invocations (data parallelism) are not
-        double-counted.
-        """
-        intervals = [
-            (e.start, e.end) for e in self._processor_index().get(processor, [])
-        ]
-        # The sweep below requires start-ordered intervals; sort here
-        # rather than rely on the index's internal ordering.
-        intervals.sort()
-        busy = 0.0
-        current_start: Optional[float] = None
-        current_end = float("-inf")
-        for start, end in intervals:
-            if current_start is None or start > current_end:
-                if current_start is not None:
-                    busy += current_end - current_start
-                current_start, current_end = start, end
-            else:
-                current_end = max(current_end, end)
-        if current_start is not None:
-            busy += current_end - current_start
-        return busy
+        """Union-of-intervals busy seconds for *processor* (overlapping
+        data-parallel invocations are not double-counted)."""
+        events = self._processor_index().get(processor, [])
+        return busy_seconds([(e.start, e.end) for e in events])
 
     def concurrency_profile(self, processor: Optional[str] = None) -> List[Tuple[float, int]]:
-        """Step function of in-flight invocations over time.
-
-        Returns ``(time, active_count)`` breakpoints; useful to check
-        that DP-off really serialized a service and that DP-on overlapped.
-
-        Zero-duration events (cache hits) are momentary bursts: their
-        ``+1`` and ``-1`` used to cancel inside one delta bucket, making
-        them invisible.  They now contribute a ``(time, active + burst)``
-        breakpoint immediately followed by ``(time, active)``, so
-        :meth:`max_concurrency` sees them while the profile still ends
-        at the correct steady level.
-        """
-        starts: Dict[float, int] = {}
-        ends: Dict[float, int] = {}
-        instants: Dict[float, int] = {}
-        for event in self._events:
-            if processor is not None and event.processor != processor:
-                continue
-            if event.start == event.end:
-                instants[event.start] = instants.get(event.start, 0) + 1
-            else:
-                starts[event.start] = starts.get(event.start, 0) + 1
-                ends[event.end] = ends.get(event.end, 0) + 1
-        profile: List[Tuple[float, int]] = []
-        active = 0
-        for time in sorted({*starts, *ends, *instants}):
-            active += starts.get(time, 0) - ends.get(time, 0)
-            burst = instants.get(time, 0)
-            if burst:
-                profile.append((time, active + burst))
-            profile.append((time, active))
-        return profile
+        """``(time, active_count)`` breakpoints of in-flight invocations:
+        DP-off must serialize a service, DP-on overlap; a zero-duration
+        event (cache hit) is a momentary burst."""
+        events = self._events if processor is None else self._processor_index().get(processor, [])
+        return step_function((e.start, e.end) for e in events)
 
     def max_concurrency(self, processor: Optional[str] = None) -> int:
         """Peak simultaneous invocations (optionally for one processor)."""
-        profile = self.concurrency_profile(processor)
-        return max((count for _, count in profile), default=0)
-
-    # -- export -------------------------------------------------------------
-    def to_rows(self) -> List[dict]:
-        """The trace as plain dictionaries (for DataFrames, JSON, ...)."""
-        return [
-            {
-                "processor": e.processor,
-                "label": e.label,
-                "start": e.start,
-                "end": e.end,
-                "duration": e.duration,
-                "kind": e.kind,
-                "job_ids": list(e.job_ids),
-            }
-            for e in self._events
-        ]
-
-    def to_csv(self) -> str:
-        """The trace as CSV text (header + one line per event).
-
-        Written with :mod:`csv` so processor/label values containing
-        commas or quotes are properly escaped.
-        """
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["processor", "label", "start", "end", "duration", "kind", "job_ids"]
-        )
-        for e in self._events:
-            jobs = ";".join(str(j) for j in e.job_ids)
-            writer.writerow([e.processor, e.label, e.start, e.end, e.duration, e.kind, jobs])
-        return buffer.getvalue().rstrip("\n")
-
-    def to_jsonl(self, trace_id: str = "trace") -> str:
-        """The trace as JSONL, one span record per event.
-
-        The line schema matches :class:`repro.observability.spans.Span`
-        (``spans_from_jsonl`` round-trips it), so legacy enactor traces
-        and the new instrumentation streams share a single on-disk
-        format — ``python -m repro.experiments report-trace`` reads
-        either.  Span ids are derived from the provenance labels, the
-        same lineage-tied scheme the live instrumentation uses.
-        """
-        lines = []
-        for index, e in enumerate(self._events):
-            lines.append(
-                json.dumps(
-                    {
-                        "name": "invocation",
-                        "category": "enactor",
-                        "span_id": f"{trace_id}:{e.processor}:{e.label}:{index}",
-                        "trace_id": trace_id,
-                        "parent_id": None,
-                        "start": e.start,
-                        "end": e.end,
-                        "duration": e.duration,
-                        "status": "ok",
-                        "attributes": {
-                            "processor": e.processor,
-                            "label": e.label,
-                            "kind": e.kind,
-                            "job_ids": list(e.job_ids),
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines)
+        return peak(self.concurrency_profile(processor))

@@ -52,7 +52,9 @@ it, and ``--crash-after N`` simulates an interrupt, exiting 4);
 best-effort run or from an exported trace; ``report-health`` prints per-CE health scores and
 the alert log, either from a fresh run or by replaying an exported
 trace; ``report-trace`` renders the phase breakdown and model-drift
-tables of a previously exported JSONL trace.
+tables of a span stream exported by ``bronze --trace`` (the only JSONL
+trace writer; a record lacking any span field is rejected with its
+line number).
 
 The analytics commands work either on a live enactment (default: the
 Bronze Standard on the EGEE-like testbed) or on an exported JSONL trace
@@ -85,15 +87,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.apps.bronze_standard import BRONZE_CRITICAL_PATH
 from repro.core import MoteurEnactor, OptimizationConfig
 from repro.core.diagrams import execution_diagram
 from repro.observability.logbridge import cli_logger
 from repro.services.base import LocalService
-
-#: the Bronze Standard's critical path (Baladin/Yasmina run on parallel
-#: branches; MultiTransfoTest is a synchronization barrier) — the rows
-#: of the Section 3.5 T matrix for drift reporting.
-BRONZE_CRITICAL_PATH = ("crestLines", "crestMatch", "PFMatchICP", "PFRegister")
 
 
 def _config_by_label(label: str) -> OptimizationConfig:
@@ -448,12 +446,12 @@ def cmd_report_durability(args: argparse.Namespace) -> int:
 
 
 def _load_spans(path: str):
-    from repro.observability import spans_from_jsonl
+    from repro.observability import SpanError, spans_from_jsonl
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return spans_from_jsonl(handle)
-    except OSError as exc:
+    except (OSError, SpanError) as exc:
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
 
 
@@ -775,15 +773,10 @@ def cmd_report_trace(args: argparse.Namespace) -> int:
         DriftError,
         drift_report_from_trace,
         overhead_by_job_from_spans,
-        spans_from_jsonl,
     )
 
     out = cli_logger()
-    try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            spans = spans_from_jsonl(handle)
-    except OSError as exc:
-        raise SystemExit(f"cannot read trace {args.trace!r}: {exc}")
+    spans = _load_spans(args.trace)
     out.info(f"{len(spans)} spans from {args.trace}")
     out.info("\n=== phase breakdown ===")
     out.info(format_phase_breakdown(spans))

@@ -37,11 +37,11 @@ object per line — the same streaming discipline as the span trace, so
 
 from __future__ import annotations
 
-import io
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.observability.bus import InstrumentationBus, JsonlLineWriter
 
 __all__ = [
     "ALERT_KINDS",
@@ -52,6 +52,7 @@ __all__ = [
     "alert_sort_key",
     "alerts_to_jsonl",
     "alerts_from_jsonl",
+    "publish_alert",
 ]
 
 #: every kind the monitor can raise, in severity-agnostic display order
@@ -157,6 +158,41 @@ def alerts_from_jsonl(text: "str | Iterable[str]") -> List[Alert]:
     return alerts
 
 
+def publish_alert(
+    alert: Alert,
+    sinks: Iterable[Callable[[Alert], None]],
+    bus: Optional[InstrumentationBus] = None,
+) -> Alert:
+    """Deliver one built alert: every emitter (the run monitor, the SLO
+    tracker) raises its alerts through here.
+
+    Each sink is called in order; with a *bus* the alert is also counted
+    in ``monitor.alerts.total`` and ``monitor.alerts.<kind>`` and
+    recorded as an instant ``alert.<kind>`` span (category ``alert``)
+    under the current run span, which is how it reaches JSONL/Chrome
+    traces and the ``compare-runs --budget-alerts`` gate.
+    """
+    for sink in sinks:
+        sink(alert)
+    if bus is not None:
+        bus.metrics.counter("monitor.alerts.total").inc()
+        bus.metrics.counter(f"monitor.alerts.{alert.kind}").inc()
+        bus.record(
+            f"alert.{alert.kind}",
+            "alert",
+            alert.time,
+            alert.time,
+            parent=bus.run_span,
+            status=alert.severity,
+            subject=alert.subject,
+            scope=alert.scope,
+            message=alert.message,
+            sequence=alert.sequence,
+            **alert.attributes,
+        )
+    return alert
+
+
 @dataclass(frozen=True)
 class AlertRules:
     """Pluggable thresholds gating when each alert kind fires.
@@ -229,50 +265,14 @@ class AlertRules:
         )
 
 
-class JsonlAlertWriter:
+class JsonlAlertWriter(JsonlLineWriter):
     """Streams alerts to disk, one JSON line each, flushed per line.
 
-    Mirrors the (fixed) :class:`~repro.observability.bus.JsonlExporter`
+    The span trace's :class:`~repro.observability.bus.JsonlLineWriter`
     discipline: a live file a human can ``tail -f`` while the run is in
-    flight, usable as a context manager.  Accepts a path (opened
-    lazily, closed by :meth:`close`) or a file-like object (caller
-    owns it).
+    flight, usable as a context manager.
     """
-
-    def __init__(self, destination: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        self._path: Optional[str] = None
-        self._file: Optional[Any] = None
-        self._owns_file = False
-        if hasattr(destination, "write"):
-            self._file = destination
-        else:
-            self._path = os.fspath(destination)
-        self.lines_written = 0
-
-    def _handle(self):
-        if self._file is None:
-            self._file = open(self._path, "w", encoding="utf-8")
-            self._owns_file = True
-        return self._file
 
     def __call__(self, alert: Alert) -> None:
         """Write one alert line (the monitor's alert-sink signature)."""
-        handle = self._handle()
-        handle.write(json.dumps(alert.to_dict(), sort_keys=True))
-        handle.write("\n")
-        handle.flush()
-        self.lines_written += 1
-
-    def close(self) -> None:
-        """Flush and close the output (no-op for caller-owned files)."""
-        if self._file is not None:
-            self._file.flush()
-            if self._owns_file:
-                self._file.close()
-                self._file = None
-
-    def __enter__(self) -> "JsonlAlertWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        self.write_record(alert.to_dict())

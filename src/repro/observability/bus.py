@@ -24,15 +24,18 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, TypeVar, Union
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import Span, span_sort_key
+
+_Self = TypeVar("_Self")
 
 __all__ = [
     "Subscriber",
     "InstrumentationBus",
     "InMemoryCollector",
+    "JsonlLineWriter",
     "JsonlExporter",
     "ChromeTraceExporter",
     "chrome_trace_json",
@@ -47,6 +50,21 @@ class Subscriber:
 
     def on_end(self, span: Span) -> None:
         """Called when a span closes (default: ignore)."""
+
+    def replay(self: _Self, spans: Iterable[Span]) -> _Self:
+        """Feed a recorded stream of closed spans through this subscriber.
+
+        The stream must be in completion order (exactly what
+        :class:`JsonlExporter` wrote).  Each span is announced
+        (``on_start``) and immediately closed (``on_end``), so a
+        subscriber whose state advances only on close — the online
+        invariant the monitor and the rollups keep — ends in the same
+        state as it did live.  Returns self for chaining.
+        """
+        for span in spans:
+            self.on_start(span)
+            self.on_end(span)
+        return self
 
 
 class InstrumentationBus:
@@ -211,22 +229,16 @@ class InMemoryCollector(Subscriber):
         self.spans.clear()
 
 
-class JsonlExporter(Subscriber):
-    """Writes one JSON line per finished span.
+class JsonlLineWriter:
+    """One sorted-key JSON object per line: the span trace's and the
+    alert log's shared file discipline.
 
     Accepts a path (opened lazily, closed by :meth:`close`) or any
-    file-like object (left open; the caller owns it).  Lines appear in
-    span *completion* order — a stream, not a sorted report; readers
-    sort by start time.
-
-    Every line is flushed as it is written: the file on disk is always
-    a valid JSONL prefix of the trace, so ``tail -f`` (or the live
-    monitor's replay tests) can read it *mid-run* instead of finding an
-    empty buffer.  Usable as a context manager::
-
-        with JsonlExporter("run.jsonl") as exporter:
-            bus.subscribe(exporter)
-            ...
+    file-like object (left open; the caller owns it).  Every line is
+    flushed as it is written: the file on disk is always a valid JSONL
+    prefix of the stream, so ``tail -f`` (or the live monitor's replay
+    tests) can read it *mid-run* instead of finding an empty buffer.
+    Usable as a context manager.
     """
 
     def __init__(self, destination: Union[str, os.PathLike, io.TextIOBase]) -> None:
@@ -245,9 +257,10 @@ class JsonlExporter(Subscriber):
             self._owns_file = True
         return self._file
 
-    def on_end(self, span: Span) -> None:
+    def write_record(self, record: Dict[str, Any]) -> None:
+        """Append one record as a JSON line and flush it."""
         handle = self._handle()
-        handle.write(json.dumps(span.to_dict(), sort_keys=True))
+        handle.write(json.dumps(record, sort_keys=True))
         handle.write("\n")
         handle.flush()
         self.lines_written += 1
@@ -260,11 +273,26 @@ class JsonlExporter(Subscriber):
                 self._file.close()
                 self._file = None
 
-    def __enter__(self) -> "JsonlExporter":
+    def __enter__(self: _Self) -> _Self:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+class JsonlExporter(JsonlLineWriter, Subscriber):
+    """Writes one JSON line per finished span.
+
+    Lines appear in span *completion* order — a stream, not a sorted
+    report; readers sort by start time::
+
+        with JsonlExporter("run.jsonl") as exporter:
+            bus.subscribe(exporter)
+            ...
+    """
+
+    def on_end(self, span: Span) -> None:
+        self.write_record(span.to_dict())
 
 
 class ChromeTraceExporter(Subscriber):
@@ -342,7 +370,4 @@ class ChromeTraceExporter(Subscriber):
 
 def chrome_trace_json(spans: List[Span]) -> str:
     """One-shot conversion: a span list to Chrome trace-event JSON."""
-    exporter = ChromeTraceExporter()
-    for span in sorted(spans, key=span_sort_key):
-        exporter.on_end(span)
-    return exporter.to_json()
+    return ChromeTraceExporter().replay(sorted(spans, key=span_sort_key)).to_json()

@@ -6,7 +6,10 @@ the :class:`~repro.observability.bus.InstrumentationBus` and maintains,
 incrementally as spans close,
 
 * **per-service progress and ETA** — items completed / in flight /
-  pending per service, with an ETA that blends the Section 3.5 model
+  pending per service (an item is an invocation span whose kind is in
+  :data:`~repro.observability.spans.ITEM_KINDS`, the definition the
+  tenant rollups share, so a resumed run's journal-replayed invocations
+  count as done), with an ETA that blends the Section 3.5 model
   prediction (equations (1)–(4) evaluated on a ``T`` matrix rebuilt
   from observed mean service times) with the simple observed completion
   rate, weighting toward the observation as the run completes;
@@ -14,8 +17,10 @@ incrementally as spans close,
   :class:`~repro.observability.health.FleetHealth`, flagging straggler
   jobs/CEs and blackhole CEs while jobs are still running;
 * **typed alerts** — :class:`~repro.observability.alerts.Alert` records
-  (straggler, blackhole, fault-burst, eta-blowout, queue-stall) pushed
-  to every registered sink, re-emitted through the bus as zero-duration
+  (straggler, blackhole, fault-burst, eta-blowout, queue-stall, and the
+  data-plane se-outage / replica-corruption / transfer-storm) published
+  through :func:`~repro.observability.alerts.publish_alert`: pushed to
+  every registered sink, re-emitted through the bus as zero-duration
   ``category="alert"`` spans (so they land in the JSONL trace and the
   Chrome trace), and counted in the metrics registry (``monitor.alerts.*``)
   so run-store summaries and ``compare-runs`` budgets see them.
@@ -25,9 +30,10 @@ scores and alerts is derived *solely* from closed spans, in the order
 they close.  ``on_start`` feeds only the in-flight display counters
 (recomputed as ``max(0, started - completed)``), so replaying a
 recorded span stream — which contains only closed spans, in completion
-order — into a fresh monitor via :meth:`RunMonitor.replay` reproduces
-the exact same health table and alert list.  That is what makes the
-monitor's findings auditable after the fact.
+order — into a fresh monitor via the shared
+:meth:`Subscriber.replay <repro.observability.bus.Subscriber.replay>`
+reproduces the exact same health table and alert list.  That is what
+makes the monitor's findings auditable after the fact.
 
 The monitor is also a **health provider** for the feedback loop: the
 :class:`~repro.grid.broker.ResourceBroker` consults
@@ -37,14 +43,14 @@ flagged CEs, and the grid can proactively resubmit jobs queued on them.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
-from repro.observability.alerts import Alert, AlertRules, alert_sort_key
+from repro.observability.alerts import Alert, AlertRules, alert_sort_key, publish_alert
 from repro.observability.bus import InstrumentationBus, Subscriber
 from repro.observability.health import FleetHealth, CEHealth
-from repro.observability.spans import Span
+from repro.observability.spans import ITEM_KINDS, Span
 
 __all__ = ["HealthProvider", "ServiceProgress", "RunMonitor"]
 
@@ -106,12 +112,35 @@ class ServiceProgress:
         return min(1.0, self.completed / self.expected)
 
 
-#: invocation-span kinds that count as one completed item
-_ITEM_KINDS = ("invocation", "grouped", "cached")
-
 #: phase spans routed into FleetHealth (stage phases refine per-CE
 #: medians; queue/run additionally feed straggler detection)
 _HEALTH_PHASES = ("job.queue", "job.run", "job.stage_in", "job.stage_out")
+
+
+class _EdgeWindow:
+    """Events in a sliding time window, edge-triggered on a count.
+
+    :meth:`observe` records one event, drops those older than *width*
+    seconds, and returns the in-window count at the moment it first
+    reaches *count* (``None`` otherwise).  It re-arms only after the
+    count falls back below the threshold, so one burst raises one alert.
+    """
+
+    def __init__(self, width: float, count: int) -> None:
+        self.width = width
+        self.count = count
+        self._times: Deque[float] = deque()
+        self._high = False
+
+    def observe(self, now: float) -> Optional[int]:
+        times = self._times
+        times.append(now)
+        horizon = now - self.width
+        while times and times[0] < horizon:
+            times.popleft()
+        rising = len(times) >= self.count and not self._high
+        self._high = len(times) >= self.count
+        return len(times) if rising else None
 
 
 class RunMonitor(Subscriber, HealthProvider):
@@ -159,7 +188,6 @@ class RunMonitor(Subscriber, HealthProvider):
 
         self.fleet = FleetHealth(self.rules.health_thresholds(), window=window)
         self.alerts: List[Alert] = []
-        self._alert_sequence = 0
 
         #: service name -> progress, first-seen order
         self.services: Dict[str, ServiceProgress] = {}
@@ -180,13 +208,13 @@ class RunMonitor(Subscriber, HealthProvider):
         self._last_event: float = 0.0
         self._run_closed = False
 
-        #: per-CE recent fault times for burst detection
-        self._fault_times: Dict[str, Deque[float]] = {}
-        self._in_burst: Dict[str, bool] = {}
-
-        #: fleet-wide recent failed-transfer times for storm detection
-        self._transfer_fault_times: Deque[float] = deque()
-        self._in_storm = False
+        #: per-CE fault-burst windows and the fleet-wide transfer-storm one
+        self._fault_windows: Dict[str, _EdgeWindow] = defaultdict(
+            lambda: _EdgeWindow(self.rules.fault_burst_window, self.rules.fault_burst_count)
+        )
+        self._storm_window = _EdgeWindow(
+            self.rules.transfer_storm_window, self.rules.transfer_storm_count
+        )
 
         #: dedup sets: one CE-scope alert per CE per kind, one blowout
         self._alerted: Dict[str, set] = {"straggler": set(), "blackhole": set()}
@@ -259,7 +287,7 @@ class RunMonitor(Subscriber, HealthProvider):
 
     def _close_invocation(self, span: Span) -> None:
         attrs = span.attributes
-        if attrs.get("kind") not in _ITEM_KINDS:
+        if attrs.get("kind") not in ITEM_KINDS:
             return
         progress = self._service(str(attrs.get("processor", "?")))
         progress.completed += 1
@@ -320,28 +348,18 @@ class RunMonitor(Subscriber, HealthProvider):
     def _close_fault(self, span: Span) -> None:
         ce = str(span.attributes.get("ce", "?"))
         self.fleet.observe_fault(ce, span.duration)
-        window = self._fault_times.setdefault(ce, deque())
-        window.append(span.end)
-        horizon = span.end - self.rules.fault_burst_window
-        while window and window[0] < horizon:
-            window.popleft()
-        if len(window) >= self.rules.fault_burst_count:
-            if not self._in_burst.get(ce, False):
-                self._in_burst[ce] = True
-                self._emit(
-                    "fault-burst",
-                    span.end,
-                    subject=ce,
-                    scope="ce",
-                    severity="critical",
-                    message=(
-                        f"{len(window)} faults on {ce} within "
-                        f"{self.rules.fault_burst_window:.0f}s"
-                    ),
-                    faults_in_window=len(window),
-                )
-        else:
-            self._in_burst[ce] = False
+        window = self._fault_windows[ce]
+        faults = window.observe(span.end)
+        if faults is not None:
+            self._emit(
+                "fault-burst",
+                span.end,
+                subject=ce,
+                scope="ce",
+                severity="critical",
+                message=f"{faults} faults on {ce} within {window.width:.0f}s",
+                faults_in_window=faults,
+            )
         self._check_ce(ce, span.end)
 
     def _close_se_outage(self, span: Span) -> None:
@@ -380,34 +398,18 @@ class RunMonitor(Subscriber, HealthProvider):
         )
 
     def _close_transfer_fault(self, span: Span) -> None:
-        """Failed transfers in a fleet-wide sliding window -> storm alert.
-
-        Same edge-triggered pattern as :meth:`_close_fault`: the alert
-        fires once when the window first fills and re-arms only after
-        the rate drops back below the threshold.
-        """
-        window = self._transfer_fault_times
-        window.append(span.end)
-        horizon = span.end - self.rules.transfer_storm_window
-        while window and window[0] < horizon:
-            window.popleft()
-        if len(window) >= self.rules.transfer_storm_count:
-            if not self._in_storm:
-                self._in_storm = True
-                self._emit(
-                    "transfer-storm",
-                    span.end,
-                    subject="network",
-                    scope="run",
-                    severity="critical",
-                    message=(
-                        f"{len(window)} failed transfers within "
-                        f"{self.rules.transfer_storm_window:.0f}s"
-                    ),
-                    failures_in_window=len(window),
-                )
-        else:
-            self._in_storm = False
+        """Failed transfers in a fleet-wide sliding window -> storm alert."""
+        failures = self._storm_window.observe(span.end)
+        if failures is not None:
+            self._emit(
+                "transfer-storm",
+                span.end,
+                subject="network",
+                scope="run",
+                severity="critical",
+                message=f"{failures} failed transfers within {self._storm_window.width:.0f}s",
+                failures_in_window=failures,
+            )
 
     def _check_ce(self, ce: str, now: float) -> None:
         """Raise CE-scope alerts on a health-flag transition (once each)."""
@@ -597,31 +599,11 @@ class RunMonitor(Subscriber, HealthProvider):
             scope=scope,
             severity=severity,
             message=message,
-            sequence=self._alert_sequence,
+            sequence=len(self.alerts),
             attributes=attributes,
         )
-        self._alert_sequence += 1
         self.alerts.append(alert)
-        for sink in self.alert_sinks:
-            sink(alert)
-        bus = self.bus
-        if bus is not None:
-            bus.metrics.counter("monitor.alerts.total").inc()
-            bus.metrics.counter(f"monitor.alerts.{kind}").inc()
-            bus.record(
-                f"alert.{kind}",
-                "alert",
-                time,
-                time,
-                parent=bus.run_span,
-                status=severity,
-                subject=subject,
-                scope=scope,
-                message=message,
-                sequence=alert.sequence,
-                **attributes,
-            )
-        return alert
+        return publish_alert(alert, self.alert_sinks, self.bus)
 
     # -- health provider (the broker feedback hook) ----------------------
     #: added to a CE's load estimate per point of lost health score
@@ -644,7 +626,7 @@ class RunMonitor(Subscriber, HealthProvider):
         """Currently flagged CEs, first-seen order."""
         return [h.ce for h in self.fleet.table() if h.flagged]
 
-    # -- reporting / replay ----------------------------------------------
+    # -- reporting -------------------------------------------------------
     def health_table(self) -> List[CEHealth]:
         """Per-CE health summaries, first-seen order."""
         return self.fleet.table()
@@ -677,18 +659,3 @@ class RunMonitor(Subscriber, HealthProvider):
                 h.ce: round(h.score, 6) for h in self.health_table()
             },
         }
-
-    def replay(self, spans: Iterable[Span]) -> "RunMonitor":
-        """Feed a recorded stream of closed spans through this monitor.
-
-        The stream must be in completion order (exactly what
-        :class:`~repro.observability.bus.JsonlExporter` wrote).  Each
-        span is announced (``on_start``) and immediately closed
-        (``on_end``) — since alert-relevant state only advances on
-        close, the final health scores and alerts match the live run's.
-        Returns self for chaining.
-        """
-        for span in spans:
-            self.on_start(span)
-            self.on_end(span)
-        return self

@@ -9,15 +9,19 @@ fair-share usage — plus an *independently accumulated* global rollup,
 so "per-tenant sums equal the global totals" is a checkable invariant
 rather than a tautology.
 
-**The online invariant** (mirroring
-:class:`~repro.observability.monitor.RunMonitor`): every rollup field
-is derived solely from closed spans in completion order and audit
+**The online invariant** (the one
+:class:`~repro.observability.monitor.RunMonitor` keeps): every rollup
+field is derived solely from closed spans in completion order and audit
 events in ``(time, sequence)`` order — with the single exception of
 ``jobs_started``, which advances on span *announcement* exactly the
 way replay announces each span before closing it.  Feeding a recorded
-span stream through :meth:`replay` and a recorded audit trail through
-:meth:`replay_audit` therefore reproduces the live rollups bit for
-bit; the tests hold the service to that contract.
+span stream through the shared
+:meth:`Subscriber.replay <repro.observability.bus.Subscriber.replay>`
+and a recorded audit trail through :meth:`replay_audit` therefore
+reproduces the live rollups bit for bit; the tests hold the service to
+that contract.  An invocation counts when its kind is in
+:data:`~repro.observability.spans.ITEM_KINDS`, the definition the live
+monitor uses too.
 """
 
 from __future__ import annotations
@@ -28,12 +32,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.observability.bus import Subscriber
 from repro.observability.metrics import HistogramSnapshot
 from repro.observability.ops.audit import AuditEvent, audit_sort_key
-from repro.observability.spans import Span
+from repro.observability.spans import ITEM_KINDS, Span
 
 __all__ = ["TenantRollup", "ControlPlaneTelemetry", "rollups_from_records"]
-
-#: invocation-span kinds that count as one processed item
-_ITEM_KINDS = ("invocation", "grouped", "cached", "replayed")
 
 #: the synthetic tenant name used for the independent global rollup
 GLOBAL = "*"
@@ -179,7 +180,7 @@ class ControlPlaneTelemetry(Subscriber):
             return
         name = span.name
         if name == "invocation" and span.category == "enactor":
-            if span.attributes.get("kind") in _ITEM_KINDS:
+            if span.attributes.get("kind") in ITEM_KINDS:
                 for rollup in self._buckets(span):
                     rollup.invocations += 1
         elif name == "grid.job":
@@ -251,13 +252,6 @@ class ControlPlaneTelemetry(Subscriber):
         # the matching "finish" event, so there is nothing to fold here.
 
     # -- replay ----------------------------------------------------------
-    def replay(self, spans: Iterable[Span]) -> "ControlPlaneTelemetry":
-        """Feed a recorded stream of closed spans (completion order)."""
-        for span in spans:
-            self.on_start(span)
-            self.on_end(span)
-        return self
-
     def replay_audit(self, events: Iterable[AuditEvent]) -> "ControlPlaneTelemetry":
         """Feed a recorded audit trail in ``(time, sequence)`` order."""
         for event in sorted(events, key=audit_sort_key):

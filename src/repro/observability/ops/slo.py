@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.observability.alerts import Alert
+from repro.observability.alerts import Alert, publish_alert
 from repro.observability.bus import InstrumentationBus
 from repro.observability.ops.rollup import ControlPlaneTelemetry, TenantRollup
 
@@ -168,12 +168,13 @@ class SLOTracker:
     The service calls :meth:`update` after every audit event; the
     tracker walks each (SLO, tenant) pair, computes the burn rate, and
     emits exactly one ``slo-burn`` alert per *transition into breach*
-    (re-armed when the pair recovers).  Alert emission mirrors
-    :meth:`RunMonitor._emit <repro.observability.monitor.RunMonitor>`:
-    sinks are invoked, and when a bus is attached the alert is counted
-    in ``monitor.alerts.total`` / ``monitor.alerts.slo-burn`` and
-    recorded as an instant ``alert.slo-burn`` span — which is what
-    lets ``compare-runs --budget-alerts`` gate SLO burns.
+    (re-armed when the pair recovers).  Alerts go out through
+    :func:`~repro.observability.alerts.publish_alert`, the run
+    monitor's path too: sinks are invoked, and when a bus is attached
+    the alert is counted in ``monitor.alerts.total`` /
+    ``monitor.alerts.slo-burn`` and recorded as an instant
+    ``alert.slo-burn`` span — which is what lets
+    ``compare-runs --budget-alerts`` gate SLO burns.
     """
 
     def __init__(
@@ -189,7 +190,6 @@ class SLOTracker:
         self.alert_sinks: List[Callable[[Alert], None]] = list(alert_sinks or [])
         #: every slo-burn alert raised, emission order
         self.alerts: List[Alert] = []
-        self._alert_sequence = 0
         #: (slo name, tenant) pairs currently in breach (dedup state)
         self._burning: Dict[Tuple[str, str], bool] = {}
 
@@ -259,7 +259,7 @@ class SLOTracker:
                 fired.append(self._emit(status, time))
         return fired
 
-    # -- alert emission (mirrors RunMonitor._emit) -----------------------
+    # -- alert emission --------------------------------------------------
     def _emit(self, status: SLOStatus, time: float) -> Alert:
         severity = (
             "critical"
@@ -278,31 +278,11 @@ class SLOTracker:
             scope="service",
             severity=severity,
             message=message,
-            sequence=self._alert_sequence,
+            sequence=len(self.alerts),
             attributes=status.to_dict(),
         )
-        self._alert_sequence += 1
         self.alerts.append(alert)
-        for sink in self.alert_sinks:
-            sink(alert)
-        bus = self.bus
-        if bus is not None:
-            bus.metrics.counter("monitor.alerts.total").inc()
-            bus.metrics.counter("monitor.alerts.slo-burn").inc()
-            bus.record(
-                "alert.slo-burn",
-                "alert",
-                time,
-                time,
-                parent=bus.run_span,
-                status=severity,
-                subject=alert.subject,
-                scope=alert.scope,
-                message=message,
-                sequence=alert.sequence,
-                **alert.attributes,
-            )
-        return alert
+        return publish_alert(alert, self.alert_sinks, self.bus)
 
     def _threshold(self, slo_name: str) -> float:
         for slo in self.slos:

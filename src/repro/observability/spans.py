@@ -30,7 +30,19 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-__all__ = ["Span", "SpanError", "span_sort_key", "spans_to_jsonl", "spans_from_jsonl"]
+__all__ = [
+    "ITEM_KINDS",
+    "Span",
+    "SpanError",
+    "span_sort_key",
+    "spans_to_jsonl",
+    "spans_from_jsonl",
+]
+
+#: ``invocation``-span kinds that count as one processed item (a
+#: journal-replayed invocation is resumed work, so it counts too;
+#: ``synchronization``, ``failed`` and ``poisoned`` do not)
+ITEM_KINDS = ("invocation", "grouped", "cached", "replayed")
 
 
 class SpanError(ValueError):
@@ -86,8 +98,7 @@ class Span:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (the JSONL line schema, shared with
-        :meth:`repro.core.trace.ExecutionTrace.to_jsonl`)."""
+        """Plain-dict form (the JSONL line schema)."""
         return {
             "name": self.name,
             "category": self.category,
@@ -105,25 +116,35 @@ class Span:
     def from_dict(cls, payload: Dict[str, Any]) -> "Span":
         """Rebuild a span from its :meth:`to_dict` form.
 
-        Tolerant of the reduced schema ``ExecutionTrace.to_jsonl``
-        writes: missing correlation fields default sensibly, so old
-        traces and new span streams really share one file format.
+        Strict: every field :meth:`to_dict` writes must be present, so
+        a truncated or foreign record is an error rather than a span
+        with invented defaults.
         """
-        return cls(
-            name=str(payload.get("name", "invocation")),
-            category=str(payload.get("category", "enactor")),
-            span_id=str(payload.get("span_id", "")),
-            trace_id=str(payload.get("trace_id", "")),
-            parent_id=payload.get("parent_id"),
-            start=float(payload["start"]),
-            end=None if payload.get("end") is None else float(payload["end"]),
-            status=str(payload.get("status", "ok")),
-            attributes=dict(payload.get("attributes") or {}),
-        )
+        missing = [key for key in _FIELDS if key not in payload]
+        if missing:
+            raise SpanError(f"span record lacks {', '.join(missing)}")
+        try:
+            return cls(
+                name=str(payload["name"]),
+                category=str(payload["category"]),
+                span_id=str(payload["span_id"]),
+                trace_id=str(payload["trace_id"]),
+                parent_id=payload["parent_id"],
+                start=float(payload["start"]),
+                end=None if payload["end"] is None else float(payload["end"]),
+                status=str(payload["status"]),
+                attributes=dict(payload["attributes"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SpanError(f"malformed span record: {exc}") from None
 
     def __repr__(self) -> str:
         when = f"[{self.start:.3f}..{'open' if self.end is None else f'{self.end:.3f}'}]"
         return f"<Span {self.name!r} {self.span_id!r} {when} {self.status}>"
+
+
+#: the keys :meth:`Span.to_dict` writes, all required on the way back
+_FIELDS = tuple(Span("", "", "", "", 0.0).to_dict())
 
 
 def span_sort_key(span: Span) -> tuple:
@@ -152,7 +173,10 @@ def spans_from_jsonl(text) -> List[Span]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SpanError(f"line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "start" not in payload:
+        if not isinstance(payload, dict):
             raise SpanError(f"line {lineno} is not a span record: {line[:80]!r}")
-        spans.append(Span.from_dict(payload))
+        try:
+            spans.append(Span.from_dict(payload))
+        except SpanError as exc:
+            raise SpanError(f"line {lineno} is not a span record: {exc}") from None
     return spans

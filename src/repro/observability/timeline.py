@@ -12,10 +12,12 @@ renderer so the terminal can show both layers at once:
   and where the queues backed up — the per-resource story behind a
   DP burst or an SP pipeline.
 
-Step functions use the same sweep as
-:meth:`repro.core.trace.ExecutionTrace.concurrency_profile`, including
-its zero-duration burst handling: a cache hit (an instantaneous span)
-still produces a visible ``(t, n+1)`` blip.
+The two interval sweeps here (:func:`step_function` and
+:func:`busy_seconds`) are the only copies in the tree:
+:class:`repro.core.trace.ExecutionTrace` calls them for its
+concurrency profile and busy time.  Zero-duration intervals are
+handled as bursts: a cache hit (an instantaneous span) still produces
+a visible ``(t, n+1)`` blip.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ Profile = List[Tuple[float, int]]
 def step_function(intervals: Iterable[Tuple[float, float]]) -> Profile:
     """``(time, active_count)`` breakpoints for a set of intervals.
 
-    Mirrors ``ExecutionTrace.concurrency_profile``: zero-length
-    intervals contribute a momentary ``(t, active + burst)`` breakpoint
-    immediately followed by ``(t, active)``, so peaks see them while
-    the profile still settles at the correct steady level.
+    Zero-length intervals contribute a momentary ``(t, active + burst)``
+    breakpoint immediately followed by ``(t, active)``, so peaks see
+    them while the profile still settles at the correct steady level.
     """
     starts: Dict[float, int] = {}
     ends: Dict[float, int] = {}

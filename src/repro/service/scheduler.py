@@ -52,10 +52,11 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.apps.bronze_standard import BronzeStandardApplication
+from repro.apps.bronze_standard import BRONZE_CRITICAL_PATH, BronzeStandardApplication
 from repro.core.config import OptimizationConfig
 from repro.core.enactor import EnactmentCancelled, MoteurEnactor
 from repro.core.journal import EnactmentJournal
+from repro.grid.job import JobState
 from repro.grid.middleware import Grid
 from repro.grid.testbeds import (
     cluster_testbed,
@@ -532,11 +533,8 @@ class EnactmentService:
         record = active.record
         now = self.engine.now
         record.finished_at = now
-        jobs = sum(
-            1
-            for r in self.grid.records
-            if r.description.tags.get("run") == run_id
-        )
+        job_records = [r for r in self.grid.records if r.description.tags.get("run") == run_id]
+        jobs = len(job_records)
         if event.ok:
             result = event.value
             record = record.advance(RunState.DONE)
@@ -553,6 +551,8 @@ class EnactmentService:
             if self.runstore is not None:
                 summary = summarize_run(
                     result,
+                    records=[r for r in job_records if r.state is JobState.DONE],
+                    processors=list(BRONZE_CRITICAL_PATH),
                     n_items=record.n_items,
                     seed=record.seed,
                     note=f"service tenant={record.tenant} run={run_id}",

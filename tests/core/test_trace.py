@@ -116,21 +116,3 @@ class TestExecutionTrace:
         trace.events.append("tampered")
         assert len(trace) == 1
 
-    def test_to_jsonl_round_trips_as_spans(self):
-        from repro.observability.spans import spans_from_jsonl
-
-        trace = ExecutionTrace()
-        trace.add(TraceEvent("P", "D0", 0.0, 10.0, kind="cached"))
-        trace.add(TraceEvent("Q", "D0", 10.0, 12.5))
-        trace.add(TraceEvent("P", "D0", 12.5, 13.0))
-        spans = spans_from_jsonl(trace.to_jsonl(trace_id="t1"))
-        assert len(spans) == 3
-        assert [s.start for s in spans] == [0.0, 10.0, 12.5]
-        assert [s.end for s in spans] == [10.0, 12.5, 13.0]
-        assert all(s.name == "invocation" for s in spans)
-        assert all(s.trace_id == "t1" for s in spans)
-        assert spans[0].attributes["processor"] == "P"
-        assert spans[0].attributes["kind"] == "cached"
-        assert spans[1].attributes["processor"] == "Q"
-        # span ids are unique even for identical (processor, label) pairs
-        assert len({s.span_id for s in spans}) == 3

@@ -1,54 +1,9 @@
-"""Tests for execution-trace export and SP ordering guarantees."""
+"""Tests for the SP ordering guarantees visible in execution traces."""
 
 
 from repro.core import MoteurEnactor, OptimizationConfig
-from repro.core.trace import ExecutionTrace, TraceEvent
 from repro.services.base import LocalService
 from repro.workflow.patterns import chain_workflow
-
-
-class TestExport:
-    def test_to_rows(self):
-        trace = ExecutionTrace()
-        trace.add(TraceEvent("P1", "D0", 1.0, 3.0, kind="invocation", job_ids=(7,)))
-        rows = trace.to_rows()
-        assert rows == [
-            {
-                "processor": "P1",
-                "label": "D0",
-                "start": 1.0,
-                "end": 3.0,
-                "duration": 2.0,
-                "kind": "invocation",
-                "job_ids": [7],
-            }
-        ]
-
-    def test_to_csv(self):
-        trace = ExecutionTrace()
-        trace.add(TraceEvent("P1", "D0", 1.0, 3.0, job_ids=(7, 8)))
-        trace.add(TraceEvent("P2", "D0", 3.0, 4.0))
-        csv = trace.to_csv()
-        lines = csv.splitlines()
-        assert lines[0] == "processor,label,start,end,duration,kind,job_ids"
-        assert lines[1] == "P1,D0,1.0,3.0,2.0,invocation,7;8"
-        assert lines[2].startswith("P2,D0,3.0,4.0,1.0,invocation,")
-
-    def test_empty_trace_exports(self):
-        trace = ExecutionTrace()
-        assert trace.to_rows() == []
-        assert trace.to_csv() == "processor,label,start,end,duration,kind,job_ids"
-
-    def test_to_csv_quotes_commas_and_quotes(self):
-        import csv as csv_module
-        import io
-
-        trace = ExecutionTrace()
-        trace.add(TraceEvent("crestLines, v2", 'D"0"', 0.0, 1.0))
-        parsed = list(csv_module.reader(io.StringIO(trace.to_csv())))
-        assert parsed[1][0] == "crestLines, v2"
-        assert parsed[1][1] == 'D"0"'
-        assert len(parsed[1]) == 7  # the comma did not split the row
 
 
 class TestServiceParallelOrdering:
@@ -76,4 +31,4 @@ class TestServiceParallelOrdering:
         result = MoteurEnactor(engine, workflow, OptimizationConfig.sp_dp()).run(
             {"input": [0, 1]}
         )
-        assert len(result.trace.to_rows()) == len(result.trace.events) == 4
+        assert len(result.trace) == len(result.trace.events) == 4

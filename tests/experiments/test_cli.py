@@ -99,3 +99,9 @@ class TestTraceExport:
     def test_report_trace_missing_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report-trace", str(tmp_path / "nope.jsonl")])
+
+    def test_report_trace_rejects_reduced_records_cleanly(self, tmp_path):
+        jsonl = tmp_path / "reduced.jsonl"
+        jsonl.write_text('{"start": 1.0, "end": 2.0}\n')
+        with pytest.raises(SystemExit, match="line 1 is not a span record"):
+            main(["report-trace", str(jsonl)])

@@ -48,6 +48,35 @@ class TestProgress:
         assert len(lines) == 1
         assert "progress 1/2 (50%)" in lines[0]
 
+    def test_resumed_run_counts_replayed_work(self, tmp_path):
+        # journal-replayed invocations are done items: a resumed run
+        # must end with the same progress as an uninterrupted one
+        from repro.apps.bronze_standard import BronzeStandardApplication
+        from repro.core import OptimizationConfig
+        from repro.core.journal import SimulatedCrash
+        from repro.grid.testbeds import egee_like_testbed
+        from repro.sim.engine import Engine
+        from repro.util.rng import RandomStreams
+
+        def enact(**kwargs):
+            engine = Engine()
+            streams = RandomStreams(seed=42)
+            grid = egee_like_testbed(
+                engine, streams, n_sites=6, workers_per_ce=40, with_background_load=False
+            )
+            bus, _, monitor = attach_monitor(expected_items=2, policy="SP+DP")
+            BronzeStandardApplication(engine, grid, streams).enact(
+                OptimizationConfig.sp_dp(), n_pairs=2, instrumentation=bus, **kwargs
+            )
+            return monitor
+
+        journal = str(tmp_path / "run.wal")
+        with pytest.raises(SimulatedCrash):
+            enact(journal=journal, crash_after=6)
+        resumed = enact(journal=journal, resume=True)
+        straight = enact()
+        assert resumed.completed_items() == straight.completed_items()
+
     def test_service_progress_pending(self):
         progress = ServiceProgress(service="S", expected=5, started=3, completed=2)
         assert progress.pending == 2

@@ -58,15 +58,17 @@ class TestSpan:
         clone = Span.from_dict(span.to_dict())
         assert clone == span
 
-    def test_from_dict_tolerates_reduced_schema(self):
-        # ExecutionTrace.to_jsonl has no parent/status refinements; the
-        # reader must default them so both formats stay interchangeable.
-        span = Span.from_dict({"start": 1.0, "end": 2.0})
-        assert span.name == "invocation"
-        assert span.category == "enactor"
-        assert span.parent_id is None
-        assert span.status == "ok"
-        assert span.duration == 1.0
+    def test_from_dict_rejects_reduced_schema(self):
+        # nothing writes a reduced record; reading one must not invent
+        # an enactor invocation out of two timestamps
+        with pytest.raises(SpanError, match="lacks name, category"):
+            Span.from_dict({"start": 1.0, "end": 2.0})
+
+    def test_from_dict_rejects_malformed_values(self):
+        payload = make_span().close(11.0).to_dict()
+        payload["start"] = "soon"
+        with pytest.raises(SpanError, match="malformed"):
+            Span.from_dict(payload)
 
 
 class TestJsonl:
@@ -93,6 +95,11 @@ class TestJsonl:
     def test_non_span_record_rejected(self):
         with pytest.raises(SpanError, match="not a span record"):
             spans_from_jsonl('{"foo": 1}')
+
+    def test_reduced_record_rejected_with_its_line_number(self):
+        text = spans_to_jsonl([make_span().close(11.0)]) + '\n{"start": 1, "end": 2}'
+        with pytest.raises(SpanError, match="line 2 .*lacks name"):
+            spans_from_jsonl(text)
 
 
 def test_sort_key_orders_by_start_then_end():

@@ -147,6 +147,25 @@ class TestSLOBurns:
         assert service.slo_tracker.alerts == []
 
 
+class TestDriftRows:
+    def test_service_drift_matches_the_model(self, tmp_path):
+        # each row's drift excerpt is fitted on the Bronze critical path
+        # and that run's grid records; with three runs sharing the
+        # constant-overhead cluster the model still matches every run,
+        # with a non-zero y-intercept
+        runstore = RunStore(tmp_path / "runstore")
+        service = make_service(runstore=runstore)
+        service.add_tenant(TenantSpec(name="alice", max_concurrent_runs=3))
+        for pairs in (1, 2, 4):
+            service.submit("alice", n_items=pairs, seed=3)
+        service.drain()
+        rows = runstore.runs()
+        assert sorted(row.n_items for row in rows) == [1, 2, 4]
+        for row in rows:
+            assert row.drift["relative_error"] < 0.01, row.drift
+            assert row.drift["y_intercept"] > 0.0, row.drift
+
+
 class TestPerfCounters:
     def test_throughput_counters_land_in_runstore_rows(self, tmp_path):
         runstore = RunStore(tmp_path / "runstore")
