@@ -33,6 +33,7 @@ Reproduction notes:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional
 
 from repro.apps.accuracy import multi_transfo_test
@@ -240,9 +241,8 @@ class BronzeStandardApplication:
         invocations completed (crash-resume testing).
 
         A *profiler* (:class:`~repro.observability.profiling.Profiler`)
-        is installed across the whole stack — engine, grid, broker,
-        enactor, and the bus if one is attached — for the duration of
-        the enactment.
+        watches the enactment through its ``sys.setprofile`` hook, which
+        is active only while the enactor runs.
         """
         if dataset is None:
             dataset = self.build_dataset(n_pairs, method_to_test=method_to_test)
@@ -256,20 +256,10 @@ class BronzeStandardApplication:
             journal=journal,
             crash_after_n_invocations=crash_after,
         )
-        if profiler is not None:
-            from repro.observability.profiling import install
-
-            install(
-                profiler,
-                self.engine,
-                self.grid,
-                self.grid.broker,
-                enactor,
-                instrumentation,
-            )
-        if resume:
-            return enactor.resume(dataset)
-        return enactor.run(dataset)
+        with nullcontext() if profiler is None else profiler.active():
+            if resume:
+                return enactor.resume(dataset)
+            return enactor.run(dataset)
 
     @staticmethod
     def jobs_per_pair() -> int:

@@ -210,10 +210,6 @@ class MoteurEnactor:
         self.config = config or OptimizationConfig.nop()
         self.grid = grid
         self.instrumentation = instrumentation
-        #: hot-path profiler (repro.observability.profiling); installed
-        #: by ``profiling.install`` / the service scheduler.  None keeps
-        #: every instrumented site at one attribute test of overhead.
-        self.profiler = None
         #: extra attributes stamped on the run span (e.g. tenant / run id)
         self.run_attributes: Dict[str, Any] = dict(run_attributes or {})
         #: whether this enactor claims the bus-wide ``run_span`` slot.
@@ -521,19 +517,11 @@ class MoteurEnactor:
     def _deliver(self, state: _ProcessorState, out_port: str, token: DataToken) -> None:
         """Emit *token* on *out_port*: stream accounting, then every consumer."""
         state.emitted[out_port] += 1
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count("enactor.tokens")
-            profiler.enter("enactor.route")
-        try:
-            fanout = 0
-            for link in self.workflow.links_out_of(state.processor.name, out_port):
-                self._accept(link.target.processor, link.target.port, token)
-                fanout += 1
-            self._note_routed_bytes(token, fanout)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        fanout = 0
+        for link in self.workflow.links_out_of(state.processor.name, out_port):
+            self._accept(link.target.processor, link.target.port, token)
+            fanout += 1
+        self._note_routed_bytes(token, fanout)
 
     def _note_routed_bytes(self, token: DataToken, fanout: int) -> None:
         """Account the enactor-routed data volume of one delivery.
@@ -655,15 +643,8 @@ class MoteurEnactor:
     def _invoke(self, state: _ProcessorState, binding: Binding):
         """An ordinary invocation: one token per port."""
         began = self.engine.now
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("enactor.prepare")
-        try:
-            parents = tuple(binding[port].history for port in sorted(binding))
-            history = HistoryTree.derive(state.processor.name, parents)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        parents = tuple(binding[port].history for port in sorted(binding))
+        history = HistoryTree.derive(state.processor.name, parents)
         try:
             # Stage barrier: without service parallelism a service only
             # starts once its predecessors finished their whole streams.
@@ -782,7 +763,6 @@ class MoteurEnactor:
         name = processor.name
         engine = self.engine
         cache = self.cache
-        profiler = self.profiler
         key: Optional[str] = None
         if cache is not None or self.journal is not None or self._replay:
             # A barrier consumes whole streams whose arrival order is a
@@ -793,14 +773,7 @@ class MoteurEnactor:
                 port: tuple((t.history, t.data) for t in tokens)
                 for port, tokens in bound.items()
             }
-            if profiler is not None:
-                profiler.enter("enactor.key")
-                profiler.count("enactor.keys")
-            try:
-                key = invocation_key(processor.service, facts, unordered=barrier)
-            finally:
-                if profiler is not None:
-                    profiler.exit()
+            key = invocation_key(processor.service, facts, unordered=barrier)
         if key is not None and key in self._replay:
             # Journal replay: the previous (interrupted) run already
             # completed this invocation and persisted its outputs.
@@ -813,13 +786,7 @@ class MoteurEnactor:
         try:
             if cache is not None:
                 lookup_start = engine.now
-                if profiler is not None:
-                    profiler.enter("cache.lookup")
-                try:
-                    outputs = cache.lookup(key, name)
-                finally:
-                    if profiler is not None:
-                        profiler.exit()
+                outputs = cache.lookup(key, name)
                 status = "hit"
                 if outputs is None:
                     leader = cache.flight_leader(engine, key)
@@ -870,13 +837,7 @@ class MoteurEnactor:
                 state.gate.release(request)
             end = engine.now
             if cache is not None:
-                if profiler is not None:
-                    profiler.enter("cache.put")
-                try:
-                    cache.put(key, name, outputs)
-                finally:
-                    if profiler is not None:
-                        profiler.exit()
+                cache.put(key, name, outputs)
                 cache.close_flight(engine, key, outputs=outputs)
         except Exception as exc:
             if flight_open:  # a follower must never close its leader's flight
@@ -905,37 +866,28 @@ class MoteurEnactor:
         *before* the outputs are emitted downstream, so a crash can
         never have published results it did not persist.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("enactor.complete")
-        try:
-            self._record(state, history, start, end, kind, job_ids)
-            self._invocation_count += 1
-            if kind != "replayed":
-                if self.journal is not None and key is not None:
-                    self.journal.append_invocation(
-                        JournalEntry(
-                            key=key,
-                            processor=state.processor.name,
-                            label=history.label(),
-                            kind=kind,
-                            started=start,
-                            finished=end,
-                            job_ids=job_ids,
-                            outputs=dict(outputs),
-                        )
+        self._record(state, history, start, end, kind, job_ids)
+        self._invocation_count += 1
+        if kind != "replayed":
+            if self.journal is not None and key is not None:
+                self.journal.append_invocation(
+                    JournalEntry(
+                        key=key,
+                        processor=state.processor.name,
+                        label=history.label(),
+                        kind=kind,
+                        started=start,
+                        finished=end,
+                        job_ids=job_ids,
+                        outputs=dict(outputs),
                     )
-                    if profiler is not None:
-                        profiler.count("enactor.journal_appends")
-                self._progress += 1
-                crash_after = self.crash_after_n_invocations
-                if crash_after is not None and self._progress >= crash_after:
-                    raise SimulatedCrash(self._progress)
-            self._emit_outputs(state, history, outputs)
-            state.invocations_done += 1
-        finally:
-            if profiler is not None:
-                profiler.exit()
+                )
+            self._progress += 1
+            crash_after = self.crash_after_n_invocations
+            if crash_after is not None and self._progress >= crash_after:
+                raise SimulatedCrash(self._progress)
+        self._emit_outputs(state, history, outputs)
+        state.invocations_done += 1
 
     def _contain(
         self,

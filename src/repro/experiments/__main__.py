@@ -75,7 +75,7 @@ gates growth of ``bytes.total`` / ``bytes.enactor_moved``.
 
 The ``profile`` family drives the hot-path profiler
 (:mod:`repro.observability.profiling`): ``record`` runs one Bronze
-Standard enactment with the profiler installed across the whole stack
+Standard enactment under the profiler's ``sys.setprofile`` hook
 (deterministic tick clock by default, so the file is byte-identical
 across same-seed runs), ``report`` renders a saved profile,
 ``diff`` ranks per-component movement between two profiles, and

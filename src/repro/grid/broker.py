@@ -120,8 +120,6 @@ class ResourceBroker:
         self.health = health
         #: matches that avoided at least one blacklisted CE
         self.demotions = 0
-        #: hot-path profiler (repro.observability.profiling); None = off
-        self.profiler = None
 
     def match(self, record: JobRecord, brokering_delay: float):
         """Process generator: matchmake *record*, yielding the chosen CE.
@@ -148,27 +146,20 @@ class ResourceBroker:
         grid beats a stuck one); under ``least-loaded`` the provider's
         penalty is added to each surviving CE's load estimate.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("broker.rank")
-        try:
-            candidates = self.computing_elements
-            health = self.health
-            if health is not None:
-                allowed = [ce for ce in candidates if not health.blacklisted(ce.name)]
-                if allowed and len(allowed) < len(candidates):
-                    self.demotions += 1
-                if allowed:
-                    candidates = allowed
-                if self.strategy_name == "least-loaded":
-                    return min(
-                        candidates,
-                        key=lambda ce: (ce.load_estimate() + health.penalty(ce.name), ce.name),
-                    )
-            return self._rank(candidates, record, self._rng)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        candidates = self.computing_elements
+        health = self.health
+        if health is not None:
+            allowed = [ce for ce in candidates if not health.blacklisted(ce.name)]
+            if allowed and len(allowed) < len(candidates):
+                self.demotions += 1
+            if allowed:
+                candidates = allowed
+            if self.strategy_name == "least-loaded":
+                return min(
+                    candidates,
+                    key=lambda ce: (ce.load_estimate() + health.penalty(ce.name), ce.name),
+                )
+        return self._rank(candidates, record, self._rng)
 
     @property
     def queue_length(self) -> int:

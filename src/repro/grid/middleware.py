@@ -202,8 +202,6 @@ class Grid:
         self._in_flight = 0
         #: instrumentation bus; also set by an enactor that shares one
         self.instrumentation = instrumentation
-        #: hot-path profiler (repro.observability.profiling); None = off
-        self.profiler = None
         #: job_id -> currently open job.attempt span (CE staging parents here)
         self._attempt_spans: Dict[int, Span] = {}
         #: published attribution for the transfer currently being timed
@@ -715,41 +713,34 @@ class Grid:
     # -- job submission -----------------------------------------------------
     def submit(self, description: JobDescription) -> SubmissionHandle:
         """Submit a job; returns immediately with a handle."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("grid.submit")
-        try:
-            for gfn in description.input_files:
-                if not self.catalog.knows(gfn):
-                    raise ValueError(
-                        f"job {description.name!r} references unregistered input {gfn!r}"
-                    )
-            record = JobRecord(description)
-            self.records.append(record)
-            completion = self.engine.event(name=f"job:{description.name}")
-            job_span: Optional[Span] = None
-            bus = self.instrumentation
-            if bus is not None:
-                bus.metrics.counter("grid.jobs.submitted").inc()
-                # Multi-tenant runs tag their jobs so spans stay attributable
-                # even when several enactments share this grid (the single
-                # bus.run_span slot cannot distinguish them).
-                job_span = bus.begin(
-                    "grid.job",
-                    "grid",
-                    self.engine.now,
-                    parent=bus.run_span,
-                    job_id=record.job_id,
-                    job_name=description.name,
-                    **self.tenancy(record),
+        for gfn in description.input_files:
+            if not self.catalog.knows(gfn):
+                raise ValueError(
+                    f"job {description.name!r} references unregistered input {gfn!r}"
                 )
-            self.engine.process(
-                self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
+        record = JobRecord(description)
+        self.records.append(record)
+        completion = self.engine.event(name=f"job:{description.name}")
+        job_span: Optional[Span] = None
+        bus = self.instrumentation
+        if bus is not None:
+            bus.metrics.counter("grid.jobs.submitted").inc()
+            # Multi-tenant runs tag their jobs so spans stay attributable
+            # even when several enactments share this grid (the single
+            # bus.run_span slot cannot distinguish them).
+            job_span = bus.begin(
+                "grid.job",
+                "grid",
+                self.engine.now,
+                parent=bus.run_span,
+                job_id=record.job_id,
+                job_name=description.name,
+                **self.tenancy(record),
             )
-            return SubmissionHandle(record, completion)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        self.engine.process(
+            self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
+        )
+        return SubmissionHandle(record, completion)
 
     # -- monitoring feedback ------------------------------------------------
     def set_health_provider(self, provider) -> None:
@@ -903,30 +894,23 @@ class Grid:
                 if bus is not None:
                     bus.metrics.counter("grid.jobs.deadline_exceeded").inc()
                 break
-            profiler = self.profiler
-            if profiler is not None:
-                profiler.enter("grid.attempt")
-            try:
-                tries += 1
-                record.attempts = tries
-                record.enter(JobState.SUBMITTED, engine.now)
-                submitted_at = engine.now
-                attempt_span: Optional[Span] = None
-                if bus is not None:
-                    attempt_span = bus.begin(
-                        "job.attempt",
-                        "grid",
-                        submitted_at,
-                        parent=job_span,
-                        job_id=record.job_id,
-                        attempt=tries,
-                        **self.tenancy(record),
-                    )
-                    self._attempt_spans[record.job_id] = attempt_span
-                sample = self.overhead.sample(rng).under_load(self._overhead_scale())
-            finally:
-                if profiler is not None:
-                    profiler.exit()
+            tries += 1
+            record.attempts = tries
+            record.enter(JobState.SUBMITTED, engine.now)
+            submitted_at = engine.now
+            attempt_span: Optional[Span] = None
+            if bus is not None:
+                attempt_span = bus.begin(
+                    "job.attempt",
+                    "grid",
+                    submitted_at,
+                    parent=job_span,
+                    job_id=record.job_id,
+                    attempt=tries,
+                    **self.tenancy(record),
+                )
+                self._attempt_spans[record.job_id] = attempt_span
+            sample = self.overhead.sample(rng).under_load(self._overhead_scale())
             if sample.submission > 0:
                 yield engine.timeout(sample.submission)
 

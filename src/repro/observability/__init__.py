@@ -48,9 +48,9 @@ Pieces (all dependency-free, all in simulated time):
   subscriber: per-service progress/ETA blending the Section 3.5 model
   with the observed rate, per-CE health, the alert pipeline, and the
   health-provider hook the broker uses to demote flagged CEs;
-* :mod:`~repro.observability.profiling` — the toggleable hot-path
-  profiler: nested scope accounting over an injectable clock, churn
-  counters, flamegraph export (collapsed / speedscope) and the
+* :mod:`~repro.observability.profiling` — the hot-path profiler: one
+  ``sys.setprofile`` hook feeding nested scope accounting over an
+  injectable clock, flamegraph export (collapsed / speedscope) and the
   per-component ``compare-runs`` regression attribution;
 * :mod:`~repro.observability.dataflow` — the data plane's ledger: the
   :class:`DataFlowCollector` accounting every transfer as a typed,

@@ -1,17 +1,18 @@
-"""Hot-path profiling: deterministic scopes, churn counts, flamegraphs.
+"""Hot-path profiling: deterministic scopes and flamegraphs.
 
 The measurement side of ROADMAP item 2 ("make the event core
-scream").  A :class:`Profiler` installed on the engine/grid/enactor/
-bus (see :func:`install`) accounts every hot-path region — event
-dispatch, invocation lifecycle, submission, brokering, cache lookups,
+scream").  A :class:`Profiler` watches an enactment from outside
+through one ``sys.setprofile`` hook (:meth:`Profiler.active`) and
+accounts every ``repro`` function — event dispatch, resumed process
+bodies, invocation lifecycle, submission, brokering, cache lookups,
 and the instrumentation bus itself — into a scope tree with per-call
-self/cumulative time, plus allocation-pressure counters.  Snapshots
+self/cumulative time, bucketed per component.  Snapshots
 (:class:`Profile`) export to collapsed-stack / speedscope flamegraphs
 and diff into ranked per-component regression tables that
 ``compare-runs`` prints when a throughput budget trips.
 
-Profiling is off unless installed; the instrumented call sites pay one
-``is not None`` test when it is not.
+No code outside this package refers to the profiler: off, it costs
+nothing.
 """
 
 from repro.observability.profiling.attribution import (
@@ -27,7 +28,7 @@ from repro.observability.profiling.attribution import (
     format_profile_report,
     profile_counters,
 )
-from repro.observability.profiling.churn import ChurnCounters, MemoryTracker
+from repro.observability.profiling.churn import MemoryTracker
 from repro.observability.profiling.clock import (
     Clock,
     ManualClock,
@@ -48,7 +49,6 @@ from repro.observability.profiling.profiler import (
     Profiler,
     ProfilerError,
     ScopeStats,
-    install,
 )
 
 __all__ = [
@@ -57,13 +57,11 @@ __all__ = [
     "TickClock",
     "ManualClock",
     "resolve_clock",
-    "ChurnCounters",
     "MemoryTracker",
     "Profiler",
     "Profile",
     "ProfilerError",
     "ScopeStats",
-    "install",
     "collapsed_weights",
     "to_collapsed",
     "parse_collapsed",

@@ -11,11 +11,11 @@ slower; this module says *where*.  Three layers:
   mappings (live profiles or stored runstore rows) — the table
   ``compare-runs`` prints when a throughput budget fails.
 * :func:`diff_profiles` is the full-resolution version over two
-  profile files: per-component and per-scope deltas plus churn-counter
-  movement, for ``repro profile diff``.
+  profile files: per-component and per-scope deltas, for
+  ``repro profile diff``.
 
 Components are scope-name prefixes (``engine``, ``enactor``, ``grid``,
-``broker``, ``cache``, ``bus``) — coarse on purpose: the question a
+``broker``, ``cache``, ``bus``, ...) — coarse on purpose: the question a
 gate failure asks is "which subsystem do I profile next", not "which
 line".
 """
@@ -157,7 +157,6 @@ class ProfileDiff:
     candidate: Profile
     components: Tuple[ComponentDelta, ...]
     scopes: Tuple[ScopeDelta, ...]
-    counters: Dict[str, int]  # churn counter deltas (candidate - baseline)
 
     @property
     def top_component(self) -> "ComponentDelta | None":
@@ -169,7 +168,7 @@ class ProfileDiff:
 
 
 def diff_profiles(baseline: Profile, candidate: Profile) -> ProfileDiff:
-    """Full-resolution diff: components, scopes, churn counters."""
+    """Full-resolution diff: components and scopes."""
     components = attribute(profile_counters(baseline), profile_counters(candidate))
     left = {path: node.self_time for path, node in baseline.walk()}
     right = {path: node.self_time for path, node in candidate.walk()}
@@ -180,16 +179,11 @@ def diff_profiles(baseline: Profile, candidate: Profile) -> ProfileDiff:
         ),
         key=lambda d: (-d.delta, d.path),
     )
-    counters = {
-        name: candidate.counters.get(name, 0) - baseline.counters.get(name, 0)
-        for name in sorted(set(baseline.counters) | set(candidate.counters))
-    }
     return ProfileDiff(
         baseline=baseline,
         candidate=candidate,
         components=tuple(components),
         scopes=tuple(scopes),
-        counters=counters,
     )
 
 
@@ -226,7 +220,7 @@ def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
 
 
 def format_profile_report(profile: Profile, limit: int = 15) -> str:
-    """Human report: component table, hottest scopes, churn counters."""
+    """Human report: component table, hottest scopes, memory."""
     lines: List[str] = [
         f"profile: {profile.label or '(unlabelled)'}  "
         f"clock={profile.clock}  total={profile.total_time * 1e3:.3f}ms"
@@ -260,12 +254,6 @@ def format_profile_report(profile: Profile, limit: int = 15) -> str:
         ]
         lines.append("")
         lines.extend(_table(["scope", "self (us)", "cum (us)", "calls"], rows))
-    if profile.counters:
-        lines.append("")
-        lines.append("churn counters:")
-        lines.extend(
-            f"  {name:<28} {value}" for name, value in profile.counters.items()
-        )
     if profile.memory is not None:
         lines.append("")
         lines.append(
@@ -277,7 +265,7 @@ def format_profile_report(profile: Profile, limit: int = 15) -> str:
 
 
 def format_profile_diff(diff: ProfileDiff, limit: int = 10) -> str:
-    """Human diff: ranked components, biggest scope moves, churn moves."""
+    """Human diff: ranked components, biggest scope moves."""
     lines = [
         f"baseline:  {diff.baseline.label or '(unlabelled)'}  "
         f"total={diff.baseline.total_time * 1e3:.3f}ms",
@@ -317,9 +305,4 @@ def format_profile_diff(diff: ProfileDiff, limit: int = 10) -> str:
             f"{d.candidate * 1e6:.0f}us ({d.delta * 1e6:+.0f}us)"
             for d in moved
         )
-    churn_moves = {name: delta for name, delta in diff.counters.items() if delta}
-    if churn_moves:
-        lines.append("")
-        lines.append("churn deltas:")
-        lines.extend(f"  {name:<28} {delta:+d}" for name, delta in churn_moves.items())
     return "\n".join(lines)

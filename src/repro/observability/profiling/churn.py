@@ -1,19 +1,9 @@
-"""Allocation-pressure accounting: how much garbage does a run make?
+"""Allocation-pressure accounting: how much memory does a run churn?
 
-ROADMAP item 2 names "span/token churn, provenance hashing" as the
-enactor overheads to cut.  Time profiles alone hide that cost — a
-million tiny allocations show up as a diffuse slowdown everywhere, not
-as one hot scope — so the profiler also counts the *objects* the hot
-path creates:
-
-* ``engine.heap_push`` / ``engine.heap_pop`` — event-heap traffic,
-* ``bus.spans`` — spans emitted on the instrumentation bus,
-* ``enactor.tokens`` — data/error tokens created,
-* ``enactor.keys`` — provenance cache keys hashed,
-* ``enactor.journal_appends`` — WAL lines written.
-
-Counts are plain integers keyed by name, deterministic for a seeded
-run, and land in the profile file next to the scope tree.
+Object counts need no counter of their own: every ``Engine.schedule``,
+``invocation_key`` or ``InstrumentationBus.begin`` call is a scope in
+the profile tree, so heap pushes, provenance keys and spans emitted are
+the ``calls`` of those scopes.
 
 :class:`MemoryTracker` adds the optional ``tracemalloc`` dimension:
 real allocated-byte deltas and peak, for when counts are not enough.
@@ -26,32 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-__all__ = ["ChurnCounters", "MemoryTracker"]
-
-
-class ChurnCounters:
-    """Named integer counters for object-allocation pressure."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Add *n* to counter *name* (created on first use)."""
-        counts = self.counts
-        counts[name] = counts.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        """Current value of *name* (0 if never counted)."""
-        return self.counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A sorted copy, ready for serialization."""
-        return {name: self.counts[name] for name in sorted(self.counts)}
-
-    def clear(self) -> None:
-        self.counts.clear()
+__all__ = ["MemoryTracker"]
 
 
 class MemoryTracker:

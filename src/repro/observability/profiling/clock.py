@@ -1,28 +1,17 @@
 """The one time source every performance number routes through.
 
-Three kinds of callers need "a clock" in this codebase and they must
-agree on what that means:
+``wall_clock`` is a monotonic wall-time reading (``time.perf_counter``)
+behind one name, shared by the profiler, the service throughput
+counters (:meth:`repro.service.scheduler.EnactmentService.perf_counters`)
+and the benchmarks, so swapping the time source is one assignment.
 
-* the hot-path profiler (:mod:`repro.observability.profiling.profiler`)
-  timing ``scope()`` regions,
-* the service throughput counters
-  (:meth:`repro.service.scheduler.EnactmentService.perf_counters`),
-* the overhead benchmarks under ``benchmarks/``.
-
-``wall_clock`` is that shared helper: a monotonic wall-time reading
-(``time.perf_counter``) behind one name, so swapping the time source —
-for tests, or for a deterministic profile — is one assignment, not a
-grep for ``perf_counter`` call sites.
-
-Determinism matters more than precision for some profiles: the
-acceptance bar for the profiler is that two identically seeded runs
-produce *byte-identical* profile files, which no wall clock can
-deliver.  :class:`TickClock` is the deterministic alternative — every
-reading advances a virtual quantum, so durations become exact call
-counts in disguise: reproducible across runs, machines, and CI,
-while preserving the tree shape and relative weights that matter for
-flamegraphs and regression attribution.  :class:`ManualClock` is the
-test double where the reading only moves when the test says so.
+Two identically seeded runs must produce *byte-identical* profile
+files, which no wall clock can deliver.  :class:`TickClock` is the
+deterministic alternative: every reading advances a fixed quantum, so
+durations are call counts in disguise — reproducible across runs,
+machines and CI, with the tree shape and relative weights that
+flamegraphs and regression attribution need.  :class:`ManualClock` is
+the test double whose reading only moves when the test says so.
 """
 
 from __future__ import annotations
@@ -58,9 +47,13 @@ class TickClock:
         self.ticks = 0
         self.quantum = quantum
 
-    def __call__(self) -> float:
+    def tick(self) -> int:
+        """Advance one quantum; returns the reading in whole quanta."""
         self.ticks += 1
-        return self.ticks * self.quantum
+        return self.ticks
+
+    def __call__(self) -> float:
+        return self.tick() * self.quantum
 
 
 class ManualClock:

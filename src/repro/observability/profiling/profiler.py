@@ -1,71 +1,98 @@
-"""The instrumenting hot-path profiler: nested scopes, explicit cost.
+"""The hot-path profiler: one ``sys.setprofile`` hook, nested scopes.
 
-Design
-------
-A :class:`Profiler` owns a tree of :class:`ScopeStats`.  Instrumented
-code brackets a region with :meth:`Profiler.enter` / :meth:`exit` (or
-the :meth:`scope` context manager outside the hot path); identical
-names under the same parent share one node, so the tree stays small no
-matter how many times a region runs.  Each node accounts:
+A :class:`Profiler` owns a tree of :class:`ScopeStats` keyed by call
+path.  Each node accounts ``calls``, ``cum`` (clock seconds including
+children) and ``self`` (``cum`` minus the children's time — the number
+a rebuild must shrink).  The clock is injectable (:mod:`.clock`): the
+wall clock for real timings, a :class:`~.clock.TickClock` when the
+profile must be byte-identical across identically seeded runs.
 
-``calls``
-    how many times the region completed,
-``cum``
-    clock seconds inside the region including children,
-``self``
-    clock seconds minus the time attributed to child scopes — the
-    number a rebuild must shrink.
+No code under ``repro`` knows it is profiled.  :meth:`Profiler.active`
+installs one ``sys.setprofile`` hook for a ``with`` block and restores
+the previous hook on the way out; the seams that use it are
+``BronzeStandardApplication.enact(profiler=...)`` and each
+``EnactmentService.tick()``.  A ``call`` event opens a scope and a
+``return`` event closes it, but only when its frame is the one on top
+of the stack, so starting mid-stack is safe.  A generator resumption
+is its own call/return pair, so a resumed process body is charged to
+its own module rather than to the ``Engine.step`` that resumed it.
 
-The clock is injectable (:mod:`.clock`): the shared wall clock for
-real measurements, a :class:`~.clock.TickClock` when the profile must
-be byte-identical across identically seeded runs.
+A frame's component is the longest prefix of its module name in
+:data:`COMPONENTS`, and its scope is named
+``<component>.<module-tail>:<qualname>`` (``engine.sim.engine:
+Engine.step``); :attr:`ScopeStats.component` is the first dot-segment.
+Frames outside ``repro`` (stdlib, numpy, C calls) and this package
+open no scope and are charged to their caller: a ``heapq.heappush``
+inside ``Engine.schedule`` is the engine's cost, not a component.
 
-Toggleability is the contract that lets this live *permanently* inside
-``Engine.step``, ``MoteurEnactor._execute`` and friends: every
-instrumented object carries a ``profiler`` attribute that defaults to
-``None``, and an instrumented region is one body bracketed by ::
+Cost: off, nothing — no hook is installed and no instrumented class
+carries a profiler.  On, every Python and C call pays a Python-level
+callback: the Bronze Standard (SP+DP, seed 42, tick clock, best of 5,
+Python 3.11.7 on a 2-vCPU Xeon VM) takes 10.8 ms unprofiled and
+39.8 ms profiled at 4 pairs, 29.3 ms and 111.4 ms at 12 pairs — about
+4x, where the in-code hooks this replaced cost +4-14%.  That is the
+accepted price of a diagnostic run that sees every layer.
 
-    if profiler is not None:
-        profiler.enter("component.region")
-    try:
-        ...
-    finally:
-        if profiler is not None:
-            profiler.exit()
-
-so there is one code path, not a profiled and an unprofiled twin, and
-the hot path pays one attribute load plus two ``is not None`` tests
-when profiling is off.  A null-object default was measured and
-rejected: on ``Engine.step``/``schedule`` its no-op calls cost ~150 ns
-per event (1 710/1 776/1 859 -> 1 871/2 083/1 840 ns medians on the
-trajectory benchmark's ``timeout_ns_per_event`` driver).  The overhead
-benchmark (``benchmarks/bench_profiler_overhead.py``) holds the
-off-cost under 1% and the on-cost under 10%.
-
-A :class:`Profile` is the immutable, serializable snapshot: scope tree
-plus churn counters plus optional memory report, with a stable sorted
-JSON encoding.  ``flamegraph.py`` renders it; ``attribution.py`` diffs
-two of them.
+A :class:`Profile` is the immutable, serializable snapshot (scope tree
+plus optional memory report, stable sorted JSON); ``flamegraph.py``
+renders it and ``attribution.py`` diffs two of them.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.observability.profiling.churn import ChurnCounters, MemoryTracker
+from repro.observability.profiling.churn import MemoryTracker
 from repro.observability.profiling.clock import Clock, TickClock, wall_clock
 
-__all__ = ["ScopeStats", "Profiler", "Profile", "ProfilerError", "install"]
+__all__ = ["ScopeStats", "Profiler", "Profile", "ProfilerError", "COMPONENTS"]
 
 
 class ProfilerError(RuntimeError):
     """Unbalanced enter/exit or a malformed profile file."""
 
 
+#: module prefix -> component; the longest matching prefix wins and
+#: ``None`` means "open no scope, charge the caller"
+COMPONENTS: Dict[str, Optional[str]] = {
+    "repro.sim": "engine",
+    "repro.core": "enactor",
+    "repro.services": "enactor",
+    "repro.apps": "enactor",
+    "repro.grid": "grid",
+    "repro.grid.broker": "broker",
+    "repro.cache": "cache",
+    "repro.observability": "bus",
+    "repro.observability.profiling": None,
+    "repro.service": "service",
+    "repro.util": "util",
+}
+
+#: code object -> scope name (None: charged to the caller)
+_SCOPE_NAMES: Dict[Any, Optional[str]] = {}
+
+
+def _scope_name(frame) -> Optional[str]:
+    """``<component>.<module-tail>:<qualname>`` for *frame*'s code."""
+    module = frame.f_globals.get("__name__") or ""
+    prefix = module
+    while prefix and prefix not in COMPONENTS:
+        prefix = prefix.rpartition(".")[0]
+    component = COMPONENTS.get(prefix)
+    if component is None:
+        return None
+    code = frame.f_code
+    qualname = getattr(code, "co_qualname", code.co_name)  # 3.11+
+    return f"{component}.{module[len('repro.'):]}:{qualname}"
+
+
 class ScopeStats:
-    """One node of the scope tree: a named region under one parent."""
+    """One node of the scope tree: a named scope under one parent."""
 
     __slots__ = ("name", "calls", "cum", "self_time", "children")
 
@@ -116,33 +143,17 @@ class ScopeStats:
         )
 
 
-class _Scope:
-    """Context-manager shim over enter/exit (convenience, not hot path)."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "Profiler":
-        self._profiler.enter(self._name)
-        return self._profiler
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._profiler.exit()
-
-
 #: name of the synthetic root every profile hangs off
 ROOT_NAME = "profile"
 
 
 class Profiler:
-    """Collects nested scope timings, call counts and churn counters.
+    """Collects nested scope timings and call counts.
 
-    Single-threaded by design — the discrete-event engine it
-    instruments is single-threaded, and keeping enter/exit lock-free
-    is what keeps the on-cost inside the 10% budget.
+    :meth:`active` feeds the tree from the ``sys.setprofile`` hook;
+    :meth:`enter` / :meth:`exit` are the same accounting driven by
+    hand.  One open stack per profiler: the hook is per-thread, and
+    the service serializes its ticks under a lock.
     """
 
     def __init__(
@@ -152,66 +163,112 @@ class Profiler:
         label: str = "",
     ) -> None:
         self.clock: Clock = clock if clock is not None else wall_clock
+        # A tick clock is read in whole quanta and scaled once, at
+        # snapshot: integer sums do not depend on the order calls came
+        # in, so the profile bytes do not either.
+        if isinstance(self.clock, TickClock):
+            self._read, self._unit = self.clock.tick, self.clock.quantum
+        else:
+            self._read, self._unit = self.clock, 1.0
         self.label = label
         self.root = ScopeStats(ROOT_NAME)
-        self.churn = ChurnCounters()
         self.memory = MemoryTracker(enabled=track_memory)
-        #: frames: [node, start_reading, seconds_attributed_to_children]
+        #: open scopes: [node, start_reading, child_time, frame]
         self._stack: List[List[Any]] = []
-        self._current = self.root
         self.memory.start()
 
-    # -- hot-path API --------------------------------------------------
-    def enter(self, name: str) -> None:
+    def enter(self, name: str, frame: Any = None) -> None:
         """Open scope *name* under the current scope."""
-        parent = self._current
+        stack = self._stack
+        parent = stack[-1][0] if stack else self.root
         node = parent.children.get(name)
         if node is None:
-            node = ScopeStats(name)
-            parent.children[name] = node
-        self._stack.append([node, self.clock(), 0.0])
-        self._current = node
+            node = parent.children[name] = ScopeStats(name)
+        stack.append([node, self._read(), 0, frame])
 
     def exit(self) -> None:
         """Close the innermost open scope."""
         stack = self._stack
         if not stack:
             raise ProfilerError("exit() with no open scope")
-        node, start, child_seconds = stack.pop()
-        elapsed = self.clock() - start
+        node, start, child_time, _frame = stack.pop()
+        elapsed = self._read() - start
         node.calls += 1
         node.cum += elapsed
-        node.self_time += elapsed - child_seconds
+        node.self_time += elapsed - child_time
         if stack:
-            frame = stack[-1]
-            frame[2] += elapsed
-            self._current = frame[0]
-        else:
-            self._current = self.root
+            stack[-1][2] += elapsed
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump churn counter *name* (see :mod:`.churn`)."""
-        counts = self.churn.counts
-        counts[name] = counts.get(name, 0) + n
+    def _hook(self, frame, event: str, _arg) -> None:
+        """The ``sys.setprofile`` callback (see the module docstring)."""
+        if event == "call":
+            code = frame.f_code
+            try:
+                name = _SCOPE_NAMES[code]
+            except KeyError:
+                name = _SCOPE_NAMES[code] = _scope_name(frame)
+            if name is not None:
+                self.enter(name, frame)
+        elif event == "return":
+            stack = self._stack
+            if stack and stack[-1][3] is frame:
+                self.exit()
 
-    # -- convenience API ----------------------------------------------
-    def scope(self, name: str) -> _Scope:
-        """``with profiler.scope("engine.step"): ...``"""
-        return _Scope(self, name)
+    @contextmanager
+    def active(self) -> Iterator["Profiler"]:
+        """Profile every ``repro`` call made on this thread inside the block.
+
+        The previous ``sys.getprofile()`` hook is restored on the way
+        out, exception or not, and scopes still open then (a block left
+        from inside a suspended generator) are closed at that moment.
+        The cyclic garbage collector is paused inside the block: a
+        collection finalizes suspended generators of *other* runs, and
+        their ``close()`` frames would land in whichever scope happened
+        to allocate — a different one from run to run.
+        """
+        depth = len(self._stack)
+        previous = sys.getprofile()
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(self._hook)
+        try:
+            yield self
+        finally:
+            sys.setprofile(previous)
+            if collecting:
+                gc.enable()
+            while len(self._stack) > depth:
+                self.exit()
+
+    @contextmanager
+    def scope(self, name: str) -> Iterator["Profiler"]:
+        """``with profiler.scope(name): ...`` — enter/exit by hand."""
+        self.enter(name)
+        try:
+            yield self
+        finally:
+            self.exit()
 
     @property
     def depth(self) -> int:
-        """Currently open scopes (0 between engine steps)."""
+        """Currently open scopes (0 outside a profiled block)."""
         return len(self._stack)
 
     def snapshot(self, label: Optional[str] = None) -> "Profile":
-        """Freeze the current tree + counters into a :class:`Profile`.
+        """Freeze the current tree into a :class:`Profile`.
 
         Open scopes (``depth > 0``) are not yet accounted; snapshot
-        between engine steps — or after the run — for exact totals.
+        after the profiled block for exact totals.
         """
         self.memory.stop()
         root = ScopeStats.from_dict(self.root.to_dict())  # deep copy
+        if self._unit != 1.0:
+            nodes = list(root.children.values())
+            while nodes:
+                node = nodes.pop()
+                node.cum *= self._unit
+                node.self_time *= self._unit
+                nodes.extend(node.children.values())
         root.cum = sum(child.cum for child in root.children.values())
         clock = self.clock
         if isinstance(clock, TickClock):
@@ -224,7 +281,6 @@ class Profiler:
             label=label if label is not None else self.label,
             clock=clock_kind,
             root=root,
-            counters=self.churn.snapshot(),
             memory=self.memory.report(),
         )
 
@@ -233,30 +289,26 @@ class Profiler:
         if self._stack:
             raise ProfilerError(f"reset() with {self.depth} open scope(s)")
         self.root = ScopeStats(ROOT_NAME)
-        self._current = self.root
-        self.churn.clear()
 
 
 class Profile:
     """An immutable snapshot of one profiled run."""
 
-    __slots__ = ("label", "clock", "root", "counters", "memory")
+    __slots__ = ("label", "clock", "root", "memory")
 
     #: bumped when the on-disk schema changes
-    FORMAT = 1
+    FORMAT = 2
 
     def __init__(
         self,
         label: str,
         clock: str,
         root: ScopeStats,
-        counters: Dict[str, int],
         memory: Optional[Dict[str, int]] = None,
     ) -> None:
         self.label = label
         self.clock = clock
         self.root = root
-        self.counters = dict(counters)
         self.memory = dict(memory) if memory is not None else None
 
     # -- queries -------------------------------------------------------
@@ -284,8 +336,8 @@ class Profile:
         """Self seconds + completed calls aggregated per component.
 
         The component is the scope name's first dot-segment (``engine``,
-        ``enactor``, ``grid``, ``broker``, ``cache``, ``bus``) — the
-        granularity `compare-runs` attribution reasons about.
+        ``enactor``, ``grid``, ``broker``, ``cache``, ``bus``, ...) —
+        the granularity `compare-runs` attribution reasons about.
         """
         table: Dict[str, Dict[str, float]] = {}
         for _path, node in self.walk():
@@ -308,7 +360,6 @@ class Profile:
             "label": self.label,
             "clock": self.clock,
             "root": self.root.to_dict(),
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
         }
         if self.memory is not None:
             payload["memory"] = {k: self.memory[k] for k in sorted(self.memory)}
@@ -334,9 +385,6 @@ class Profile:
             label=str(payload.get("label", "")),
             clock=str(payload.get("clock", "wall")),
             root=ScopeStats.from_dict(payload["root"]),
-            counters={
-                str(k): int(v) for k, v in dict(payload.get("counters", {})).items()
-            },
             memory={str(k): int(v) for k, v in memory.items()}
             if isinstance(memory, dict)
             else None,
@@ -357,20 +405,3 @@ class Profile:
         except (OSError, json.JSONDecodeError) as exc:
             raise ProfilerError(f"cannot read profile {path}: {exc}") from exc
         return cls.from_dict(payload)
-
-
-def install(profiler: Optional[Profiler], *targets: Any) -> Optional[Profiler]:
-    """Point every target's ``profiler`` attribute at *profiler*.
-
-    Targets are the instrumented objects — engine, grid, broker,
-    enactor, bus.  ``None`` targets are skipped, so callers can pass
-    optional pieces unconditionally::
-
-        install(prof, engine, grid, grid and grid.broker, bus)
-
-    Passing ``profiler=None`` uninstalls (restores the zero-cost path).
-    """
-    for target in targets:
-        if target is not None:
-            target.profiler = profiler
-    return profiler

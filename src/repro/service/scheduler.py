@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -69,7 +70,7 @@ from repro.observability.alerts import Alert
 from repro.observability.ops.audit import AuditEvent
 from repro.observability.ops.rollup import ControlPlaneTelemetry
 from repro.observability.ops.slo import SLO, SLOTracker
-from repro.observability.profiling import Profiler, install, profile_counters, wall_clock
+from repro.observability.profiling import Profiler, profile_counters, wall_clock
 from repro.observability.runstore import RunStore, summarize_run
 from repro.service.logic import (
     FairShareLedger,
@@ -221,12 +222,8 @@ class EnactmentService:
         self._wall_seconds = 0.0
         self._tick_count = 0
         self._invocations_total = 0
-        #: optional hot-path profiler, installed across the whole stack
-        #: (engine dispatch, grid submit/attempt, broker ranking, bus
-        #: span lifecycle); per-run enactors are wired in _start.
+        #: optional hot-path profiler; its hook is active inside tick()
         self.profiler = profiler
-        if profiler is not None:
-            install(profiler, self.engine, self.grid, self.grid.broker, instrumentation)
 
     # -- audit trail -------------------------------------------------------
     def _audit(
@@ -512,7 +509,6 @@ class EnactmentService:
             run_attributes={"tenant": record.tenant, "run": record.run_id},
             claim_run_span=False,
         )
-        enactor.profiler = self.profiler
         completion = enactor.enact(dataset, replay=replay)
         # The scheduler harvests failures via callback; an undefused
         # failed event would crash the shared engine for every run.
@@ -611,7 +607,8 @@ class EnactmentService:
         to the earliest one.  Returns 0 only when there is genuinely
         nothing to do right now.
         """
-        with self._lock:
+        profiling = nullcontext() if self.profiler is None else self.profiler.active()
+        with self._lock, profiling:
             wall_start = wall_clock()
             progress = self._admit()
             steps = 0

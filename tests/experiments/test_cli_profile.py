@@ -1,6 +1,10 @@
 """CLI tests for the profile family, bronze --profile, and attribution."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from repro.observability.profiling import (
 )
 
 RUN = ["--pairs", "2", "--config", "SP+DP", "--seed", "42"]
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def record_profile(tmp_path, name="profile.json", extra=()):
@@ -33,6 +38,19 @@ class TestProfileRecord:
         first = record_profile(tmp_path, "a.json")
         second = record_profile(tmp_path, "b.json")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_byte_identical_across_hash_seeds(self, tmp_path):
+        outputs = []
+        for hash_seed in ("1", "987654321"):
+            out = tmp_path / f"hash-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            subprocess.run(
+                [sys.executable, "-m", "repro.experiments", "profile", "record",
+                 *RUN, "--out", str(out)],
+                check=True, env=env, capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_wall_clock_opt_in(self, tmp_path):
         path = record_profile(tmp_path, extra=("--clock", "wall"))
@@ -59,7 +77,9 @@ class TestProfileFlame:
         capsys.readouterr()
         assert main(["profile", "flame", str(path)]) == 0
         weights = parse_collapsed(capsys.readouterr().out)
-        assert any(stack[0].startswith("engine.") for stack in weights)
+        frames = {frame for stack in weights for frame in stack}
+        assert "enactor.core.enactor:MoteurEnactor.run" in frames
+        assert "engine.sim.engine:Engine.step" in frames
 
     def test_speedscope_output_parses_strictly(self, capsys, tmp_path):
         path = record_profile(tmp_path)
@@ -76,11 +96,13 @@ class TestProfileDiff:
         base = record_profile(tmp_path, "base.json")
         slow = tmp_path / "slow.json"
         document = json.loads(base.read_text())
-        # triple the enactor's self time: the diff must name it
-        for child in document["root"]["children"]:
-            if child["name"].startswith("enactor."):
-                child["self"] *= 3
-                child["cum"] *= 3
+        # triple every enactor scope's self time: the diff must name it
+        nodes = list(document["root"]["children"])
+        while nodes:
+            node = nodes.pop()
+            nodes.extend(node["children"])
+            if node["name"].startswith("enactor."):
+                node["self"] *= 3
         slow.write_text(json.dumps(document), encoding="utf-8")
         capsys.readouterr()
         assert main(["profile", "diff", str(base), str(slow)]) == 0

@@ -14,17 +14,20 @@ from repro.observability.profiling import (
     profile_counters,
 )
 
+# scope names as the setprofile hook spells them
+STEP = "engine.sim.engine:Engine.step"
+INVOKE = "enactor.core.enactor:MoteurEnactor._invoke"
+
 
 def build_profile(engine_us=100, enactor_us=50, memory=False, label=None):
     profiler = Profiler(
         clock=ManualClock(), track_memory=memory, label=label
     )
     clock = profiler.clock
-    with profiler.scope("engine.step"):
+    with profiler.scope(STEP):
         clock.advance(engine_us * 1e-6)
-        with profiler.scope("enactor.invoke"):
+        with profiler.scope(INVOKE):
             clock.advance(enactor_us * 1e-6)
-    profiler.count("engine.heap_pop", 3)
     return profiler.snapshot()
 
 
@@ -88,15 +91,14 @@ class TestFormatAttribution:
 
 
 class TestDiffProfiles:
-    def test_components_scopes_and_counters(self):
+    def test_components_and_scopes(self):
         base = build_profile(engine_us=100, enactor_us=50, label="base")
         cand = build_profile(engine_us=100, enactor_us=90, label="cand")
         diff = diff_profiles(base, cand)
         assert diff.top_component.component == "enactor"
         worst_scope = diff.scopes[0]
-        assert worst_scope.path == ("engine.step", "enactor.invoke")
+        assert worst_scope.path == (STEP, INVOKE)
         assert worst_scope.delta == pytest.approx(40e-6)
-        assert diff.counters["engine.heap_pop"] == 0
 
     def test_top_component_none_when_nothing_grew(self):
         profile = build_profile()
@@ -104,12 +106,11 @@ class TestDiffProfiles:
 
 
 class TestFormatting:
-    def test_report_mentions_components_scopes_and_churn(self):
+    def test_report_mentions_components_scopes_and_memory(self):
         text = format_profile_report(build_profile(memory=True, label="r"))
         assert "profile: r" in text
         assert "component" in text
-        assert "engine.step;enactor.invoke" in text
-        assert "engine.heap_pop" in text
+        assert f"{STEP};{INVOKE}" in text
         assert "memory (tracemalloc)" in text
 
     def test_diff_warns_on_clock_mismatch(self):

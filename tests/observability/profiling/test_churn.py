@@ -1,30 +1,6 @@
-"""Tests for churn counters and the optional tracemalloc tracker."""
+"""Tests for the optional tracemalloc tracker."""
 
-from repro.observability.profiling import ChurnCounters, MemoryTracker
-
-
-class TestChurnCounters:
-    def test_count_and_get(self):
-        counters = ChurnCounters()
-        counters.count("bus.spans")
-        counters.count("bus.spans", 9)
-        assert counters.get("bus.spans") == 10
-        assert counters.get("never") == 0
-
-    def test_snapshot_is_a_sorted_copy(self):
-        counters = ChurnCounters()
-        counters.count("z", 1)
-        counters.count("a", 2)
-        snap = counters.snapshot()
-        assert list(snap) == ["a", "z"]
-        counters.count("a")
-        assert snap["a"] == 2
-
-    def test_clear(self):
-        counters = ChurnCounters()
-        counters.count("x")
-        counters.clear()
-        assert counters.snapshot() == {}
+from repro.observability.profiling import MemoryTracker
 
 
 class TestMemoryTracker:

@@ -23,6 +23,12 @@ class TestTickClock:
         assert clock() == pytest.approx(1.0)
         assert clock.ticks == 2
 
+    def test_tick_reads_whole_quanta(self):
+        clock = TickClock(quantum=0.5)
+        assert clock.tick() == 1
+        assert clock() == pytest.approx(1.0)
+        assert clock.tick() == 3
+
     def test_default_quantum_is_one_microsecond(self):
         clock = TickClock()
         assert clock() == pytest.approx(1e-6)

@@ -26,17 +26,23 @@ from repro.observability.profiling import (
 from repro.sim.engine import Engine
 from repro.util.rng import RandomStreams
 
+# scope names as the setprofile hook spells them
+STEP = "engine.sim.engine:Engine.step"
+INVOKE = "enactor.core.enactor:MoteurEnactor._invoke"
+LOOKUP = "cache.cache:ResultCache.lookup"
+RANK = "broker.grid.broker:ResourceBroker._choose"
+
 
 def sample_profile():
     profiler = Profiler(clock=ManualClock(), label="sample")
     clock = profiler.clock
-    with profiler.scope("engine.step"):
+    with profiler.scope(STEP):
         clock.advance(10e-6)
-        with profiler.scope("enactor.prepare"):
+        with profiler.scope(INVOKE):
             clock.advance(25e-6)
-        with profiler.scope("cache.lookup"):
+        with profiler.scope(LOOKUP):
             clock.advance(3e-6)
-    with profiler.scope("broker.rank"):
+    with profiler.scope(RANK):
         clock.advance(7e-6)
     return profiler.snapshot()
 
@@ -64,9 +70,9 @@ class TestCollapsed:
 
     def test_weights_are_self_time_micros(self):
         weights = collapsed_weights(sample_profile())
-        assert weights[("engine.step",)] == 10
-        assert weights[("engine.step", "enactor.prepare")] == 25
-        assert weights[("broker.rank",)] == 7
+        assert weights[(STEP,)] == 10
+        assert weights[(STEP, INVOKE)] == 25
+        assert weights[(RANK,)] == 7
 
     def test_zero_weight_stacks_dropped(self):
         profiler = Profiler(clock=ManualClock())

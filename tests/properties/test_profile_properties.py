@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from repro.observability.profiling import ManualClock, Profiler, TickClock
 
-NAMES = ("engine.step", "enactor.invoke", "grid.submit", "broker.rank")
+# scope names as the setprofile hook spells them
+NAMES = (
+    "engine.sim.engine:Engine.step",
+    "enactor.core.enactor:MoteurEnactor._invoke",
+    "grid.grid.middleware:Grid.submit",
+    "broker.grid.broker:ResourceBroker._choose",
+)
 
 # (name_index, advance_micros) per step; the replay below balances the
 # enters/exits itself, so any list of steps is a valid program.

@@ -1,4 +1,6 @@
-"""Service-level profiler integration: install, fold, and engine counters."""
+"""Service-level profiler integration: the tick seam, fold, and engine counters."""
+
+import sys
 
 from repro.grid.testbeds import cluster_testbed
 from repro.observability.profiling import Profiler, TickClock
@@ -31,12 +33,29 @@ def drain_one(service):
 class TestServiceProfiler:
     def test_profiler_installed_across_the_stack(self):
         profiler = Profiler(clock=TickClock())
-        service = drain_one(make_service(profiler=profiler))
-        assert service.engine.profiler is profiler
-        assert service.grid.profiler is profiler
+        drain_one(make_service(profiler=profiler))
         components = profiler.snapshot().by_component()
-        assert "engine" in components
-        assert components["engine"]["self"] > 0
+        for component in ("engine", "grid", "enactor", "service"):
+            assert components[component]["self"] > 0, component
+        assert profiler.depth == 0
+
+    def test_unprofiled_tick_leaves_the_profile_hook_alone(self):
+        seen = []
+
+        def outer(frame, event, arg):
+            seen.append(event)
+
+        service = make_service()
+        service.add_tenant(TenantSpec(name="alice", weight=1.0))
+        service.submit("alice", n_items=1, seed=1)
+        previous = sys.getprofile()
+        sys.setprofile(outer)
+        try:
+            service.tick()
+            assert sys.getprofile() is outer
+        finally:
+            sys.setprofile(previous)
+        assert "call" in seen
 
     def test_runstore_rows_fold_in_profile_counters(self, tmp_path):
         runstore = RunStore(tmp_path / "runstore")
