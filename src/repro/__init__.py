@@ -9,7 +9,7 @@ The package rebuilds the paper's full stack:
   (broker, batch queues, storage, stochastic overheads, faults, load),
 * :mod:`repro.services` — the service layer: executable descriptors
   (Figure 8), the generic code wrapper, grouped virtual services
-  (Figure 7), SOAP/GridRPC-style transports,
+  (Figure 7), intra-service batching,
 * :mod:`repro.workflow` — the service-based workflow model: ports,
   links, iteration strategies, Scufl documents, input data sets,
 * :mod:`repro.core` — **MOTEUR**, the optimized enactor combining

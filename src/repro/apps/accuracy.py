@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -43,15 +43,6 @@ class AccuracyReport:
     translation_accuracy_mm: float  # std of translation errors
     rotation_bias_deg: float  # mean rotation error
     translation_bias_mm: float  # mean translation error
-
-
-def _group_by_pair(
-    results: Iterable[RegistrationResult],
-) -> Dict[int, List[RegistrationResult]]:
-    grouped: Dict[int, List[RegistrationResult]] = defaultdict(list)
-    for result in results:
-        grouped[result.pair_id].append(result)
-    return grouped
 
 
 def bronze_standard_assessment(

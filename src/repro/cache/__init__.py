@@ -124,15 +124,6 @@ class ResultCache:
         return cls(store=store)
 
     # -- keying --------------------------------------------------------
-    def key_for(
-        self,
-        service: Service,
-        bindings: Mapping[str, Sequence[TokenFact]],
-        unordered: bool = False,
-    ) -> str:
-        """Delegate to :func:`~repro.cache.keys.invocation_key`."""
-        return invocation_key(service, bindings, unordered=unordered)
-
     # -- lookup/store --------------------------------------------------
     def lookup(self, key: str, service: str) -> Optional[Dict[str, GridData]]:
         """Cached outputs for *key*, recording a hit; None on absence.

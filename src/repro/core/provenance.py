@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-__all__ = ["HistoryTree", "compatible", "merged_lineage", "format_indices"]
+__all__ = ["HistoryTree", "compatible", "format_indices"]
 
 Lineage = Mapping[str, FrozenSet[int]]
 
@@ -167,18 +167,6 @@ def compatible(a: HistoryTree, b: HistoryTree) -> bool:
         if other is not None and other != indices:
             return False
     return True
-
-
-def merged_lineage(trees: Tuple[HistoryTree, ...]) -> Dict[str, FrozenSet[int]]:
-    """Union of the lineages of *trees* (what a derived node will carry)."""
-    merged: Dict[str, FrozenSet[int]] = {}
-    for tree in trees:
-        for source, indices in tree.lineage.items():
-            if source in merged:
-                merged[source] = merged[source] | indices
-            else:
-                merged[source] = indices
-    return merged
 
 
 def format_indices(indices: "list[int]") -> str:

@@ -15,7 +15,6 @@
 from repro.experiments.analysis import (
     job_statistics,
     overhead_breakdown,
-    per_service_statistics,
 )
 from repro.experiments.calibration import (
     PAPER_SIZES,
@@ -46,5 +45,4 @@ __all__ = [
     "paper_comparison",
     "job_statistics",
     "overhead_breakdown",
-    "per_service_statistics",
 ]

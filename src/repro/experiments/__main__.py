@@ -30,7 +30,7 @@ Usage::
                                         run-0001 latest [--budget-makespan 0.05]
                                         [--budget-bytes 0.0]
     python -m repro.experiments profile record --out profile.json
-                                        [--clock deterministic|wall] [--memory]
+                                        [--clock deterministic|wall]
     python -m repro.experiments profile report profile.json
     python -m repro.experiments profile diff baseline.json candidate.json
     python -m repro.experiments profile flame profile.json --out profile.folded
@@ -706,7 +706,6 @@ def cmd_profile_record(args: argparse.Namespace) -> int:
     config = _config_by_label(args.config)
     profiler = Profiler(
         clock=resolve_clock(args.clock),
-        track_memory=args.memory,
         label=f"bronze {config.label} pairs={args.pairs} "
         f"seed={args.seed} testbed={args.testbed}",
     )
@@ -1122,11 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clock", choices=["deterministic", "wall"], default="deterministic",
         help="time source: 'deterministic' produces byte-identical "
         "profiles across same-seed runs; 'wall' measures real time",
-    )
-    p_record.add_argument(
-        "--memory", action="store_true",
-        help="also record tracemalloc allocation deltas (slower; the "
-        "memory section is machine-dependent)",
     )
     p_record.set_defaults(func=cmd_profile_record)
 

@@ -9,9 +9,7 @@ from.  This module computes those views from the
 * :func:`job_statistics` — per-run totals: wall time consumed on the
   grid, compute vs transfer vs overhead split, attempt counts,
 * :func:`overhead_breakdown` — the overhead decomposed into the
-  lifecycle phases (submission -> matched -> queued -> running),
-* :func:`per_service_statistics` — the same, grouped by the service
-  that submitted each job (uses the job tags the wrapper sets).
+  lifecycle phases (submission -> matched -> queued -> running).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "PhaseBreakdown",
     "job_statistics",
     "overhead_breakdown",
-    "per_service_statistics",
 ]
 
 
@@ -54,13 +51,6 @@ class JobStatistics:
         if self.total_grid_time == 0:
             return 0.0
         return self.total_overhead / self.total_grid_time
-
-    @property
-    def retry_fraction(self) -> float:
-        """Extra attempts per job beyond the first."""
-        if self.jobs == 0:
-            return 0.0
-        return (self.total_attempts - self.jobs) / self.jobs
 
 
 @dataclass(frozen=True)
@@ -136,18 +126,3 @@ def overhead_breakdown(records: Iterable[JobRecord]) -> Optional[PhaseBreakdown]
         queued_to_running=float(np.mean(phases["q2r"])),
         running_to_done=float(np.mean(phases["r2d"])),
     )
-
-
-def per_service_statistics(records: Iterable[JobRecord]) -> Dict[str, JobStatistics]:
-    """Group :func:`job_statistics` by the submitting service tag.
-
-    Jobs without a ``service`` tag (e.g. background load) are grouped
-    under ``"<untagged>"``.
-    """
-    by_service: Dict[str, List[JobRecord]] = defaultdict(list)
-    for record in records:
-        service = record.description.tags.get("service", "<untagged>")
-        by_service[service].append(record)
-    return {
-        service: job_statistics(group) for service, group in sorted(by_service.items())
-    }

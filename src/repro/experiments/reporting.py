@@ -22,7 +22,6 @@ from repro.observability.critical_path import (
 )
 from repro.observability.drift import DriftReport
 from repro.observability.health import CEHealth
-from repro.observability.metrics import MetricsSnapshot
 from repro.observability.runstore import RunComparison
 from repro.observability.spans import Span
 
@@ -34,7 +33,6 @@ __all__ = [
     "format_reexecution",
     "format_phase_breakdown",
     "format_drift",
-    "format_metrics",
     "format_critical_path",
     "format_critical_path_diff",
     "format_ce_utilization",
@@ -238,30 +236,6 @@ def format_drift(report: DriftReport) -> str:
         f"predicted speed-up vs NOP: {report.speedup_vs_nop:.2f}x",
     ]
     return "\n".join(lines)
-
-
-def format_metrics(snapshot: Optional[MetricsSnapshot]) -> str:
-    """Counters, gauges and histogram summaries of one run's metrics."""
-    if snapshot is None or not snapshot.names():
-        return "(no metrics recorded)"
-    rows = []
-    for name in sorted(snapshot.counters):
-        value = snapshot.counters[name]
-        rendered = f"{value:.0f}" if value == int(value) else f"{value:.2f}"
-        rows.append([name, "counter", rendered])
-    for name in sorted(snapshot.gauges):
-        rows.append(
-            [name, "gauge",
-             f"{snapshot.gauges[name]:.0f} (peak {snapshot.gauge_peak(name):.0f})"]
-        )
-    for name in sorted(snapshot.histograms):
-        hist = snapshot.histograms[name]
-        rows.append(
-            [name, "histogram",
-             f"n={hist.count} mean={hist.mean:.2f}s "
-             f"p50={hist.percentile(50):.2f}s max={hist.maximum:.2f}s"]
-        )
-    return _grid(["Metric", "kind", "value"], rows)
 
 
 def format_critical_path(observed: ObservedCriticalPath) -> str:

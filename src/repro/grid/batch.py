@@ -12,11 +12,11 @@ All policies are deterministic given the arrival order.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Optional
 
 from repro.sim.engine import Engine, Event
 
-__all__ = ["QueuePolicy", "FifoPolicy", "FairSharePolicy", "ShortestJobFirstPolicy"]
+__all__ = ["QueuePolicy", "FifoPolicy", "FairSharePolicy"]
 
 
 class QueuePolicy:
@@ -165,49 +165,3 @@ class FairSharePolicy(QueuePolicy):
 
     def __len__(self) -> int:
         return self._count
-
-
-class ShortestJobFirstPolicy(QueuePolicy):
-    """Pick the entry with the smallest *expected* compute time.
-
-    Requires entries to expose ``record.description`` — falls back to
-    arrival order among unknown entries.  Included for scheduling
-    ablations; not used by the paper reproduction defaults.
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        super().__init__(engine)
-        self._items: list[Any] = []
-        self._arrival: Dict[int, int] = {}
-        self._counter = 0
-
-    def _expected(self, entry: Any) -> float:
-        record = getattr(entry, "record", None)
-        if record is None:
-            return float("inf")
-        return record.description.compute_distribution().mean()
-
-    def _enqueue(self, entry: Any) -> None:
-        self._items.append(entry)
-        self._arrival[id(entry)] = self._counter
-        self._counter += 1
-
-    def _dequeue(self) -> Any:
-        best = min(self._items, key=lambda e: (self._expected(e), self._arrival[id(e)]))
-        self._items.remove(best)
-        del self._arrival[id(best)]
-        return best
-
-    def _remove(self, entry: Any) -> bool:
-        try:
-            self._items.remove(entry)
-        except ValueError:
-            return False
-        del self._arrival[id(entry)]
-        return True
-
-    def _entries(self) -> "list[Any]":
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -160,8 +160,3 @@ class ResourceBroker:
                     key=lambda ce: (ce.load_estimate() + health.penalty(ce.name), ce.name),
                 )
         return self._rank(candidates, record, self._rng)
-
-    @property
-    def queue_length(self) -> int:
-        """Jobs waiting for a matchmaking slot."""
-        return self._capacity.queue_length

@@ -28,7 +28,7 @@ be tested against a known ground truth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -113,20 +113,6 @@ class FaultModel:
             return self.ce_detection_delay[ce].sample(rng)
         return self.detection_delay.sample(rng)
 
-    def expected_attempts(self, ce: Optional[str] = None) -> float:
-        """Expected attempts per job (truncated geometric).
-
-        With *ce* given, uses that CE's override probability — the
-        planning number behind retry budgets and the wasted-grid-time
-        accounting of the retry-policy ablation.
-        """
-        p = self.probability_for(ce)
-        if p == 0.0:
-            return 1.0
-        n = self.max_attempts
-        # E[min(G, n)] for geometric G with success prob (1-p):
-        return sum(p ** (k - 1) for k in range(1, n + 1))
-
 
 def _normalise_windows(
     windows: Iterable[Tuple[float, float]],
@@ -155,8 +141,7 @@ class OutageSchedule:
     a storage element (``site01-se``).  Each subject owns a sorted tuple
     of half-open ``[start, end)`` down-windows; outside every window the
     subject is up.  The schedule is a pure value: no clocks, no RNG
-    state — given the same seed, :meth:`generate` always produces the
-    same timeline, so chaos runs replay byte-identically.
+    state — so chaos runs replay byte-identically.
     """
 
     #: subject name -> merged, sorted ``(start, end)`` down-windows
@@ -204,46 +189,10 @@ class OutageSchedule:
         merged[subject] = tuple(merged.get(subject, ())) + tuple(flaps)
         return OutageSchedule(merged)
 
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        subjects: Sequence[str],
-        horizon: float,
-        outage_rate: float = 1.0,
-        mean_downtime: float = 300.0,
-    ) -> "OutageSchedule":
-        """Draw a random schedule as a pure function of *seed*.
-
-        Each subject suffers ``Poisson(outage_rate)`` outages uniformly
-        placed over ``[0, horizon)`` with exponential downtimes of mean
-        *mean_downtime* (clipped to the horizon).  Subjects are processed
-        in the given order from a dedicated generator, so the timeline
-        depends only on the arguments.
-        """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        rng = np.random.default_rng(seed)
-        windows: Dict[str, list] = {}
-        for subject in subjects:
-            count = int(rng.poisson(outage_rate))
-            spans = []
-            for _ in range(count):
-                start = float(rng.uniform(0.0, horizon))
-                length = float(rng.exponential(mean_downtime))
-                spans.append((start, min(start + max(length, 1.0), horizon)))
-            if spans:
-                windows[subject] = spans
-        return cls.from_windows(windows)
-
     @property
     def empty(self) -> bool:
         """True when no subject ever goes down."""
         return not self.windows
-
-    def subjects(self) -> Tuple[str, ...]:
-        """All subjects with at least one down-window, sorted."""
-        return tuple(sorted(self.windows))
 
     def down_windows(self, subject: str) -> Tuple[Tuple[float, float], ...]:
         """The merged down-windows of one subject (empty if always up)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.util.distributions import Distribution, as_distribution
 
@@ -73,11 +73,6 @@ class JobFailedError(RuntimeError):
         super().__init__(f"job {record.job_id} ({record.name}) failed: {cause}")
         self.record = record
         self.cause = cause
-
-    @property
-    def attempt_failures(self) -> Tuple[AttemptFailure, ...]:
-        """Every attempt-level failure the record accumulated, oldest first."""
-        return tuple(self.record.failure_history)
 
 
 class JobCancelledError(RuntimeError):
@@ -143,19 +138,6 @@ class JobDescription:
     def compute_distribution(self) -> Distribution:
         """The compute-time model as a :class:`Distribution`."""
         return as_distribution(self.compute_time)
-
-    def with_name(self, name: str) -> "JobDescription":
-        """Copy with a different display name."""
-        return JobDescription(
-            name=name,
-            command_line=self.command_line,
-            compute_time=self.compute_time,
-            input_files=self.input_files,
-            output_files=self.output_files,
-            payload=self.payload,
-            owner=self.owner,
-            tags=dict(self.tags),
-        )
 
 
 class JobRecord:
@@ -255,8 +237,3 @@ class JobRecord:
 
     def __repr__(self) -> str:
         return f"<JobRecord #{self.job_id} {self.name!r} {self.state.value}>"
-
-
-def total_compute_mean(descriptions: Sequence[JobDescription]) -> float:
-    """Sum of mean compute times over *descriptions* (planning helper)."""
-    return sum(d.compute_distribution().mean() for d in descriptions)

@@ -133,28 +133,6 @@ class NetworkModel:
         self.observers.append(observer)
         return observer
 
-    def remove_observer(self, observer: TransferObserver) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        try:
-            self.observers.remove(observer)
-        except ValueError:
-            pass
-
-    @property
-    def on_transfer(self) -> Optional[TransferObserver]:
-        """Single-callable compatibility view of the observer list.
-
-        Reading yields the first observer (None when empty); assigning
-        *replaces* the whole list — the historical single-slot
-        semantics.  New code should use :meth:`add_observer`, which
-        composes instead of clobbering.
-        """
-        return self.observers[0] if self.observers else None
-
-    @on_transfer.setter
-    def on_transfer(self, observer: Optional[TransferObserver]) -> None:
-        self.observers[:] = [] if observer is None else [observer]
-
     @property
     def has_faults(self) -> bool:
         """True when any transfer attempt can fail."""
@@ -209,7 +187,3 @@ class NetworkModel:
         for observer in self.observers:
             observer(src_site, dst_site, size, seconds)
         return seconds
-
-    def set_link(self, src_site: str, dst_site: str, params: LinkParameters) -> None:
-        """Override one directed site pair."""
-        self.overrides[(src_site, dst_site)] = params

@@ -32,12 +32,7 @@ import numpy as np
 
 from repro.util.distributions import Distribution
 
-__all__ = [
-    "expected_stage_barrier_makespan",
-    "expected_pipelined_makespan",
-    "expected_sdp_gain",
-    "GranularityModel",
-]
+__all__ = ["expected_sdp_gain", "GranularityModel"]
 
 
 def _sample_matrix(
@@ -48,30 +43,6 @@ def _sample_matrix(
         raise ValueError("n_w, n_d and rounds must all be >= 1")
     flat = job_time.sample_many(rng, rounds * n_w * n_d)
     return flat.reshape(rounds, n_w, n_d)
-
-
-def expected_stage_barrier_makespan(
-    job_time: Distribution,
-    n_w: int,
-    n_d: int,
-    rng: np.random.Generator,
-    rounds: int = 200,
-) -> float:
-    """Monte-Carlo E[Σ_DP] = E[ Σ_i max_j T_ij ] for i.i.d. T."""
-    samples = _sample_matrix(job_time, n_w, n_d, rng, rounds)
-    return float(samples.max(axis=2).sum(axis=1).mean())
-
-
-def expected_pipelined_makespan(
-    job_time: Distribution,
-    n_w: int,
-    n_d: int,
-    rng: np.random.Generator,
-    rounds: int = 200,
-) -> float:
-    """Monte-Carlo E[Σ_DSP] = E[ max_j Σ_i T_ij ] for i.i.d. T."""
-    samples = _sample_matrix(job_time, n_w, n_d, rng, rounds)
-    return float(samples.sum(axis=1).max(axis=1).mean())
 
 
 def expected_sdp_gain(
@@ -133,18 +104,3 @@ class GranularityModel:
             ]
             totals[r] = max(job_times)
         return float(totals.mean())
-
-    def best_group_size(
-        self, rng: np.random.Generator, candidates: "list[int] | None" = None, rounds: int = 200
-    ) -> "tuple[int, float]":
-        """The candidate k minimizing the expected stage makespan."""
-        if candidates is None:
-            candidates = sorted({1, 2, 4, 8, 16, self.n_d} & set(range(1, self.n_d + 1))
-                                | {1, self.n_d})
-        best_k, best_time = None, float("inf")
-        for k in candidates:
-            time = self.expected_makespan(k, rng, rounds=rounds)
-            if time < best_time:
-                best_k, best_time = k, time
-        assert best_k is not None
-        return best_k, best_time

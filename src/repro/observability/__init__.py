@@ -21,9 +21,8 @@ Pieces (all dependency-free, all in simulated time):
 * :mod:`~repro.observability.drift` — the live model-drift reporter
   comparing each run against the Section 3.5 equations (1)-(4) and
   emitting y-intercept/slope ratio estimates;
-* :mod:`~repro.observability.logbridge` — module-level loggers for the
-  library, a stdout channel for the CLI, and a subscriber that narrates
-  spans onto :mod:`logging`;
+* :mod:`~repro.observability.logbridge` — the CLI's stdout channel on
+  :mod:`logging`;
 * :mod:`~repro.observability.critical_path` — the **observed**
   critical path reconstructed from one run's span tree: the gating
   chain of invocations whose phase-attributed durations sum exactly to
@@ -102,7 +101,6 @@ from repro.observability.dataflow import (
     bandwidth_profile,
     dataflow_dot,
     format_dataflow_report,
-    link_activity,
     parse_dot,
     sample_profile,
     sparkline,
@@ -142,7 +140,7 @@ from repro.observability.health import (
     robust_stats,
     robust_z,
 )
-from repro.observability.logbridge import LoggingSubscriber, cli_logger, get_logger
+from repro.observability.logbridge import cli_logger
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -171,8 +169,6 @@ from repro.observability.runstore import (
 )
 from repro.observability.spans import Span, SpanError, spans_from_jsonl, spans_to_jsonl
 from repro.observability.timeline import (
-    ce_queue_depth,
-    ce_utilization,
     render_gantt,
     step_function,
     utilization_table,
@@ -203,9 +199,7 @@ __all__ = [
     "overhead_by_job_from_spans",
     "policy_key",
     "time_matrix",
-    "LoggingSubscriber",
     "cli_logger",
-    "get_logger",
     "CriticalPathError",
     "CriticalPathStep",
     "CriticalPathDiff",
@@ -213,8 +207,6 @@ __all__ = [
     "observed_critical_path",
     "diff_against_static",
     "step_function",
-    "ce_utilization",
-    "ce_queue_depth",
     "utilization_table",
     "render_gantt",
     "RunStoreError",
@@ -261,7 +253,6 @@ __all__ = [
     "dataflow_dot",
     "parse_dot",
     "DotParseError",
-    "link_activity",
     "bandwidth_profile",
     "sample_profile",
     "sparkline",

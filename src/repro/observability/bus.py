@@ -10,9 +10,7 @@ the attached :class:`Subscriber` s:
   on-disk run-trace format (``python -m repro.experiments report-trace``
   reads it back),
 * :class:`ChromeTraceExporter` — the Chrome trace-event JSON that
-  ``chrome://tracing`` and Perfetto load directly,
-* :class:`LoggingSubscriber` — bridges finished spans onto the standard
-  :mod:`logging` tree (see :mod:`repro.observability.logbridge`).
+  ``chrome://tracing`` and Perfetto load directly.
 
 The bus also owns the run's :class:`~repro.observability.metrics.MetricsRegistry`
 so a single object wires a whole stack, and it allocates span ids from
@@ -188,21 +186,6 @@ class InMemoryCollector(Subscriber):
     def category(self, category: str) -> List[Span]:
         """Finished spans of one *category*, start order."""
         return sorted((s for s in self.spans if s.category == category), key=span_sort_key)
-
-    def for_job(self, job_id: int) -> List[Span]:
-        """Every span attributed to grid job *job_id* (phases included)."""
-        out = []
-        for span in self.spans:
-            attrs = span.attributes
-            if attrs.get("job_id") == job_id or job_id in (attrs.get("job_ids") or ()):
-                out.append(span)
-        return sorted(out, key=span_sort_key)
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of *span*, start order."""
-        return sorted(
-            (s for s in self.spans if s.parent_id == span.span_id), key=span_sort_key
-        )
 
     def clear(self) -> None:
         """Forget everything collected so far."""

@@ -22,7 +22,6 @@ from repro.observability.dataflow.dot import DotParseError, dataflow_dot, parse_
 from repro.observability.dataflow.report import (
     bandwidth_profile,
     format_dataflow_report,
-    link_activity,
     sample_profile,
     sparkline,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "dataflow_dot",
     "parse_dot",
     "DotParseError",
-    "link_activity",
     "bandwidth_profile",
     "sample_profile",
     "sparkline",

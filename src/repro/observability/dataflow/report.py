@@ -1,10 +1,9 @@
 """Human-readable data-flow reporting: tables and ASCII sparklines.
 
 Builds on the :mod:`~repro.observability.timeline` step-function idea:
-:func:`link_activity` is literally the PR-3 ``step_function`` over a
-link's transfer intervals (how many transfers are in flight), while
-:func:`bandwidth_profile` is its byte-weighted sibling — the aggregate
-bytes/second a link carries over simulated time.  The
+:func:`bandwidth_profile` is the byte-weighted ``step_function`` over a
+link's transfer intervals — the aggregate bytes/second a link carries
+over simulated time.  The
 ``report-dataflow`` CLI renders the profiles as per-link sparklines
 next to the top-talker tables.
 """
@@ -18,7 +17,6 @@ from repro.observability.timeline import step_function
 from repro.util.units import format_size
 
 __all__ = [
-    "link_activity",
     "bandwidth_profile",
     "sample_profile",
     "sparkline",
@@ -27,11 +25,6 @@ __all__ = [
 
 #: ASCII intensity ramp for sparklines (index 0 = idle)
 _RAMP = " .:-=+*#%@"
-
-
-def link_activity(records: Sequence[TransferRecord]) -> List[Tuple[float, int]]:
-    """Concurrent-transfer step function over one link's records."""
-    return step_function([(r.time, r.time + r.seconds) for r in records])
 
 
 def bandwidth_profile(records: Sequence[TransferRecord]) -> List[Tuple[float, float]]:

@@ -198,10 +198,6 @@ class DriftReport:
             return 0.0 if self.observed_makespan == 0 else float("inf")
         return abs(self.drift) / self.predicted_makespan
 
-    def within(self, tolerance: float) -> bool:
-        """True when the relative error does not exceed *tolerance*."""
-        return self.relative_error <= tolerance
-
     @property
     def speedup_vs_nop(self) -> float:
         """Predicted NOP makespan over this policy's prediction."""

@@ -150,10 +150,6 @@ class RollingSample:
             self._cached = robust_stats(list(self._values))
         return self._cached
 
-    def z(self, value: float) -> float:
-        """Robust z of *value* against the current window."""
-        return robust_z(value, self.stats())
-
 
 @dataclass(frozen=True)
 class HealthThresholds:

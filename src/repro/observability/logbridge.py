@@ -1,51 +1,18 @@
-"""Bridge between the instrumentation layer and stdlib :mod:`logging`.
+"""The CLI's bridge to stdlib :mod:`logging`.
 
-Three pieces:
-
-* :func:`get_logger` — the module-level logger factory library code
-  uses instead of ``print``.  The ``repro`` root logger carries a
-  :class:`logging.NullHandler`, so importing the library never
-  configures handlers or emits anything — the stdlib convention for
-  well-behaved libraries.  Applications opt in with
-  ``logging.basicConfig`` (or any handler of their choosing).
-* :func:`cli_logger` — the CLI's user-facing output channel: a logger
-  whose handler writes bare messages to the *current* ``sys.stdout``
-  (resolved at emit time, so pytest's capture and shell redirection
-  both work).  Routing the CLI's diagnostics through here keeps one
-  code path for "text a human reads" while leaving library users'
-  logging untouched.
-* :class:`LoggingSubscriber` — an instrumentation-bus subscriber that
-  narrates finished spans onto a logger, which is how a span stream
-  shows up in an application's existing log pipeline.
+:func:`cli_logger` is the CLI's user-facing output channel: a logger
+whose handler writes bare messages to the *current* ``sys.stdout``
+(resolved at emit time, so pytest's capture and shell redirection both
+work).  Routing the CLI's diagnostics through here keeps one code path
+for "text a human reads" while leaving library users' logging untouched.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional
 
-from repro.observability.bus import Subscriber
-from repro.observability.spans import Span
-
-__all__ = ["get_logger", "cli_logger", "LoggingSubscriber"]
-
-_ROOT = "repro"
-
-
-def get_logger(name: str) -> logging.Logger:
-    """A library logger under the ``repro`` namespace, print-free by default.
-
-    ``name`` is conventionally ``__name__`` of the calling module; names
-    outside the ``repro`` hierarchy are nested under it so one root
-    switch controls the whole library.
-    """
-    root = logging.getLogger(_ROOT)
-    if not any(isinstance(h, logging.NullHandler) for h in root.handlers):
-        root.addHandler(logging.NullHandler())
-    if name == _ROOT or name.startswith(_ROOT + "."):
-        return logging.getLogger(name)
-    return logging.getLogger(f"{_ROOT}.{name}")
+__all__ = ["cli_logger"]
 
 
 class _CurrentStdoutHandler(logging.Handler):
@@ -79,41 +46,3 @@ def cli_logger(name: str = "repro.cli") -> logging.Logger:
         logger.setLevel(logging.INFO)
         logger.propagate = False
     return logger
-
-
-class LoggingSubscriber(Subscriber):
-    """Narrates finished spans onto a :mod:`logging` logger.
-
-    One line per span: simulated end time, name, duration, status, and
-    the few attributes that identify the work.  DEBUG by default —
-    span streams are chatty — with errors promoted to WARNING.
-    """
-
-    #: attribute keys worth echoing inline, in display order
-    _ECHO = ("processor", "label", "job_id", "name", "ce", "attempt", "kind")
-
-    def __init__(
-        self, logger: Optional[logging.Logger] = None, level: int = logging.DEBUG
-    ) -> None:
-        self.logger = logger if logger is not None else get_logger("repro.observability.spans")
-        self.level = level
-
-    def on_end(self, span: Span) -> None:
-        level = logging.WARNING if span.status == "error" else self.level
-        if not self.logger.isEnabledFor(level):
-            return
-        details = " ".join(
-            f"{key}={span.attributes[key]}"
-            for key in self._ECHO
-            if key in span.attributes
-        )
-        self.logger.log(
-            level,
-            "[t=%.3fs] %s %s dur=%.3fs status=%s%s",
-            span.end if span.end is not None else span.start,
-            span.name,
-            span.span_id,
-            span.duration,
-            span.status,
-            f" {details}" if details else "",
-        )

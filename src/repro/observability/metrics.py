@@ -137,16 +137,6 @@ class HistogramSnapshot:
         """Arithmetic mean (0.0 when empty)."""
         return self.total / self.count if self.values else 0.0
 
-    @property
-    def minimum(self) -> float:
-        """Smallest observation (0.0 when empty)."""
-        return min(self.values) if self.values else 0.0
-
-    @property
-    def maximum(self) -> float:
-        """Largest observation (0.0 when empty)."""
-        return max(self.values) if self.values else 0.0
-
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (nearest-rank; 0.0 when empty)."""
         if not 0.0 <= q <= 100.0:
@@ -182,10 +172,6 @@ class MetricsSnapshot:
     def gauge(self, name: str) -> float:
         """Gauge level (0.0 if never set)."""
         return self.gauges.get(name, 0.0)
-
-    def gauge_peak(self, name: str) -> float:
-        """Gauge high-water mark (0.0 if never set)."""
-        return self.gauge_peaks.get(name, 0.0)
 
     def histogram(self, name: str) -> HistogramSnapshot:
         """Histogram view (empty if never observed)."""

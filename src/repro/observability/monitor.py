@@ -93,23 +93,9 @@ class ServiceProgress:
         return max(0, self.started - self.completed)
 
     @property
-    def pending(self) -> Optional[int]:
-        """Items not yet started, when the expected total is known."""
-        if self.expected is None:
-            return None
-        return max(0, self.expected - self.completed - self.in_flight)
-
-    @property
     def mean_seconds(self) -> float:
         """Mean duration of completed invocations (0.0 before any)."""
         return self.total_seconds / self.completed if self.completed else 0.0
-
-    @property
-    def fraction(self) -> Optional[float]:
-        """Completed fraction, when the expected total is known."""
-        if not self.expected:
-            return None
-        return min(1.0, self.completed / self.expected)
 
 
 #: phase spans routed into FleetHealth (stage phases refine per-CE

@@ -28,7 +28,6 @@ from repro.observability.profiling.attribution import (
     format_profile_report,
     profile_counters,
 )
-from repro.observability.profiling.churn import MemoryTracker
 from repro.observability.profiling.clock import (
     Clock,
     ManualClock,
@@ -57,7 +56,6 @@ __all__ = [
     "TickClock",
     "ManualClock",
     "resolve_clock",
-    "MemoryTracker",
     "Profiler",
     "Profile",
     "ProfilerError",

@@ -220,7 +220,7 @@ def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
 
 
 def format_profile_report(profile: Profile, limit: int = 15) -> str:
-    """Human report: component table, hottest scopes, memory."""
+    """Human report: component table, hottest scopes."""
     lines: List[str] = [
         f"profile: {profile.label or '(unlabelled)'}  "
         f"clock={profile.clock}  total={profile.total_time * 1e3:.3f}ms"
@@ -254,13 +254,6 @@ def format_profile_report(profile: Profile, limit: int = 15) -> str:
         ]
         lines.append("")
         lines.extend(_table(["scope", "self (us)", "cum (us)", "calls"], rows))
-    if profile.memory is not None:
-        lines.append("")
-        lines.append(
-            f"memory (tracemalloc): allocated "
-            f"{profile.memory.get('allocated_bytes', 0):,} bytes, peak "
-            f"{profile.memory.get('peak_bytes', 0):,} bytes"
-        )
     return "\n".join(lines)
 
 

@@ -33,8 +33,8 @@ Python 3.11.7 on a 2-vCPU Xeon VM) takes 10.8 ms unprofiled and
 4x, where the in-code hooks this replaced cost +4-14%.  That is the
 accepted price of a diagnostic run that sees every layer.
 
-A :class:`Profile` is the immutable, serializable snapshot (scope tree
-plus optional memory report, stable sorted JSON); ``flamegraph.py``
+A :class:`Profile` is the immutable, serializable snapshot (scope tree,
+stable sorted JSON); ``flamegraph.py``
 renders it and ``attribution.py`` diffs two of them.
 """
 
@@ -47,7 +47,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.observability.profiling.churn import MemoryTracker
 from repro.observability.profiling.clock import Clock, TickClock, wall_clock
 
 __all__ = ["ScopeStats", "Profiler", "Profile", "ProfilerError", "COMPONENTS"]
@@ -159,7 +158,6 @@ class Profiler:
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        track_memory: bool = False,
         label: str = "",
     ) -> None:
         self.clock: Clock = clock if clock is not None else wall_clock
@@ -172,10 +170,8 @@ class Profiler:
             self._read, self._unit = self.clock, 1.0
         self.label = label
         self.root = ScopeStats(ROOT_NAME)
-        self.memory = MemoryTracker(enabled=track_memory)
         #: open scopes: [node, start_reading, child_time, frame]
         self._stack: List[List[Any]] = []
-        self.memory.start()
 
     def enter(self, name: str, frame: Any = None) -> None:
         """Open scope *name* under the current scope."""
@@ -260,7 +256,6 @@ class Profiler:
         Open scopes (``depth > 0``) are not yet accounted; snapshot
         after the profiled block for exact totals.
         """
-        self.memory.stop()
         root = ScopeStats.from_dict(self.root.to_dict())  # deep copy
         if self._unit != 1.0:
             nodes = list(root.children.values())
@@ -281,35 +276,21 @@ class Profiler:
             label=label if label is not None else self.label,
             clock=clock_kind,
             root=root,
-            memory=self.memory.report(),
         )
-
-    def reset(self) -> None:
-        """Drop all accounting (open scopes must be closed first)."""
-        if self._stack:
-            raise ProfilerError(f"reset() with {self.depth} open scope(s)")
-        self.root = ScopeStats(ROOT_NAME)
 
 
 class Profile:
     """An immutable snapshot of one profiled run."""
 
-    __slots__ = ("label", "clock", "root", "memory")
+    __slots__ = ("label", "clock", "root")
 
     #: bumped when the on-disk schema changes
     FORMAT = 2
 
-    def __init__(
-        self,
-        label: str,
-        clock: str,
-        root: ScopeStats,
-        memory: Optional[Dict[str, int]] = None,
-    ) -> None:
+    def __init__(self, label: str, clock: str, root: ScopeStats) -> None:
         self.label = label
         self.clock = clock
         self.root = root
-        self.memory = dict(memory) if memory is not None else None
 
     # -- queries -------------------------------------------------------
     @property
@@ -355,15 +336,12 @@ class Profile:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+        return {
             "format": self.FORMAT,
             "label": self.label,
             "clock": self.clock,
             "root": self.root.to_dict(),
         }
-        if self.memory is not None:
-            payload["memory"] = {k: self.memory[k] for k in sorted(self.memory)}
-        return payload
 
     def to_json(self) -> str:
         """Canonical encoding: sorted keys, no whitespace drift.
@@ -380,14 +358,10 @@ class Profile:
         fmt = payload.get("format")
         if fmt != cls.FORMAT:
             raise ProfilerError(f"unsupported profile format {fmt!r}")
-        memory = payload.get("memory")
         return cls(
             label=str(payload.get("label", "")),
             clock=str(payload.get("clock", "wall")),
             root=ScopeStats.from_dict(payload["root"]),
-            memory={str(k): int(v) for k, v in memory.items()}
-            if isinstance(memory, dict)
-            else None,
         )
 
     def save(self, path: "str | Path") -> Path:

@@ -31,8 +31,6 @@ __all__ = [
     "peak",
     "time_average",
     "busy_seconds",
-    "ce_utilization",
-    "ce_queue_depth",
     "utilization_table",
     "render_gantt",
 ]
@@ -120,22 +118,6 @@ def _intervals_by_ce(
             continue
         out.setdefault(str(ce), []).append((span.start, span.end))
     return out
-
-
-def ce_utilization(spans: Iterable[Span]) -> Dict[str, Profile]:
-    """Per-CE running-job step functions (from ``job.run`` phase spans)."""
-    return {
-        ce: step_function(intervals)
-        for ce, intervals in sorted(_intervals_by_ce(spans, "job.run").items())
-    }
-
-
-def ce_queue_depth(spans: Iterable[Span]) -> Dict[str, Profile]:
-    """Per-CE batch-queue depth step functions (from ``job.queue`` spans)."""
-    return {
-        ce: step_function(intervals)
-        for ce, intervals in sorted(_intervals_by_ce(spans, "job.queue").items())
-    }
 
 
 def utilization_table(spans: Sequence[Span]) -> List[Dict[str, object]]:

@@ -17,20 +17,12 @@ innermost first:
     :class:`~repro.core.enactor.MoteurEnactor` enactments over one
     shared simulated grid, with admission control and crash recovery.
 
-``api`` holds the client-facing request/response types, and
+``api`` holds the client-facing run status, and
 ``python -m repro.service`` is the CLI (submit / status / cancel /
 tenants / drain / demo).
 """
 
-from repro.service.api import (
-    RunStatus,
-    ServiceStatus,
-    SubmitRequest,
-    TelemetryStatus,
-    TenantStatus,
-    run_status,
-    telemetry_status,
-)
+from repro.service.api import RunStatus, run_status
 from repro.service.logic import (
     AdmissionDecision,
     FairShareLedger,
@@ -39,7 +31,6 @@ from repro.service.logic import (
     RunState,
     TenantSpec,
     TransitionError,
-    pick_next,
     pick_next_explained,
 )
 from repro.service.scheduler import (
@@ -58,18 +49,12 @@ __all__ = [
     "TenantSpec",
     "FairShareLedger",
     "AdmissionDecision",
-    "pick_next",
     "pick_next_explained",
     "TransitionError",
     "QuotaError",
     "StateStore",
     "InMemoryStateStore",
     "SQLiteStateStore",
-    "SubmitRequest",
     "RunStatus",
-    "TenantStatus",
-    "ServiceStatus",
-    "TelemetryStatus",
     "run_status",
-    "telemetry_status",
 ]

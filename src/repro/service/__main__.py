@@ -10,7 +10,7 @@ performs one operation::
     python -m repro.service status
     python -m repro.service cancel svc-0001
     python -m repro.service drain
-    python -m repro.service demo --policy fair-share
+    python -m repro.service --policy fair-share demo
     python -m repro.service audit svc-0001
     python -m repro.service metrics --out metrics.prom
     python -m repro.service top --once
@@ -433,7 +433,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         service.close()
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="multi-tenant enactment service (simulated grid)",
@@ -589,8 +589,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="seconds between --watch refreshes (default %(default)s)",
     )
     top.set_defaults(func=cmd_top)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EnactmentServiceError as exc:

@@ -1,66 +1,18 @@
-"""Submission API types: the service's wire-shaped surface.
+"""The run status a client sees: plain, JSON-friendly data.
 
-These dataclasses are what a client (the CLI, a test, a future REST
-front) exchanges with the control plane — plain data, JSON-friendly,
-decoupled from the scheduler's internals.  Conversions from the
-internal :class:`~repro.service.logic.RunRecord` live here so the
-scheduler never needs to know how it is presented.
+:func:`run_status` converts the internal
+:class:`~repro.service.logic.RunRecord` so the scheduler never needs to
+know how a run is presented (the CLI's ``status`` command prints it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.observability.ops.rollup import TenantRollup
-from repro.observability.ops.slo import SLOStatus
 from repro.service.logic import RunRecord, RunState, TenantSpec
 
-__all__ = [
-    "SubmitRequest",
-    "RunStatus",
-    "TenantStatus",
-    "ServiceStatus",
-    "TelemetryStatus",
-    "run_status",
-    "telemetry_status",
-    "RunState",
-    "TenantSpec",
-]
-
-
-@dataclass(frozen=True)
-class SubmitRequest:
-    """One run submission, as a client states it."""
-
-    tenant: str
-    workload: str = "bronze"
-    n_items: int = 2
-    config_label: str = "SP+DP"
-    seed: Optional[int] = None
-    #: earliest simulated time the run may start (traffic scripts)
-    not_before: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "workload": self.workload,
-            "n_items": self.n_items,
-            "config_label": self.config_label,
-            "seed": self.seed,
-            "not_before": self.not_before,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "SubmitRequest":
-        return cls(
-            tenant=str(payload["tenant"]),
-            workload=str(payload.get("workload", "bronze")),
-            n_items=int(payload.get("n_items", 2)),  # type: ignore[arg-type]
-            config_label=str(payload.get("config_label", "SP+DP")),
-            seed=(None if payload.get("seed") is None else int(payload["seed"])),  # type: ignore[arg-type]
-            not_before=float(payload.get("not_before", 0.0)),  # type: ignore[arg-type]
-        )
+__all__ = ["RunStatus", "run_status", "RunState", "TenantSpec"]
 
 
 @dataclass(frozen=True)
@@ -118,90 +70,4 @@ def run_status(record: RunRecord) -> RunStatus:
         error=record.error,
         resumed=record.resume,
         result=dict(record.result),
-    )
-
-
-@dataclass(frozen=True)
-class TenantStatus:
-    """One tenant's spec plus current accounting."""
-
-    spec: TenantSpec
-    running: int
-    queued: int
-    finished: int
-    usage: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            **self.spec.to_dict(),
-            "running": self.running,
-            "queued": self.queued,
-            "finished": self.finished,
-            "usage": round(self.usage, 3),
-        }
-
-
-@dataclass(frozen=True)
-class ServiceStatus:
-    """The whole control plane at a glance."""
-
-    policy: str
-    now: float
-    max_concurrent_runs: int
-    tenants: List[TenantStatus]
-    runs: List[RunStatus]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "now": self.now,
-            "max_concurrent_runs": self.max_concurrent_runs,
-            "tenants": [t.to_dict() for t in self.tenants],
-            "runs": [r.to_dict() for r in self.runs],
-        }
-
-
-@dataclass(frozen=True)
-class TelemetryStatus:
-    """The control-plane telemetry, as reported back to a client.
-
-    One JSON-friendly bundle of everything the ops layer knows: the
-    per-tenant rollups, the independently accumulated global rollup,
-    current SLO evaluations, and the wall-clock throughput counters.
-    """
-
-    now: float
-    rollups: List[Dict[str, object]]
-    totals: Dict[str, object]
-    slos: List[Dict[str, object]]
-    perf: Dict[str, float] = field(default_factory=dict)
-    alerts: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "now": self.now,
-            "rollups": list(self.rollups),
-            "totals": dict(self.totals),
-            "slos": list(self.slos),
-            "perf": dict(self.perf),
-            "alerts": self.alerts,
-        }
-
-
-def telemetry_status(
-    now: float,
-    rollups: List[TenantRollup],
-    totals: TenantRollup,
-    slos: List[SLOStatus],
-    perf: Optional[Dict[str, float]] = None,
-    alerts: int = 0,
-) -> TelemetryStatus:
-    """Present live ops state to a client (see ``EnactmentService``)."""
-    return TelemetryStatus(
-        now=now,
-        rollups=[r.to_dict() for r in rollups],
-        totals=totals.to_dict(),
-        slos=[s.to_dict() for s in slos],
-        perf=dict(perf or {}),
-        alerts=alerts,
     )

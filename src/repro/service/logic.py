@@ -12,8 +12,9 @@ admission policy unit-testable without an engine, a grid, or a store:
   quotas (max concurrent runs, max grid jobs in flight);
 * :class:`RunRecord` — one submitted run, JSON-plain for the stores;
 * :class:`FairShareLedger` — usage-decayed per-tenant accounting;
-* :func:`pick_next` — the admission decision: which queued run starts
-  when a worker slot frees up, under FIFO or fair-share ordering.
+* :func:`pick_next_explained` — the admission decision: which queued
+  run starts when a worker slot frees up, under FIFO or fair-share
+  ordering, with the context the audit trail records.
 
 The fair-share rule is the classic usage-decayed share: each tenant
 accumulates charged usage (run makespans) that decays exponentially
@@ -42,7 +43,6 @@ __all__ = [
     "FairShareLedger",
     "quota_headroom",
     "AdmissionDecision",
-    "pick_next",
     "pick_next_explained",
     "SCHEDULING_POLICIES",
 ]
@@ -357,7 +357,8 @@ def pick_next_explained(
     policy: str = "fair-share",
     provisional: Optional[Mapping[str, float]] = None,
 ) -> AdmissionDecision:
-    """Like :func:`pick_next`, returning the full decision context.
+    """The queued run to admit next (``.pick``, None if nothing is
+    eligible), with the full decision context.
 
     A run is eligible when its ``not_before`` has passed and its tenant
     has quota headroom.  Under ``fifo`` the eligible run with the
@@ -420,30 +421,3 @@ def pick_next_explained(
         blocked=tuple(blocked),
     )
 
-
-def pick_next(
-    queued: Sequence[RunRecord],
-    specs: Mapping[str, TenantSpec],
-    running_by_tenant: Mapping[str, int],
-    jobs_by_tenant: Mapping[str, int],
-    ledger: FairShareLedger,
-    now: float,
-    policy: str = "fair-share",
-    provisional: Optional[Mapping[str, float]] = None,
-) -> Optional[RunRecord]:
-    """The queued run to admit next, or None if nothing is eligible.
-
-    The decision itself; see :func:`pick_next_explained` for the same
-    evaluation with its full justification (scores, provisional
-    charges, quota blocks) — the form the audit trail records.
-    """
-    return pick_next_explained(
-        queued,
-        specs,
-        running_by_tenant,
-        jobs_by_tenant,
-        ledger,
-        now,
-        policy=policy,
-        provisional=provisional,
-    ).pick

@@ -714,11 +714,6 @@ class EnactmentService:
         self._thread = None
 
     # -- introspection -----------------------------------------------------
-    def active_runs(self) -> List[str]:
-        """Run ids currently executing on the engine."""
-        with self._lock:
-            return sorted(self._active)
-
     def perf_counters(self) -> Dict[str, float]:
         """Wall-clock throughput counters (the ``perf.*`` keys).
 
@@ -750,21 +745,6 @@ class EnactmentService:
                 )
             out.update(self.engine.counters())
             return out
-
-    def telemetry_status(self):
-        """The live ops state as a wire-shaped
-        :class:`~repro.service.api.TelemetryStatus`."""
-        from repro.service.api import telemetry_status
-
-        with self._lock:
-            return telemetry_status(
-                now=self.engine.now,
-                rollups=self.telemetry.rollups(),
-                totals=self.telemetry.totals(),
-                slos=self.slo_tracker.statuses(),
-                perf=self.perf_counters(),
-                alerts=len(self.slo_tracker.alerts),
-            )
 
     def close(self) -> None:
         """Stop the worker and release the store."""

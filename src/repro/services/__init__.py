@@ -17,14 +17,15 @@ subpackage provides:
 * :mod:`~repro.services.composite` — the **virtual grouped service**
   that composes several wrapped codes into a single grid job
   (Section 3.6, Figure 7 bottom),
-* :mod:`~repro.services.invocation` — asynchronous call semantics
-  (Section 3.1: enactor-side threads because mainstream SOAP stacks
-  lacked async calls),
-* :mod:`~repro.services.soap` / :mod:`~repro.services.gridrpc` —
-  simulated transports reproducing the two standard interfaces the
-  prototype spoke (Web Services and GridRPC),
+* :mod:`~repro.services.batching` — a service that batches its
+  invocations into one grid job (the E12 granularity study),
 * :mod:`~repro.services.registry` — a minimal service-discovery
   registry (stand-in for myGrid's Feta).
+
+The prototype spoke Web Services and GridRPC, but only their interface
+semantics matter to the enactor (Section 3.1): a non-blocking call is
+what the enactor's one-simulated-process-per-invocation already is, so
+no transport layer is modelled.
 """
 
 from repro.services.base import GridData, LocalService, Service, ServiceError

@@ -131,14 +131,6 @@ class CompositeService(Service):
         )
 
     # -- introspection -------------------------------------------------------
-    def stage_port_for_input(self, public: str) -> Tuple[int, str]:
-        """Which (stage, port) an exposed input feeds."""
-        return self._input_map[public]
-
-    def stage_port_for_output(self, public: str) -> Tuple[int, str]:
-        """Which (stage, port) an exposed output comes from."""
-        return self._output_map[public]
-
     def public_input_name(self, stage_index: int, port: str) -> str:
         """The exposed name of stage input ``(stage_index, port)``.
 

@@ -122,16 +122,6 @@ class ExecutableDescriptor:
         """All output names, declaration order."""
         return tuple(spec.name for spec in self.outputs)
 
-    @property
-    def file_inputs(self) -> Tuple[InputSpec, ...]:
-        """Input data files only."""
-        return tuple(spec for spec in self.inputs if spec.is_file)
-
-    @property
-    def parameters(self) -> Tuple[InputSpec, ...]:
-        """Bare parameters only."""
-        return tuple(spec for spec in self.inputs if not spec.is_file)
-
     def command_line(self, bindings: Dict[str, str]) -> str:
         """Compose the invocation command line (Section 3.6).
 

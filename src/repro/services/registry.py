@@ -9,7 +9,7 @@ do ontology reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.services.base import Service
 
@@ -44,40 +44,12 @@ class ServiceRegistry:
             service=service, description=description, tags=dict(tags or {})
         )
 
-    def unregister(self, name: str) -> None:
-        """Remove a service by name (KeyError if absent)."""
-        del self._entries[name]
-
     def resolve(self, name: str) -> Service:
         """Return the service registered under *name*."""
         try:
             return self._entries[name].service
         except KeyError:
             raise KeyError(f"no service named {name!r} in registry") from None
-
-    def find_by_ports(
-        self,
-        input_ports: Optional[Iterable[str]] = None,
-        output_ports: Optional[Iterable[str]] = None,
-    ) -> List[Service]:
-        """Services whose signature contains the requested port names."""
-        needed_in = set(input_ports or ())
-        needed_out = set(output_ports or ())
-        found = []
-        for name in sorted(self._entries):
-            service = self._entries[name].service
-            if needed_in <= set(service.input_ports) and needed_out <= set(service.output_ports):
-                found.append(service)
-        return found
-
-    def find_by_tag(self, key: str, value: Optional[str] = None) -> List[Service]:
-        """Services carrying a metadata tag (optionally with a value)."""
-        found = []
-        for name in sorted(self._entries):
-            entry = self._entries[name]
-            if key in entry.tags and (value is None or entry.tags[key] == value):
-                found.append(entry.service)
-        return found
 
     def names(self) -> List[str]:
         """All registered names, sorted."""

@@ -16,7 +16,6 @@ from repro.sim.engine import (
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -30,7 +29,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "Resource",
     "Store",

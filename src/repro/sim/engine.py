@@ -45,24 +45,12 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for kernel-level misuse (double trigger, bad run bound...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 _PENDING = object()  # sentinel: event value not set yet
@@ -171,33 +159,6 @@ class Process(Event):
         self._gen = gen
         self._target: Optional[Event] = None  # event we are waiting on
         Initialize(engine, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process that is waiting detaches it from its target event first.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        if self._target is self:
-            raise SimulationError("a process cannot interrupt itself synchronously")
-        # Detach from the event we were waiting on so its later trigger
-        # does not resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        interrupt_event = Event(self.engine, name=f"interrupt:{self.name}")
-        interrupt_event.callbacks.append(self._resume)
-        interrupt_event.fail(Interrupt(cause))
-        interrupt_event.defused = True
 
     # -- engine plumbing ----------------------------------------------
     def _resume(self, trigger: Event) -> None:
@@ -331,7 +292,7 @@ class Engine:
         #: planned flat-heap rebuild must not regress
         self.peak_heap_size = 0
         #: failed events absorbed via ``defused`` (the cancel/defuse
-        #: idiom: timeout losers of AnyOf races, interrupts, withdrawn
+        #: idiom: timeout losers of AnyOf races, withdrawn
         #: jobs) rather than raised at the engine level
         self.events_cancelled = 0
 

@@ -72,10 +72,6 @@ class StaticDag:
             for parent in parent_ids
         ]
 
-    def roots(self) -> List[TaskInstance]:
-        """Tasks with no parents (directly fed by sources)."""
-        return [t for t in self.tasks if not self.parents.get(t.task_id)]
-
 
 def expand_workflow(workflow: Workflow, dataset: "InputDataSet | Mapping") -> StaticDag:
     """Statically expand *workflow* over *dataset* (see module docstring).

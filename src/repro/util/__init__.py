@@ -1,4 +1,4 @@
-"""Shared low-level utilities: RNG streams, units, statistics, validation.
+"""Shared low-level utilities: RNG streams, units, statistics.
 
 These helpers are deliberately free of any simulation or workflow
 concepts so that every other subpackage can depend on them without
@@ -6,7 +6,7 @@ cycles.
 """
 
 from repro.util.rng import RandomStreams
-from repro.util.stats import LinearFit, linear_fit, summarize
+from repro.util.stats import LinearFit, linear_fit
 from repro.util.units import (
     GIBIBYTE,
     HOUR,
@@ -22,7 +22,6 @@ __all__ = [
     "RandomStreams",
     "LinearFit",
     "linear_fit",
-    "summarize",
     "SECOND",
     "MINUTE",
     "HOUR",

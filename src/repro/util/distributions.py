@@ -28,9 +28,6 @@ __all__ = [
     "Uniform",
     "TruncatedNormal",
     "LogNormal",
-    "Exponential",
-    "Empirical",
-    "Shifted",
     "SumOf",
     "as_distribution",
 ]
@@ -181,57 +178,6 @@ class LogNormal(Distribution):
         return rng.lognormal(self._mu_log(), self.sigma_log, size=n)
 
 
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with the given mean (inter-arrival model for load)."""
-
-    mean_value: float
-
-    def __post_init__(self) -> None:
-        if self.mean_value <= 0:
-            raise ValueError(f"mean_value must be > 0, got {self.mean_value}")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_value))
-
-    def mean(self) -> float:
-        return self.mean_value
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self.mean_value, size=n)
-
-
-class Empirical(Distribution):
-    """Resamples uniformly from observed values (trace-driven replay)."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError("Empirical needs at least one value")
-        if (arr < 0).any():
-            raise ValueError("Empirical values must be >= 0")
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        """The backing sample (read-only view)."""
-        view = self._values.view()
-        view.flags.writeable = False
-        return view
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self._values))
-
-    def mean(self) -> float:
-        return float(self._values.mean())
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self._values, size=n)
-
-    def __repr__(self) -> str:
-        return f"Empirical(n={self._values.size}, mean={self.mean():.3g})"
-
-
 class SumOf(Distribution):
     """Sum of independent component distributions.
 
@@ -263,27 +209,6 @@ class SumOf(Distribution):
 
     def __repr__(self) -> str:
         return f"SumOf({len(self.components)} components, mean={self.mean():.3g})"
-
-
-@dataclass(frozen=True)
-class Shifted(Distribution):
-    """``base`` shifted right by a fixed non-negative *offset*."""
-
-    base: Distribution
-    offset: float
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.offset + self.base.sample(rng)
-
-    def mean(self) -> float:
-        return self.offset + self.base.mean()
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.offset + self.base.sample_many(rng, n)
 
 
 def as_distribution(value: "float | Distribution") -> Distribution:

@@ -88,14 +88,6 @@ class RandomStreams:
             self._generators[name] = np.random.default_rng(seq)
         return self._generators[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Return a new independent factory namespaced under *name*.
-
-        Useful to give a whole subsystem (e.g. one computing element)
-        its own family of streams.
-        """
-        return RandomStreams(seed=stable_hash64(f"{self._seed}/{name}") & 0x7FFFFFFFFFFFFFFF)
-
     def names(self) -> Iterator[str]:
         """Iterate over the stream names created so far."""
         return iter(sorted(self._generators))

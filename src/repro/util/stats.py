@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearFit", "linear_fit", "summarize", "Summary"]
+__all__ = ["LinearFit", "linear_fit"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class LinearFit:
     intercept: float
     slope: float
     r_squared: float
-
-    def predict(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Evaluate the fitted line at *x*."""
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
 
 
 def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
@@ -67,30 +63,3 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return LinearFit(intercept=float(intercept), slope=float(slope), r_squared=r_squared)
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample (used in reports)."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Summarize a non-empty sample of values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )

@@ -21,9 +21,7 @@ from repro.workflow.graph import ProcessorKind, Workflow, WorkflowError
 
 __all__ = [
     "processor_graph",
-    "all_paths",
     "critical_path",
-    "critical_path_length",
     "services_on_critical_path",
     "find_cycles",
     "topological_order",
@@ -46,26 +44,6 @@ def processor_graph(workflow: Workflow, constraints: bool = False) -> nx.DiGraph
         for before, after in workflow.coordination_constraints:
             graph.add_edge(before, after)
     return graph
-
-
-def all_paths(workflow: Workflow) -> List[List[str]]:
-    """Every source-to-sink processor path (DAG workflows only)."""
-    graph = processor_graph(workflow)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise WorkflowError("all_paths requires an acyclic workflow")
-    sources = [p.name for p in workflow.sources()]
-    sinks = [p.name for p in workflow.sinks()]
-    if not sources:  # degenerate graphs: start anywhere with no predecessor
-        sources = [n for n in graph.nodes if graph.in_degree(n) == 0]
-    if not sinks:
-        sinks = [n for n in graph.nodes if graph.out_degree(n) == 0]
-    paths: List[List[str]] = []
-    for src in sources:
-        for dst in sinks:
-            paths.extend(nx.all_simple_paths(graph, src, dst))
-            if src == dst:
-                paths.append([src])
-    return paths
 
 
 def critical_path(
@@ -102,20 +80,6 @@ def critical_path(
     # successors) can end the critical path.
     terminals = [n for n in graph.nodes if graph.out_degree(n) == 0]
     return max((best[n] for n in terminals), key=lambda item: item[0])[1]
-
-
-def critical_path_length(
-    workflow: Workflow, durations: Optional[Mapping[str, float]] = None
-) -> float:
-    """Total duration along the critical path."""
-    path = critical_path(workflow, durations)
-
-    def weight(name: str) -> float:
-        if durations is not None and name in durations:
-            return float(durations[name])
-        return 1.0 if workflow.processor(name).kind is ProcessorKind.SERVICE else 0.0
-
-    return sum(weight(name) for name in path)
 
 
 def services_on_critical_path(workflow: Workflow) -> int:

@@ -75,6 +75,21 @@ class TestGroupFormation:
         grouped, groups = group_workflow(builder.build(), engine)
         assert groups == []
 
+    def test_local_services_break_the_chain_under_sp_dp_jg(self, engine):
+        from repro.core import MoteurEnactor, OptimizationConfig
+
+        def plus_one(x):
+            return {"y": x + 1}
+
+        builder = WorkflowBuilder().source("in")
+        builder.service("A", LocalService(engine, "A", ("x",), ("y",), function=plus_one))
+        builder.service("B", LocalService(engine, "B", ("x",), ("y",), function=plus_one))
+        builder.sink("out")
+        builder.connect("in:output", "A:x").connect("A:y", "B:x").connect("B:y", "out:input")
+        enactor = MoteurEnactor(engine, builder.build(), OptimizationConfig.sp_dp_jg())
+        assert enactor.groups == []
+        assert enactor.run({"in": [0]}).output_values("out") == [2]
+
     def test_external_input_rerouted_to_group(self, engine, ideal_grid):
         # B takes A's output plus a side input from another source.
         builder = WorkflowBuilder().source("in").source("side")

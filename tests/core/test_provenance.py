@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.provenance import HistoryTree, compatible, format_indices, merged_lineage
+from repro.core.provenance import HistoryTree, compatible, format_indices
 
 
 class TestConstruction:
@@ -52,10 +52,6 @@ class TestLineage:
             node = HistoryTree.derive(f"P{step}", (node,))
         assert node.lineage == {"S": frozenset({7})}
         assert node.depth == 10
-
-    def test_merged_lineage_function(self):
-        trees = (HistoryTree.leaf("A", 0), HistoryTree.leaf("B", 2), HistoryTree.leaf("A", 1))
-        assert merged_lineage(trees) == {"A": frozenset({0, 1}), "B": frozenset({2})}
 
 
 class TestCompatibility:

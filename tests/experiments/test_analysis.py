@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.analysis import (
     job_statistics,
     overhead_breakdown,
-    per_service_statistics,
 )
 from repro.grid.job import JobDescription, JobRecord, JobState
 
@@ -48,12 +47,6 @@ class TestJobStatistics:
         stats = job_statistics([])
         assert stats.jobs == 0
         assert stats.overhead_fraction == 0.0
-        assert stats.retry_fraction == 0.0
-
-    def test_retry_fraction(self):
-        records = [completed_record(attempts=1), completed_record(attempts=3)]
-        stats = job_statistics(records)
-        assert stats.retry_fraction == pytest.approx(1.0)  # 2 extra over 2 jobs
 
     def test_overhead_spread(self):
         fast = completed_record(done=150.0, execution=80.0)  # overhead 60
@@ -82,32 +75,3 @@ class TestOverheadBreakdown:
 
     def test_none_for_no_completed_jobs(self):
         assert overhead_breakdown([]) is None
-
-
-class TestPerService:
-    def test_grouped_by_tag(self):
-        records = [
-            completed_record(service="crestLines"),
-            completed_record(service="crestLines"),
-            completed_record(service="Baladin"),
-            completed_record(),  # untagged
-        ]
-        grouped = per_service_statistics(records)
-        assert set(grouped) == {"crestLines", "Baladin", "<untagged>"}
-        assert grouped["crestLines"].jobs == 2
-        assert grouped["Baladin"].jobs == 1
-
-    def test_integration_with_real_run(self, engine, ideal_grid, streams):
-        from repro.apps.bronze_standard import BronzeStandardApplication
-        from repro.core import OptimizationConfig
-
-        app = BronzeStandardApplication(engine, ideal_grid, streams)
-        app.enact(OptimizationConfig.sp_dp(), n_pairs=3)
-        grouped = per_service_statistics(ideal_grid.records)
-        assert set(grouped) == {
-            "crestLines", "crestMatch", "Baladin", "Yasmina", "PFMatchICP", "PFRegister"
-        }
-        assert all(stats.jobs == 3 for stats in grouped.values())
-        # ideal grid: zero overhead everywhere
-        assert all(stats.mean_overhead == pytest.approx(0.0, abs=1e-9)
-                   for stats in grouped.values())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid.batch import FairSharePolicy, FifoPolicy, ShortestJobFirstPolicy
+from repro.grid.batch import FairSharePolicy, FifoPolicy
 from repro.grid.job import JobDescription, JobRecord
 from repro.grid.resources import QueueEntry
 
@@ -80,24 +80,7 @@ class TestFairShare:
         assert drain(policy, 3) == ["a0", "b0", "b1"]
 
 
-class TestShortestJobFirst:
-    def test_picks_smallest_expected_time(self, engine):
-        policy = ShortestJobFirstPolicy(engine)
-        policy.put(entry(engine, "long", compute=100.0))
-        policy.put(entry(engine, "short", compute=1.0))
-        policy.put(entry(engine, "medium", compute=10.0))
-        assert drain(policy, 3) == ["short", "medium", "long"]
-
-    def test_arrival_breaks_ties(self, engine):
-        policy = ShortestJobFirstPolicy(engine)
-        policy.put(entry(engine, "first", compute=5.0))
-        policy.put(entry(engine, "second", compute=5.0))
-        assert drain(policy, 2) == ["first", "second"]
-
-
-@pytest.mark.parametrize(
-    "policy_cls", [FifoPolicy, FairSharePolicy, ShortestJobFirstPolicy]
-)
+@pytest.mark.parametrize("policy_cls", [FifoPolicy, FairSharePolicy])
 class TestWithdrawal:
     """remove()/entries() back job cancellation across every policy."""
 

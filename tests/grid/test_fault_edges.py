@@ -21,13 +21,10 @@ class TestProbabilityEdges:
     def test_zero_is_legal_and_never_fails(self, rng):
         model = FaultModel(probability=0.0)
         assert not any(model.attempt_fails(rng) for _ in range(200))
-        assert model.expected_attempts() == 1.0
 
     def test_one_is_legal_and_always_fails(self, rng):
         model = FaultModel(probability=1.0, max_attempts=3)
         assert all(model.attempt_fails(rng) for _ in range(200))
-        # every attempt fails -> the middleware burns all allowed attempts
-        assert model.expected_attempts() == pytest.approx(3.0)
 
     @pytest.mark.parametrize("probability", [-1e-9, -0.5, 1.0 + 1e-9, 2.0])
     def test_outside_unit_interval_rejected(self, probability):
@@ -36,11 +33,6 @@ class TestProbabilityEdges:
 
 
 class TestMaxAttemptsEdges:
-    def test_one_attempt_means_no_resubmission(self, rng):
-        model = FaultModel(probability=0.9, max_attempts=1)
-        # expected attempts is exactly 1 regardless of failure rate
-        assert model.expected_attempts() == 1.0
-
     @pytest.mark.parametrize("attempts", [0, -1])
     def test_below_one_rejected(self, attempts):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -50,7 +42,6 @@ class TestMaxAttemptsEdges:
         model = FaultModel.none()
         assert model.probability == 0.0
         assert model.max_attempts == 1
-        assert model.expected_attempts() == 1.0
 
 
 class TestCombinedEdges:
@@ -58,12 +49,3 @@ class TestCombinedEdges:
         """p=1 with one attempt: the job fails exactly once, definitively."""
         model = FaultModel(probability=1.0, max_attempts=1)
         assert model.attempt_fails(rng)
-        assert model.expected_attempts() == 1.0
-
-    def test_expected_attempts_interpolates_between_edges(self):
-        low = FaultModel(probability=0.0, max_attempts=5).expected_attempts()
-        mid = FaultModel(probability=0.5, max_attempts=5).expected_attempts()
-        high = FaultModel(probability=1.0, max_attempts=5).expected_attempts()
-        assert low == 1.0
-        assert high == 5.0
-        assert low < mid < high

@@ -15,7 +15,6 @@ class TestFaultModel:
     def test_none_never_fails(self, rng):
         model = FaultModel.none()
         assert not any(model.attempt_fails(rng) for _ in range(1000))
-        assert model.expected_attempts() == 1.0
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
@@ -35,16 +34,6 @@ class TestFaultModel:
     def test_detection_delay_sampled(self, rng):
         model = FaultModel.from_values(probability=0.5, detection_delay=42.0)
         assert model.sample_detection_delay(rng) == 42.0
-
-    def test_expected_attempts_truncated_geometric(self):
-        model = FaultModel.from_values(probability=0.5, max_attempts=3)
-        # 1 + 0.5 + 0.25
-        assert model.expected_attempts() == pytest.approx(1.75)
-
-    def test_expected_attempts_monotone_in_probability(self):
-        low = FaultModel.from_values(probability=0.05, max_attempts=3)
-        high = FaultModel.from_values(probability=0.5, max_attempts=3)
-        assert high.expected_attempts() > low.expected_attempts()
 
 
 class TestPerCEOverrides:

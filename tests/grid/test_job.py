@@ -17,16 +17,6 @@ class TestJobDescription:
         desc = JobDescription(name="j", compute_time=dist)
         assert desc.compute_distribution() is dist
 
-    def test_with_name_copies_everything_else(self):
-        desc = JobDescription(
-            name="a", command_line="cmd", compute_time=5.0, owner="me", tags={"k": 1}
-        )
-        renamed = desc.with_name("b")
-        assert renamed.name == "b"
-        assert renamed.command_line == "cmd"
-        assert renamed.owner == "me"
-        assert renamed.tags == {"k": 1}
-
 
 class TestJobRecord:
     def test_ids_are_unique(self):

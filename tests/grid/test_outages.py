@@ -9,7 +9,6 @@ class TestOutageSchedule:
     def test_none_is_empty(self):
         schedule = OutageSchedule.none()
         assert schedule.empty
-        assert schedule.subjects() == ()
         assert not schedule.is_down("anything", 0.0)
 
     def test_windows_are_half_open(self):
@@ -52,22 +51,6 @@ class TestOutageSchedule:
         assert schedule.is_down("se-flap", 120.0)
         assert not schedule.is_down("se-flap", 200.0)
         assert schedule.is_down("se-flap", 430.0)
-
-    def test_generate_is_deterministic(self):
-        subjects = ("se-a", "se-b", "ce-a")
-        a = OutageSchedule.generate(seed=7, subjects=subjects, horizon=10_000.0)
-        b = OutageSchedule.generate(seed=7, subjects=subjects, horizon=10_000.0)
-        assert a.windows == b.windows
-        c = OutageSchedule.generate(seed=8, subjects=subjects, horizon=10_000.0)
-        assert a.windows != c.windows
-
-    def test_generate_respects_horizon(self):
-        schedule = OutageSchedule.generate(
-            seed=3, subjects=("x", "y"), horizon=1_000.0, outage_rate=5.0
-        )
-        for subject in schedule.subjects():
-            for start, end in schedule.down_windows(subject):
-                assert 0.0 <= start < end <= 1_000.0
 
 
 class TestDurabilityFaultModel:

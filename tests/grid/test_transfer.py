@@ -40,8 +40,7 @@ class TestNetworkModel:
         assert model.transfer_time("a", "a", size) < 1.0
 
     def test_override_applies_to_direction(self):
-        model = NetworkModel()
-        model.set_link("a", "b", LinkParameters(latency=100.0, bandwidth=1.0))
+        model = NetworkModel(overrides={("a", "b"): LinkParameters(latency=100.0, bandwidth=1.0)})
         assert model.transfer_time("a", "b", 0) == 100.0
         assert model.transfer_time("b", "a", 0) == model.wan.latency
 
@@ -71,33 +70,3 @@ class TestTransferObservers:
         def observer(*args):
             pass
         assert model.add_observer(observer) is observer
-
-    def test_remove_observer(self):
-        model = NetworkModel.instantaneous()
-        calls = []
-        observer = model.add_observer(lambda *args: calls.append(args))
-        model.remove_observer(observer)
-        model.transfer_time("a", "b", 1)
-        assert calls == []
-        model.remove_observer(observer)  # removing twice is a no-op
-
-    def test_on_transfer_compat_single_slot(self):
-        """The historical single-callable hook still works as before."""
-        model = NetworkModel.instantaneous()
-        assert model.on_transfer is None
-        first, second = [], []
-        model.on_transfer = lambda *args: first.append(args)
-        model.transfer_time("a", "b", 1)
-        # assigning replaces (old semantics), never accumulates
-        model.on_transfer = lambda *args: second.append(args)
-        model.transfer_time("a", "b", 1)
-        assert len(first) == 1 and len(second) == 1
-        assert model.on_transfer is not None
-        model.on_transfer = None
-        assert model.observers == []
-
-    def test_on_transfer_getter_reads_first_observer(self):
-        model = NetworkModel()
-        observer = model.add_observer(lambda *args: None)
-        model.add_observer(lambda *args: None)
-        assert model.on_transfer is observer

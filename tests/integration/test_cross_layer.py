@@ -1,6 +1,5 @@
-"""Cross-layer integration: transports inside workflows, grid failures
-surfacing through enactments, trace/job-record linkage, batch fairness
-under load."""
+"""Cross-layer integration: grid failures surfacing through enactments,
+trace/job-record linkage, batch fairness under load."""
 
 import pytest
 
@@ -20,8 +19,6 @@ from repro.services.descriptor import (
     InputSpec,
     OutputSpec,
 )
-from repro.services.gridrpc import GridRpcClient
-from repro.services.soap import SoapBinding
 from repro.services.wrapper import GenericWrapperService
 from repro.util.rng import RandomStreams
 from repro.workflow.builder import WorkflowBuilder
@@ -40,61 +37,6 @@ def wrapped(engine, grid, name, compute=10.0, program=None):
         program=program or (lambda x: {"y": (x or 0) + 1}),
         compute_time=compute,
     )
-
-
-class TestTransportsInsideWorkflows:
-    def test_soap_bound_wrapper_in_workflow(self, engine, ideal_grid):
-        inner = wrapped(engine, ideal_grid, "tool")
-        soap = SoapBinding(engine, inner, round_trip_latency=1.0)
-        workflow = (
-            WorkflowBuilder()
-            .source("in")
-            .service("tool", soap)
-            .sink("out")
-            .connect("in:output", "tool:x")
-            .connect("tool:y", "out:input")
-            .build()
-        )
-        result = MoteurEnactor(engine, workflow, OptimizationConfig.sp_dp()).run(
-            {"in": [1, 2]}
-        )
-        assert sorted(result.output_values("out")) == [2, 3]
-        assert result.makespan > 10.0  # compute + SOAP costs
-        assert soap.envelopes_sent == 2
-
-    def test_soap_bound_services_are_not_groupable(self, engine, ideal_grid):
-        # Only generic wrappers expose descriptors; a SOAP facade is a
-        # black box and must break the grouping chain.
-        a = SoapBinding(engine, wrapped(engine, ideal_grid, "A"))
-        b = SoapBinding(engine, wrapped(engine, ideal_grid, "B"))
-        workflow = (
-            WorkflowBuilder()
-            .source("in")
-            .service("A", a)
-            .service("B", b)
-            .sink("out")
-            .connect("in:output", "A:x")
-            .connect("A:y", "B:x")
-            .connect("B:y", "out:input")
-            .build()
-        )
-        enactor = MoteurEnactor(
-            engine, workflow,
-            OptimizationConfig(job_grouping=True, service_parallelism=True,
-                               data_parallelism=True),
-        )
-        assert enactor.groups == []
-        result = enactor.run({"in": [0]})
-        assert result.output_values("out") == [2]
-        assert len(ideal_grid.records) == 2  # still two separate jobs
-
-    def test_gridrpc_client_drives_wrapped_service(self, engine, ideal_grid):
-        service = wrapped(engine, ideal_grid, "tool", compute=5.0)
-        client = GridRpcClient(engine)
-        handles = [client.call_async(service, {"x": GridData(i)}) for i in range(3)]
-        results = engine.run(until=client.wait_all(handles))
-        assert engine.now == 5.0  # async calls overlapped on the grid
-        assert [r["y"].value for r in results] == [1, 2, 3]
 
 
 class TestGridFailuresThroughEnactment:

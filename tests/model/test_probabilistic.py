@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.probabilistic import (
-    GranularityModel,
-    expected_pipelined_makespan,
-    expected_sdp_gain,
-    expected_stage_barrier_makespan,
-)
+from repro.model.probabilistic import GranularityModel, expected_sdp_gain
 from repro.util.distributions import Constant, LogNormal, TruncatedNormal
 
 
@@ -18,20 +13,9 @@ def rng():
 
 
 class TestExpectedMakespans:
-    def test_constant_times_match_deterministic(self, rng):
-        job = Constant(10.0)
-        assert expected_stage_barrier_makespan(job, 3, 5, rng, rounds=10) == 30.0
-        assert expected_pipelined_makespan(job, 3, 5, rng, rounds=10) == 30.0
-
-    def test_dp_exceeds_dsp_under_variance(self, rng):
-        job = LogNormal(mean_value=100.0, sigma_log=0.8)
-        dp = expected_stage_barrier_makespan(job, 5, 50, rng, rounds=100)
-        dsp = expected_pipelined_makespan(job, 5, 50, rng, rounds=100)
-        assert dp > dsp
-
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            expected_stage_barrier_makespan(Constant(1.0), 0, 5, rng)
+            expected_sdp_gain(Constant(1.0), 0, 5, rng)
 
 
 class TestSdpGain:
@@ -58,8 +42,8 @@ class TestSdpGain:
 class TestGranularity:
     def test_k_one_maximizes_parallelism_when_overhead_free(self, rng):
         model = GranularityModel(overhead=Constant(0.0), compute=Constant(10.0), n_d=16)
-        best_k, _ = model.best_group_size(rng, candidates=[1, 2, 4, 8, 16], rounds=5)
-        assert best_k == 1
+        times = {k: model.expected_makespan(k, rng, rounds=5) for k in (1, 2, 4, 8, 16)}
+        assert min(times, key=times.get) == 1
 
     def test_full_grouping_wins_when_overhead_dominates(self, rng):
         model = GranularityModel(

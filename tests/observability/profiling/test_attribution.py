@@ -19,10 +19,8 @@ STEP = "engine.sim.engine:Engine.step"
 INVOKE = "enactor.core.enactor:MoteurEnactor._invoke"
 
 
-def build_profile(engine_us=100, enactor_us=50, memory=False, label=None):
-    profiler = Profiler(
-        clock=ManualClock(), track_memory=memory, label=label
-    )
+def build_profile(engine_us=100, enactor_us=50, label=None):
+    profiler = Profiler(clock=ManualClock(), label=label)
     clock = profiler.clock
     with profiler.scope(STEP):
         clock.advance(engine_us * 1e-6)
@@ -106,12 +104,11 @@ class TestDiffProfiles:
 
 
 class TestFormatting:
-    def test_report_mentions_components_scopes_and_memory(self):
-        text = format_profile_report(build_profile(memory=True, label="r"))
+    def test_report_mentions_components_and_scopes(self):
+        text = format_profile_report(build_profile(label="r"))
         assert "profile: r" in text
         assert "component" in text
         assert f"{STEP};{INVOKE}" in text
-        assert "memory (tracemalloc)" in text
 
     def test_diff_warns_on_clock_mismatch(self):
         wall_side = Profiler().snapshot()  # default clock -> "wall"

@@ -122,15 +122,6 @@ class TestScopeAccounting:
         )
         assert pushes == engine.events_scheduled == 5
 
-    def test_reset_requires_closed_scopes(self):
-        profiler, _ = make_profiler()
-        profiler.enter("a")
-        with pytest.raises(ProfilerError, match="open scope"):
-            profiler.reset()
-        profiler.exit()
-        profiler.reset()
-        assert not profiler.root.children
-
 
 class TestSnapshot:
     def test_root_cum_is_sum_of_top_level_children(self):

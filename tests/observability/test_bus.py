@@ -2,7 +2,6 @@
 
 import io
 import json
-import logging
 
 from repro.observability.bus import (
     ChromeTraceExporter,
@@ -10,7 +9,7 @@ from repro.observability.bus import (
     JsonlExporter,
     chrome_trace_json,
 )
-from repro.observability.logbridge import LoggingSubscriber, cli_logger, get_logger
+from repro.observability.logbridge import cli_logger
 from repro.observability.spans import spans_from_jsonl
 
 
@@ -29,7 +28,7 @@ class TestBus:
         span = bus.record("job.queue", "grid", 2.0, 5.0, job_id=7)
         assert not span.open
         assert span.duration == 3.0
-        assert collector.for_job(7) == [span]
+        assert collector.spans == [span]
 
     def test_ids_are_deterministic(self):
         assert [InstrumentationBus().next_span_id() for _ in range(1)] == ["s1"]
@@ -61,16 +60,6 @@ class TestInMemoryCollector:
         collector, run, job = self._populate()
         assert [s.name for s in collector.named("grid.job")] == ["grid.job"]
         assert {s.name for s in collector.category("grid")} == {"grid.job", "job.queue"}
-
-    def test_for_job_joins_both_layers(self):
-        collector, run, job = self._populate()
-        names = {s.name for s in collector.for_job(1)}
-        assert names == {"grid.job", "job.queue", "invocation"}
-
-    def test_children_of(self):
-        collector, run, job = self._populate()
-        assert {s.name for s in collector.children_of(run)} == {"grid.job", "invocation"}
-        assert [s.name for s in collector.children_of(job)] == ["job.queue"]
 
     def test_clear(self):
         collector, _, _ = self._populate()
@@ -167,15 +156,6 @@ class TestChromeTraceExporter:
 
 
 class TestLogBridge:
-    def test_get_logger_nests_under_repro(self):
-        assert get_logger("mymodule").name == "repro.mymodule"
-        assert get_logger("repro.grid").name == "repro.grid"
-
-    def test_library_root_has_null_handler(self):
-        get_logger("anything")
-        root = logging.getLogger("repro")
-        assert any(isinstance(h, logging.NullHandler) for h in root.handlers)
-
     def test_cli_logger_writes_bare_messages_to_stdout(self, capsys):
         cli_logger().info("jobs: %d", 18)
         assert capsys.readouterr().out == "jobs: 18\n"
@@ -184,16 +164,3 @@ class TestLogBridge:
         logger = cli_logger()
         assert cli_logger() is logger
         assert len(logger.handlers) == 1
-
-    def test_logging_subscriber_narrates_spans(self, caplog):
-        logger = logging.getLogger("test.spanlog")
-        bus = InstrumentationBus(
-            subscribers=[LoggingSubscriber(logger, level=logging.INFO)]
-        )
-        with caplog.at_level(logging.INFO, logger="test.spanlog"):
-            bus.record("job.queue", "grid", 2.0, 5.0, job_id=7)
-            span = bus.begin("grid.job", "grid", 5.0)
-            bus.end(span, 6.0, status="error")
-        assert "job.queue" in caplog.records[0].getMessage()
-        assert "job_id=7" in caplog.records[0].getMessage()
-        assert caplog.records[1].levelno == logging.WARNING

@@ -14,7 +14,6 @@ from repro.observability.dataflow import (
     bandwidth_profile,
     dataflow_dot,
     format_dataflow_report,
-    link_activity,
     parse_dot,
     sample_profile,
     sparkline,
@@ -278,10 +277,6 @@ class TestTimelines:
             TransferRecord(time=1.0, src="a", dst="b", gfn="g", bytes=10, seconds=0.0)
         ]
         assert bandwidth_profile(instant) == []
-
-    def test_link_activity_counts_in_flight_transfers(self):
-        activity = link_activity(self.records())
-        assert max(level for _, level in activity) == 2
 
     def test_sample_profile_integrates_exactly(self):
         profile = [(0.0, 10.0), (5.0, 20.0), (10.0, 0.0)]

@@ -109,7 +109,7 @@ class TestDriftReport:
         assert report.observed_makespan == pytest.approx(makespans(TIMES)[label])
         assert report.drift == pytest.approx(0.0)
         assert report.relative_error == pytest.approx(0.0)
-        assert report.within(1e-9)
+        assert report.relative_error <= 1e-9
 
     def test_all_four_predictions_on_one_matrix(self, engine):
         report = drift_report(enact(engine, OptimizationConfig.nop()))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability.alerts import AlertRules
 from repro.observability.bus import InstrumentationBus
-from repro.observability.monitor import HealthProvider, RunMonitor, ServiceProgress
+from repro.observability.monitor import HealthProvider, RunMonitor
 
 
 def attach_monitor(**kwargs):
@@ -76,11 +76,6 @@ class TestProgress:
         resumed = enact(journal=journal, resume=True)
         straight = enact()
         assert resumed.completed_items() == straight.completed_items()
-
-    def test_service_progress_pending(self):
-        progress = ServiceProgress(service="S", expected=5, started=3, completed=2)
-        assert progress.pending == 2
-        assert ServiceProgress(service="S").pending is None
 
 
 class TestAlerts:

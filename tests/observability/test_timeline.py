@@ -8,8 +8,6 @@ from repro.observability import InstrumentationBus
 from repro.observability.spans import Span
 from repro.observability.timeline import (
     busy_seconds,
-    ce_queue_depth,
-    ce_utilization,
     peak,
     render_gantt,
     step_function,
@@ -60,17 +58,6 @@ class TestPerCE:
         job_span("job.run", "ce-b", 3, 0.0, 4.0),
         job_span("job.queue", "ce-a", 2, 0.0, 5.0),
     ]
-
-    def test_ce_utilization_groups_by_ce(self):
-        profiles = ce_utilization(self.SPANS)
-        assert set(profiles) == {"ce-a", "ce-b"}
-        assert peak(profiles["ce-a"]) == 2
-        assert peak(profiles["ce-b"]) == 1
-
-    def test_ce_queue_depth(self):
-        profiles = ce_queue_depth(self.SPANS)
-        assert set(profiles) == {"ce-a"}
-        assert peak(profiles["ce-a"]) == 1
 
     def test_utilization_table_rows(self):
         rows = {row["ce"]: row for row in utilization_table(self.SPANS)}

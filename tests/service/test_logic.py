@@ -8,7 +8,7 @@ from repro.service.logic import (
     RunState,
     TenantSpec,
     TransitionError,
-    pick_next,
+    pick_next_explained,
     quota_headroom,
     validate_transition,
 )
@@ -111,14 +111,16 @@ class TestPickNext:
 
     def test_fifo_takes_lowest_seq(self):
         queue = [queued_run("r2", "b", 2), queued_run("r1", "a", 1)]
-        pick = pick_next(queue, self.specs(), {}, {}, FairShareLedger(), 0.0, policy="fifo")
+        pick = pick_next_explained(
+            queue, self.specs(), {}, {}, FairShareLedger(), 0.0, policy="fifo"
+        ).pick
         assert pick.run_id == "r1"
 
     def test_fair_share_prefers_low_usage_tenant(self):
         ledger = FairShareLedger(half_life=100.0)
         ledger.charge("a", 500.0, now=0.0)
         queue = [queued_run("r1", "a", 1), queued_run("r2", "b", 2)]
-        pick = pick_next(queue, self.specs(), {}, {}, ledger, 0.0)
+        pick = pick_next_explained(queue, self.specs(), {}, {}, ledger, 0.0).pick
         assert pick.tenant == "b"
 
     def test_weight_scales_the_share(self):
@@ -131,13 +133,13 @@ class TestPickNext:
         ledger.charge("b", 100.0, now=0.0)
         queue = [queued_run("r1", "a", 1), queued_run("r2", "b", 2)]
         # a's effective share 200/4=50 beats b's 100/1=100
-        assert pick_next(queue, specs, {}, {}, ledger, 0.0).tenant == "a"
+        assert pick_next_explained(queue, specs, {}, {}, ledger, 0.0).pick.tenant == "a"
 
     def test_provisional_charge_breaks_bursts(self):
         # Both tenants at zero usage, but a has a run in flight with a
         # provisional charge: b goes next despite a's lower seq.
         queue = [queued_run("r2", "a", 2), queued_run("r3", "b", 3)]
-        pick = pick_next(
+        pick = pick_next_explained(
             queue,
             self.specs(),
             {"a": 1},
@@ -145,21 +147,24 @@ class TestPickNext:
             FairShareLedger(),
             0.0,
             provisional={"a": 600.0},
-        )
+        ).pick
         assert pick.tenant == "b"
 
     def test_not_before_gates_eligibility(self):
         queue = [queued_run("r1", "a", 1, not_before=50.0)]
-        assert pick_next(queue, self.specs(), {}, {}, FairShareLedger(), 0.0) is None
-        assert pick_next(queue, self.specs(), {}, {}, FairShareLedger(), 50.0) is not None
+        ledger = FairShareLedger()
+        assert pick_next_explained(queue, self.specs(), {}, {}, ledger, 0.0).pick is None
+        assert pick_next_explained(queue, self.specs(), {}, {}, ledger, 50.0).pick is not None
 
     def test_quota_blocked_tenant_is_skipped(self):
         queue = [queued_run("r1", "a", 1), queued_run("r2", "b", 2)]
-        pick = pick_next(
+        pick = pick_next_explained(
             queue, self.specs(), {"a": 2}, {}, FairShareLedger(), 0.0, policy="fifo"
-        )
+        ).pick
         assert pick.tenant == "b"
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError):
-            pick_next([], self.specs(), {}, {}, FairShareLedger(), 0.0, policy="lottery")
+            pick_next_explained(
+                [], self.specs(), {}, {}, FairShareLedger(), 0.0, policy="lottery"
+            )

@@ -73,9 +73,11 @@ class TestFigure8:
     def test_two_file_inputs_one_parameter(self, figure8):
         # "2 files ... that are already registered on the grid as GFNs
         #  ... and 1 parameter (option -s)"
-        assert [s.name for s in figure8.file_inputs] == ["floating_image", "reference_image"]
-        assert [s.name for s in figure8.parameters] == ["scale"]
-        assert figure8.parameters[0].option == "-s"
+        files = [s.name for s in figure8.inputs if s.is_file]
+        parameters = [s for s in figure8.inputs if not s.is_file]
+        assert files == ["floating_image", "reference_image"]
+        assert [s.name for s in parameters] == ["scale"]
+        assert parameters[0].option == "-s"
 
     def test_two_outputs_registered_on_grid(self, figure8):
         assert figure8.output_ports == ("crest_reference", "crest_floating")

@@ -34,26 +34,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already"):
             registry.register(LocalService(engine, "stats", ("x",), ("y",)))
 
-    def test_unregister(self, registry):
-        registry.unregister("stats")
-        assert "stats" not in registry
-        assert len(registry) == 2
-
-    def test_find_by_ports(self, registry):
-        found = registry.find_by_ports(input_ports=["crest"])
-        assert [s.name for s in found] == ["crestMatch"]
-
-    def test_find_by_output_ports(self, registry):
-        found = registry.find_by_ports(output_ports=["transform"])
-        assert [s.name for s in found] == ["crestMatch"]
-
-    def test_find_by_ports_empty_query_returns_all(self, registry):
-        assert len(registry.find_by_ports()) == 3
-
-    def test_find_by_tag(self, registry):
-        assert len(registry.find_by_tag("domain")) == 2
-        assert [s.name for s in registry.find_by_tag("kind", "registration")] == ["crestMatch"]
-
     def test_names_sorted(self, registry):
         assert registry.names() == ["crestLines", "crestMatch", "stats"]
 

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.engine import (
     Engine,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -109,15 +108,6 @@ class TestProcess:
         p = engine.process(proc(engine))
         assert engine.run(until=p) == "done"
 
-    def test_process_is_alive_until_finished(self, engine):
-        def proc(eng):
-            yield eng.timeout(2.0)
-
-        p = engine.process(proc(engine))
-        assert p.is_alive
-        engine.run()
-        assert not p.is_alive
-
     def test_exception_fails_process(self, engine):
         def proc(eng):
             yield eng.timeout(1.0)
@@ -176,31 +166,6 @@ class TestProcess:
         p = engine.process(parent(engine))
         assert engine.run(until=p) == 14
         assert engine.now == 3.0
-
-    def test_interrupt_wakes_waiting_process(self, engine):
-        def sleeper(eng):
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, eng.now)
-
-        p = engine.process(sleeper(engine))
-
-        def interrupter(eng):
-            yield eng.timeout(2.0)
-            p.interrupt(cause="wake up")
-
-        engine.process(interrupter(engine))
-        assert engine.run(until=p) == ("interrupted", "wake up", 2.0)
-
-    def test_interrupt_finished_process_raises(self, engine):
-        def quick(eng):
-            yield eng.timeout(0.0)
-
-        p = engine.process(quick(engine))
-        engine.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestDeterminism:

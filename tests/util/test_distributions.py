@@ -5,10 +5,7 @@ import pytest
 
 from repro.util.distributions import (
     Constant,
-    Empirical,
-    Exponential,
     LogNormal,
-    Shifted,
     SumOf,
     TruncatedNormal,
     Uniform,
@@ -105,52 +102,7 @@ class TestLogNormal:
             LogNormal(mean_value=0.0, sigma_log=1.0)
 
 
-class TestExponential:
-    def test_mean(self, rng):
-        dist = Exponential(mean_value=20.0)
-        assert dist.mean() == 20.0
-        assert dist.sample_many(rng, 50000).mean() == pytest.approx(20.0, rel=0.03)
-
-    def test_positive_mean_required(self):
-        with pytest.raises(ValueError):
-            Exponential(mean_value=-5.0)
-
-
-class TestEmpirical:
-    def test_samples_from_observed(self, rng):
-        dist = Empirical([1.0, 2.0, 3.0])
-        samples = set(dist.sample_many(rng, 200).tolist())
-        assert samples <= {1.0, 2.0, 3.0}
-        assert len(samples) == 3
-
-    def test_mean(self):
-        assert Empirical([2.0, 4.0]).mean() == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Empirical([])
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            Empirical([1.0, -2.0])
-
-    def test_values_view_read_only(self):
-        dist = Empirical([1.0, 2.0])
-        with pytest.raises(ValueError):
-            dist.values[0] = 9.0
-
-
 class TestComposites:
-    def test_shifted(self, rng):
-        dist = Shifted(Constant(3.0), offset=2.0)
-        assert dist.sample(rng) == 5.0
-        assert dist.mean() == 5.0
-        assert np.all(dist.sample_many(rng, 4) == 5.0)
-
-    def test_shifted_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            Shifted(Constant(1.0), offset=-1.0)
-
     def test_sum_of_means_add(self, rng):
         dist = SumOf([Constant(1.0), Constant(2.0), Uniform(0.0, 2.0)])
         assert dist.mean() == pytest.approx(4.0)

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.workflow.analysis import (
-    all_paths,
     critical_path,
-    critical_path_length,
     find_cycles,
     sequential_chains,
     services_on_critical_path,
@@ -20,24 +18,6 @@ from repro.workflow.patterns import (
 )
 
 
-class TestPaths:
-    def test_chain_single_path(self, local_factory):
-        wf = chain_workflow(local_factory, 3)
-        paths = all_paths(wf)
-        assert paths == [["input", "P1", "P2", "P3", "result"]]
-
-    def test_figure1_two_paths(self, local_factory):
-        wf = figure1_workflow(local_factory)
-        paths = {tuple(p) for p in all_paths(wf)}
-        assert ("source", "P1", "P2", "sink2") in paths
-        assert ("source", "P1", "P3", "sink3") in paths
-
-    def test_cyclic_rejected(self, local_factory):
-        wf = figure2_workflow(local_factory)
-        with pytest.raises(WorkflowError):
-            all_paths(wf)
-
-
 class TestCriticalPath:
     def test_unweighted_counts_services(self, local_factory):
         wf = chain_workflow(local_factory, 4)
@@ -47,11 +27,6 @@ class TestCriticalPath:
         wf = figure1_workflow(local_factory)
         path = critical_path(wf, durations={"P2": 100.0, "P3": 1.0})
         assert "P2" in path and "P3" not in path
-
-    def test_length_sums_durations(self, local_factory):
-        wf = chain_workflow(local_factory, 3)
-        length = critical_path_length(wf, durations={"P1": 1.0, "P2": 2.0, "P3": 3.0})
-        assert length == pytest.approx(6.0)
 
     def test_diamond_critical_path(self, local_factory):
         wf = diamond_workflow(local_factory)
