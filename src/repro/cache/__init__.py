@@ -123,7 +123,6 @@ class ResultCache:
             store = InMemoryStore(policy=policy)
         return cls(store=store)
 
-    # -- keying --------------------------------------------------------
     # -- lookup/store --------------------------------------------------
     def lookup(self, key: str, service: str) -> Optional[Dict[str, GridData]]:
         """Cached outputs for *key*, recording a hit; None on absence.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +48,10 @@ __all__ = [
     "TokenFact",
 ]
 
-#: what the key derivation needs from one input token: lineage + payload
-TokenFact = Tuple["HistoryTree", "GridData"]
+#: what the key derivation needs from one input token: lineage + payload,
+#: the payload either as the datum or as its :func:`fingerprint_datum`
+#: (the enactor passes the one its token memoized)
+TokenFact = Tuple["HistoryTree", Union["GridData", str]]
 
 
 def fingerprint_value(value: Any) -> str:
@@ -107,12 +109,33 @@ def fingerprint_datum(datum: GridData) -> str:
 
 
 def history_fingerprint(tree: HistoryTree) -> str:
-    """Canonical text encoding of a history tree (structure-exact)."""
-    if tree.index is not None:
-        return f"{tree.producer!r}[{tree.index}]"
-    inner = ",".join(history_fingerprint(parent) for parent in tree.parents)
-    iteration = f"@{tree.iteration}" if tree.iteration else ""
-    return f"{tree.producer!r}{iteration}({inner})"
+    """Canonical text encoding of a history tree (structure-exact).
+
+    ``'src'[3]`` for a leaf, ``'P'@2(<parents>)`` for a derived node
+    (``@iteration`` only when nonzero).  Memoized in each node's
+    ``_fingerprint`` slot and built post-order without recursion: a node
+    whose parents are already encoded costs one join, not a walk of the
+    whole lineage, and a loop's lineage of any depth encodes without
+    touching the recursion limit.
+    """
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if node._fingerprint is not None:
+            stack.pop()
+        elif node.index is not None:
+            node._fingerprint = f"{node.producer!r}[{node.index}]"
+            stack.pop()
+        else:
+            pending = [p for p in node.parents if p._fingerprint is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            iteration = f"@{node.iteration}" if node.iteration else ""
+            inner = ",".join([p._fingerprint for p in node.parents])
+            node._fingerprint = f"{node.producer!r}{iteration}({inner})"
+            stack.pop()
+    return tree._fingerprint
 
 
 def service_fingerprint(service: Service) -> str:
@@ -144,7 +167,8 @@ def invocation_key(
     bindings:
         Input port -> the token facts consumed on that port.  Ordinary
         invocations bind exactly one token per port; synchronization
-        invocations bind the whole stream.
+        invocations bind the whole stream.  A fact's payload may be
+        given pre-fingerprinted; the key is the same either way.
     unordered:
         Encode each port's tokens as a sorted multiset.  Used for
         synchronization barriers, whose stream arrival order is
@@ -153,7 +177,8 @@ def invocation_key(
     parts = [f"service:{service_fingerprint(service)}"]
     for port in sorted(bindings):
         token_fps = [
-            f"h={history_fingerprint(history)};{fingerprint_datum(datum)}"
+            f"h={history_fingerprint(history)};"
+            f"{datum if isinstance(datum, str) else fingerprint_datum(datum)}"
             for history, datum in bindings[port]
         ]
         if unordered:

@@ -30,7 +30,9 @@ Lineage = Mapping[str, FrozenSet[int]]
 class HistoryTree:
     """Immutable provenance tree attached to every data token."""
 
-    __slots__ = ("producer", "index", "parents", "iteration", "_lineage", "_hash", "_label")
+    __slots__ = (
+        "producer", "index", "parents", "iteration", "_lineage", "_hash", "_label", "_fingerprint"
+    )
 
     def __init__(
         self,
@@ -63,6 +65,8 @@ class HistoryTree:
             (self.producer, self.index, self.parents, self.iteration)
         )
         self._label: Optional[str] = None  # computed on first label()
+        #: key text, written by repro.cache.keys.history_fingerprint
+        self._fingerprint: Optional[str] = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -104,10 +108,22 @@ class HistoryTree:
 
     @property
     def depth(self) -> int:
-        """Longest chain of processing steps below this node."""
-        if not self.parents:
-            return 0
-        return 1 + max(parent.depth for parent in self.parents)
+        """Longest chain of processing steps below this node.
+
+        Iterative over distinct nodes, so a loop's lineage of any depth
+        (or a DAG sharing subtrees) costs one visit per node.
+        """
+        depths: Dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [p for p in node.parents if id(p) not in depths]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            depths[id(node)] = 1 + max((depths[id(p)] for p in node.parents), default=-1)
+        return depths[id(self)]
 
     @property
     def size(self) -> int:

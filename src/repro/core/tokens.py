@@ -15,8 +15,10 @@ result on one of its two output ports" — expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
+from repro.cache.keys import fingerprint_datum
 from repro.core.provenance import HistoryTree
 from repro.services.base import GridData
 
@@ -75,6 +77,17 @@ class DataToken:
     def value(self) -> object:
         """Shortcut to the payload value."""
         return self.data.value
+
+    @cached_property
+    def payload_fingerprint(self) -> str:
+        """:func:`~repro.cache.keys.fingerprint_datum` of the payload.
+
+        One token is minted per emission and shared by every consumer
+        link, so each payload is encoded once however many invocation
+        keys read it.  The memo lives in the instance dict, outside the
+        dataclass fields: it takes no part in equality or hashing.
+        """
+        return fingerprint_datum(self.data)
 
     def __repr__(self) -> str:
         if self.failure is not None:

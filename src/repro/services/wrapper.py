@@ -32,7 +32,7 @@ from repro.grid.job import JobDescription
 from repro.grid.middleware import Grid
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData, InvocationRecord, Service, ServiceError
-from repro.services.descriptor import ExecutableDescriptor
+from repro.services.descriptor import ExecutableDescriptor, descriptor_to_xml
 from repro.sim.engine import Engine
 from repro.util.distributions import Distribution, as_distribution
 from repro.util.units import KIBIBYTE, MEBIBYTE
@@ -103,6 +103,8 @@ class GenericWrapperService(Service):
             self._publish_sandbox(sb.value, sandbox_size) for sb in descriptor.sandboxes
         )
         self._counter = 0
+        #: (descriptor, SHA-256 of its XML) for cache_fingerprint
+        self._descriptor_digest: Optional[Tuple[ExecutableDescriptor, str]] = None
 
     def _publish_sandbox(self, value: str, size: float) -> str:
         gfn = f"gfn://sandbox/{self.name}/{value}"
@@ -184,12 +186,16 @@ class GenericWrapperService(Service):
         """Descriptor-derived identity: the Figure 8 document fully
         determines the composed command line, so its serialized form
         (plus the declared output sizes) is the computation's identity."""
-        from repro.services.descriptor import descriptor_to_xml
-
-        digest = hashlib.sha256(
-            descriptor_to_xml(self.descriptor).encode("utf-8")
-        ).hexdigest()
-        sizes = ",".join(f"{port}={self.output_size(port)}" for port in self.output_ports)
+        descriptor = self.descriptor
+        memo = self._descriptor_digest
+        if memo is None or memo[0] is not descriptor:
+            # The descriptor is frozen, so its digest is a function of the
+            # object; a replaced descriptor gets a fresh one.  Output sizes
+            # live in a mutable dict and are encoded on every call.
+            digest = hashlib.sha256(descriptor_to_xml(descriptor).encode("utf-8")).hexdigest()
+            memo = self._descriptor_digest = (descriptor, digest)
+        digest = memo[1]
+        sizes = ",".join([f"{port}={self.output_size(port)}" for port in self.output_ports])
         return f"wrapper:{self.name}:{digest}:sizes={sizes}"
 
     # -- Service contract ----------------------------------------------------

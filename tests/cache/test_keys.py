@@ -1,7 +1,11 @@
 """Key derivation: deterministic, content-addressed, lineage-aware."""
 
+import math
+import sys
+
 import numpy as np
 
+from repro.cache import ResultCache
 from repro.cache.keys import (
     fingerprint_datum,
     fingerprint_value,
@@ -9,9 +13,13 @@ from repro.cache.keys import (
     invocation_key,
     service_fingerprint,
 )
+from repro.core import NO_DATA, MoteurEnactor, OptimizationConfig
 from repro.core.provenance import HistoryTree
+from repro.core.tokens import DataToken
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData, LocalService
+from repro.sim.engine import Engine
+from repro.workflow.patterns import figure2_workflow
 
 
 class TestValueFingerprints:
@@ -180,3 +188,147 @@ class TestServiceFingerprints:
         s1 = LocalService(engine, "S", ("x",), ("y",))
         s2 = LocalService(engine, "S", ("x", "z"), ("y",))
         assert service_fingerprint(s1) != service_fingerprint(s2)
+
+    def test_wrapper_descriptor_digest_follows_the_descriptor(
+        self, engine, ideal_grid, monkeypatch
+    ):
+        import repro.services.wrapper as wrapper_module
+        from repro.services.descriptor import (
+            AccessMethod,
+            ExecutableDescriptor,
+            InputSpec,
+            OutputSpec,
+        )
+
+        def descriptor(option):
+            return ExecutableDescriptor(
+                name="A",
+                access=AccessMethod("URL", path="http://x"),
+                value="prog.pl",
+                inputs=(InputSpec(name="in1", option=option, access=AccessMethod("GFN")),),
+                outputs=(OutputSpec(name="out1", option="-o"),),
+            )
+
+        serialized = []
+        real = wrapper_module.descriptor_to_xml
+        monkeypatch.setattr(
+            wrapper_module, "descriptor_to_xml", lambda d: serialized.append(d) or real(d)
+        )
+        service = wrapper_module.GenericWrapperService(engine, ideal_grid, descriptor("-i"))
+        first = service.cache_fingerprint()
+        assert service.cache_fingerprint() == first and len(serialized) == 1
+        service.descriptor = descriptor("-j")
+        replaced = service.cache_fingerprint()
+        assert replaced != first and len(serialized) == 2
+        # output sizes are a mutable dict: never memoized
+        service.output_sizes["out1"] = 5.0
+        assert service.cache_fingerprint() != replaced and len(serialized) == 2
+
+
+class TestTokenPayloadMemo:
+    def test_payload_fingerprint_is_fingerprint_datum_once(self):
+        token = DataToken(GridData(value=[1, 2.5]), HistoryTree.leaf("s", 0))
+        memo = token.payload_fingerprint
+        assert memo == fingerprint_datum(token.data)
+        assert token.payload_fingerprint is memo
+
+    def test_memo_stays_out_of_equality_and_hash(self):
+        a = DataToken(GridData(value=3), HistoryTree.leaf("s", 0))
+        b = DataToken(GridData(value=3), HistoryTree.leaf("s", 0))
+        a.payload_fingerprint
+        assert a == b and hash(a) == hash(b)
+
+
+def figure2_loop(engine, factor, tolerance):
+    """The Figure 2 loop of ``examples/optimization_loop.py``: ``P2``
+    scales the residual by *factor* until ``P3`` sees it under
+    *tolerance*, so every round deepens the lineage by two nodes."""
+    programs = {
+        "P1": lambda x: {"y": 1.0},
+        "P2": lambda x: {"y": x * factor},
+        "P3": lambda x: (
+            {"loop": NO_DATA, "done": x} if x < tolerance else {"loop": x, "done": NO_DATA}
+        ),
+    }
+
+    def factory(name, inputs, outputs):
+        return LocalService(engine, name, inputs, outputs, function=programs[name], duration=1.0)
+
+    return figure2_workflow(factory)
+
+
+def run_cached_loop(factor, tolerance):
+    engine = Engine()
+    enactor = MoteurEnactor(
+        engine, figure2_loop(engine, factor, tolerance), OptimizationConfig.sp(),
+        cache=ResultCache(),
+    )
+    return enactor.run({"source": ["scan-A"]})
+
+
+class TestDeepLineages:
+    def test_long_loop_keys_without_recursion(self):
+        # 378 rounds: the lineage is ~760 nodes deep, past the recursion
+        # limit a recursive encoder needs one frame per node for.
+        result = run_cached_loop(0.97, 1e-5)
+        rounds = math.ceil(math.log(1e-5) / math.log(0.97))
+        assert rounds == 378
+        assert result.invocation_count == 1 + 2 * rounds
+        (residual,) = result.output_values("sink")
+        assert math.isclose(residual, 0.97 ** rounds)
+
+    def test_fresh_deep_chain_encodes_and_measures(self):
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        node = HistoryTree.leaf("s", 0)
+        for _ in range(depth):
+            node = HistoryTree.derive("p", (node,))
+        assert node.depth == depth
+        assert history_fingerprint(node) == "'p'(" * depth + "'s'[0]" + ")" * depth
+
+
+def key_calls_per_invocation(rounds):
+    """Calls made inside ``repro.cache.keys`` per invocation of the loop.
+
+    A call counts when a ``repro.cache.keys`` frame is on the stack or
+    is the callee (Python and C calls alike), so work a key function
+    delegates — the history-tree encoding — is charged to it.
+    """
+    factor = 0.97
+    engine = Engine()
+    # converges after exactly *rounds* refinements: the threshold sits
+    # half a step below factor**(rounds - 1)
+    workflow = figure2_loop(engine, factor, factor ** (rounds - 0.5))
+    enactor = MoteurEnactor(engine, workflow, OptimizationConfig.sp(), cache=ResultCache())
+    inside = calls = 0
+
+    def count(frame, event, arg):
+        nonlocal inside, calls
+        in_keys = frame.f_globals.get("__name__") == "repro.cache.keys"
+        if event == "call":
+            if inside or in_keys:
+                calls += 1
+            inside += in_keys
+        elif event == "return":
+            inside -= in_keys
+        elif event == "c_call" and inside:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = enactor.run({"source": ["scan-A"]})
+    finally:
+        sys.setprofile(previous)
+    assert result.invocation_count == 1 + 2 * rounds
+    return calls / result.invocation_count
+
+
+class TestKeyCost:
+    def test_key_calls_per_invocation_do_not_grow_with_lineage_depth(self):
+        # Deterministic complexity guard: counts calls, never reads a clock.
+        # Re-encoding the whole lineage per key costs ~4 calls per lineage
+        # node (219 per invocation at 50 rounds) and recurses past the
+        # stack limit before 400; memoized fingerprints cost O(fan-in).
+        small, large = key_calls_per_invocation(50), key_calls_per_invocation(400)
+        assert large < 1.5 * small, (small, large)

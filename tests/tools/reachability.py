@@ -113,6 +113,7 @@ KEPT = {
     },
     "repro.observability.profiling.profiler": {
         "Profiler._hook": "kept: hook (runs inside the profile hook, which settrace cannot see)",
+        "Profiler.depth": OBSERVED,
         "Profiler.enter": HOOK_CALLEE,
         "Profiler.exit": HOOK_CALLEE,
         "_scope_name": HOOK_CALLEE,
