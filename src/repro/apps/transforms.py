@@ -11,52 +11,145 @@ with the standard quaternion-averaging method (the eigenvector of the
 accumulated outer-product matrix — Markley et al.), which is exact for
 the small dispersions involved.
 
-Everything is numpy/scipy; no simulation concepts — these are the
-honest data products flowing through the simulated services.
+The algebra is closed-form quaternion arithmetic on Python floats —
+the formulas a rotation library evaluates, without the per-object
+dispatch a 3-component operation would otherwise pay:
+
+* extrinsic ``xyz`` Euler angles are the product ``qz ⊗ qy ⊗ qx`` of
+  the half-angle elementary quaternions;
+* composition is the Hamilton product; the inverse is the conjugate;
+* a vector turns as ``v + w·t + u × t`` with ``t = 2·(u × v)``, point
+  arrays through the 3×3 matrix;
+* the rotation angle is ``2·atan2(|u|, |w|)``.
+
+Only :func:`mean_transform` uses numpy linear algebra (``eigh``).  The
+results agree with a reference rotation library to a few ulps, not to
+the bit (``tests/properties/test_transform_oracle.py`` holds the
+tolerances); per seed they are byte-identical.  No simulation concepts
+— these are the honest data products flowing through the simulated
+services.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 __all__ = ["RigidTransform", "mean_transform", "rotation_angle_deg"]
 
+Quat = Tuple[float, float, float, float]
+Vec = Tuple[float, float, float]
 
-def _normalize_quaternion(quat: np.ndarray) -> np.ndarray:
-    quat = np.asarray(quat, dtype=float)
-    if quat.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {quat.shape}")
-    norm = float(np.linalg.norm(quat))
-    if norm == 0:
+
+def _unit(x: float, y: float, z: float, w: float) -> Quat:
+    """Normalize and pick the canonical sign (q and -q are one rotation).
+
+    ``w >= 0``; on ``w == 0`` the first nonzero of x, y, z is positive.
+    Negative zeros are cleared so one rotation has one encoding.
+    """
+    norm = math.hypot(x, y, z, w)
+    if norm == 0.0:
         raise ValueError("zero quaternion is not a rotation")
-    quat = quat / norm
-    # Canonical sign: w >= 0 (q and -q are the same rotation).
-    if quat[3] < 0:
-        quat = -quat
-    return quat
+    if w < 0.0 or (
+        w == 0.0 and (x < 0.0 or (x == 0.0 and (y < 0.0 or (y == 0.0 and z < 0.0))))
+    ):
+        norm = -norm
+    return (x / norm + 0.0, y / norm + 0.0, z / norm + 0.0, w / norm + 0.0)
+
+
+def _hamilton(p: Sequence[float], q: Sequence[float]) -> Quat:
+    """``p ⊗ q``: rotate by *q* first, then by *p*."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    return (
+        pw * qx + qw * px + (py * qz - pz * qy),
+        pw * qy + qw * py + (pz * qx - px * qz),
+        pw * qz + qw * pz + (px * qy - py * qx),
+        pw * qw - px * qx - py * qy - pz * qz,
+    )
+
+
+def _rotate(q: Sequence[float], v: Sequence[float]) -> Vec:
+    """Turn the vector *v* by the unit quaternion *q*."""
+    x, y, z, w = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
+def _euler_xyz(angles_deg: Sequence[float]) -> Quat:
+    """Extrinsic ``xyz`` angles (degrees) as ``qz ⊗ (qy ⊗ qx)``, expanded."""
+    ax_deg, ay_deg, az_deg = angles_deg
+    hx = math.radians(ax_deg) / 2.0
+    hy = math.radians(ay_deg) / 2.0
+    hz = math.radians(az_deg) / 2.0
+    sx, cx = math.sin(hx), math.cos(hx)
+    sy, cy = math.sin(hy), math.cos(hy)
+    sz, cz = math.sin(hz), math.cos(hz)
+    # qy ⊗ qx
+    r0, r1, r2, r3 = cy * sx, cx * sy, -(sy * sx), cy * cx
+    return (cz * r0 - sz * r1, cz * r1 + sz * r0, cz * r2 + r3 * sz, cz * r3 - sz * r2)
+
+
+def _angle_deg(q: Sequence[float]) -> float:
+    x, y, z, w = q
+    return math.degrees(2.0 * math.atan2(math.hypot(x, y, z), abs(w)))
+
+
+def _vector3(values) -> Vec:
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (3,):
+        raise ValueError(f"translation must have shape (3,), got {vector.shape}")
+    return tuple(vector.tolist())
+
+
+def _make(q: Sequence[float], t: Sequence[float]) -> "RigidTransform":
+    """Build from floats: normalizes *q*, skips the constructor's checks."""
+    transform = object.__new__(RigidTransform)
+    transform.__dict__.update(quaternion=np.array(_unit(*q)), translation=np.array(t))
+    return transform
 
 
 @dataclass(frozen=True)
 class RigidTransform:
     """A rigid spatial transform: rotation (unit quaternion) + translation.
 
-    The quaternion uses scipy's ``(x, y, z, w)`` convention and is kept
-    normalized with ``w >= 0`` so equal rotations compare equal.
+    The quaternion uses the ``(x, y, z, w)`` convention and is kept
+    normalized with a canonical sign (see :func:`_unit`), so equal
+    rotations compare, hash and fingerprint equal.
     """
 
     quaternion: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "quaternion", _normalize_quaternion(self.quaternion))
-        translation = np.asarray(self.translation, dtype=float)
-        if translation.shape != (3,):
-            raise ValueError(f"translation must have shape (3,), got {translation.shape}")
-        object.__setattr__(self, "translation", translation)
+        quat = np.asarray(self.quaternion, dtype=float)
+        if quat.shape != (4,):
+            raise ValueError(f"quaternion must have shape (4,), got {quat.shape}")
+        quat = _unit(*quat.tolist())
+        self.__dict__.update(
+            quaternion=np.array(quat), translation=np.array(_vector3(self.translation))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RigidTransform):
+            return NotImplemented
+        return (
+            self.quaternion.tolist() == other.quaternion.tolist()
+            and self.translation.tolist() == other.translation.tolist()
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self.quaternion.tolist(), *self.translation.tolist()))
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -68,9 +161,9 @@ class RigidTransform:
     def from_euler_deg(
         cls, angles_deg: Sequence[float], translation: Sequence[float]
     ) -> "RigidTransform":
-        """From XYZ Euler angles in degrees plus a translation (mm)."""
-        rotation = Rotation.from_euler("xyz", angles_deg, degrees=True)
-        return cls(quaternion=rotation.as_quat(), translation=np.asarray(translation, float))
+        """From extrinsic XYZ Euler angles in degrees plus a translation (mm)."""
+        angles = np.asarray(angles_deg, dtype=float).tolist()
+        return _make(_euler_xyz(angles), _vector3(translation))
 
     @classmethod
     def random(
@@ -87,27 +180,31 @@ class RigidTransform:
         return cls.from_euler_deg(angles, translation)
 
     # -- algebra ------------------------------------------------------------
-    @property
-    def rotation(self) -> Rotation:
-        """The rotation part as a scipy Rotation."""
-        return Rotation.from_quat(self.quaternion)
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """``self ∘ other``: apply *other* first, then *self*."""
-        rotation = self.rotation * other.rotation
-        translation = self.rotation.apply(other.translation) + self.translation
-        return RigidTransform(quaternion=rotation.as_quat(), translation=translation)
+        q = self.quaternion.tolist()
+        tx, ty, tz = _rotate(q, other.translation.tolist())
+        sx, sy, sz = self.translation.tolist()
+        return _make(_hamilton(q, other.quaternion.tolist()), (tx + sx, ty + sy, tz + sz))
 
     def inverse(self) -> "RigidTransform":
         """The transform undoing this one."""
-        inv = self.rotation.inv()
-        return RigidTransform(
-            quaternion=inv.as_quat(), translation=-inv.apply(self.translation)
-        )
+        x, y, z, w = self.quaternion.tolist()
+        conjugate = (-x, -y, -z, w)
+        tx, ty, tz = _rotate(conjugate, self.translation.tolist())
+        return _make(conjugate, (-tx, -ty, -tz))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an ``(n, 3)`` (or ``(3,)``) point array."""
-        return self.rotation.apply(np.asarray(points, dtype=float)) + self.translation
+        x, y, z, w = self.quaternion.tolist()
+        matrix = np.array(
+            [
+                [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                [2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w)],
+                [2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w],
+            ]
+        )
+        return np.asarray(points, dtype=float) @ matrix.T + self.translation
 
     def perturb(
         self,
@@ -122,20 +219,20 @@ class RigidTransform:
         """
         if rotation_sigma_deg < 0 or translation_sigma < 0:
             raise ValueError("sigmas must be >= 0")
-        noise_angles = rng.normal(0.0, rotation_sigma_deg, size=3)
-        noise_translation = rng.normal(0.0, translation_sigma, size=3)
-        noise = RigidTransform.from_euler_deg(noise_angles, noise_translation)
-        return noise.compose(self)
+        noise = _euler_xyz(rng.normal(0.0, rotation_sigma_deg, size=3).tolist())
+        nx, ny, nz = rng.normal(0.0, translation_sigma, size=3).tolist()
+        tx, ty, tz = _rotate(noise, self.translation.tolist())
+        return _make(_hamilton(noise, self.quaternion.tolist()), (tx + nx, ty + ny, tz + nz))
 
     # -- metrics -----------------------------------------------------------------
     def rotation_distance_deg(self, other: "RigidTransform") -> float:
         """Geodesic rotation distance in degrees."""
-        relative = self.rotation * other.rotation.inv()
-        return float(np.degrees(relative.magnitude()))
+        x, y, z, w = other.quaternion.tolist()
+        return _angle_deg(_hamilton(self.quaternion.tolist(), (-x, -y, -z, w)))
 
     def translation_distance(self, other: "RigidTransform") -> float:
         """Euclidean distance between the translation parts."""
-        return float(np.linalg.norm(self.translation - other.translation))
+        return math.dist(self.translation.tolist(), other.translation.tolist())
 
     def is_close(
         self, other: "RigidTransform", angle_tol_deg: float = 1e-6, trans_tol: float = 1e-6
@@ -147,10 +244,9 @@ class RigidTransform:
         )
 
     def __repr__(self) -> str:
-        angle = float(np.degrees(self.rotation.magnitude()))
         t = self.translation
         return (
-            f"RigidTransform(angle={angle:.2f}deg, "
+            f"RigidTransform(angle={rotation_angle_deg(self):.2f}deg, "
             f"t=[{t[0]:.2f}, {t[1]:.2f}, {t[2]:.2f}])"
         )
 
@@ -176,4 +272,4 @@ def mean_transform(transforms: Sequence[RigidTransform]) -> RigidTransform:
 
 def rotation_angle_deg(transform: RigidTransform) -> float:
     """Magnitude of the rotation part, in degrees."""
-    return float(np.degrees(transform.rotation.magnitude()))
+    return _angle_deg(transform.quaternion.tolist())

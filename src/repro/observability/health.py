@@ -32,6 +32,7 @@ which is what makes the monitor's replay invariant testable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -85,12 +86,44 @@ def robust_stats(values: "List[float] | Tuple[float, ...]") -> RobustStats:
     Raises :class:`ValueError` on an empty sample — callers guard with
     their own ``min_samples`` thresholds anyway.
     """
-    if not values:
+    return _sorted_stats(sorted(values))
+
+
+def _kth_deviation(ordered: List[float], split: int, med: float, k: int) -> float:
+    """The *k*-th smallest (0-based) ``|v - med|`` over sorted *ordered*.
+
+    The deviations are two ascending runs: ``med - ordered[split-1-i]``
+    for the values below the median (``split`` of them) and
+    ``ordered[split+j] - med`` for the rest.  Binary search for how many
+    of the k+1 smallest come from the low run — O(log n), no list built.
+    """
+    high = len(ordered) - split
+    lo, hi = max(0, k + 1 - high), min(k + 1, split)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if med - ordered[split - 1 - i] < ordered[split + k - i] - med:
+            lo = i + 1
+        else:
+            hi = i
+    j = k + 1 - lo
+    if lo == 0:
+        return ordered[split + j - 1] - med
+    if j == 0:
+        return med - ordered[split - lo]
+    return max(med - ordered[split - lo], ordered[split + j - 1] - med)
+
+
+def _sorted_stats(ordered: List[float]) -> RobustStats:
+    """:func:`robust_stats` of an already sorted sample."""
+    n = len(ordered)
+    if not n:
         raise ValueError("cannot summarize an empty sample")
-    ordered = sorted(values)
     med = _median(ordered)
-    deviations = sorted(abs(v - med) for v in ordered)
-    mad = _median(deviations)
+    split = bisect_left(ordered, med)
+    mid = n // 2
+    mad = _kth_deviation(ordered, split, med, mid)
+    if not n % 2:
+        mad = 0.5 * (_kth_deviation(ordered, split, med, mid - 1) + mad)
     if mad > 0.0:
         scale = MAD_SCALE * mad
     else:
@@ -98,9 +131,10 @@ def robust_stats(values: "List[float] | Tuple[float, ...]") -> RobustStats:
         # median (zero-variance phases, quantized durations).  Fall back
         # to the mean absolute deviation so a genuinely spread sample
         # still gets a finite scale.
+        deviations = sorted(abs(v - med) for v in ordered)
         mean_ad = sum(deviations) / len(deviations)
         scale = MEAN_AD_SCALE * mean_ad
-    return RobustStats(count=len(ordered), median=med, mad=mad, scale=scale)
+    return RobustStats(count=n, median=med, mad=mad, scale=scale)
 
 
 def robust_z(value: float, stats: RobustStats) -> float:
@@ -122,19 +156,30 @@ class RollingSample:
     """A bounded rolling window of observations with cached statistics.
 
     ``maxlen`` bounds memory so the monitor stays O(window) per CE no
-    matter how long the run is; statistics are recomputed lazily and
-    cached until the next :meth:`add`.
+    matter how long the run is.  A sorted twin of the window, kept by
+    bisection on every insert and eviction, makes the median an O(1)
+    read and the MAD an O(log n) selection; :meth:`stats` is cached
+    until the next :meth:`add`.
     """
 
     def __init__(self, maxlen: int = 512) -> None:
         if maxlen < 1:
             raise ValueError(f"maxlen must be >= 1, got {maxlen}")
         self._values: Deque[float] = deque(maxlen=maxlen)
+        self._sorted: List[float] = []
         self._cached: Optional[RobustStats] = None
 
     def add(self, value: float) -> None:
         """Append one observation (evicting the oldest when full)."""
-        self._values.append(float(value))
+        value = float(value)
+        values = self._values
+        ordered = self._sorted
+        if len(values) == values.maxlen:
+            # equal values sit in arrival order, so the leftmost equal
+            # one is the oldest: exactly the value the deque evicts
+            del ordered[bisect_left(ordered, values[0])]
+        insort(ordered, value)
+        values.append(value)
         self._cached = None
 
     def __len__(self) -> int:
@@ -144,10 +189,14 @@ class RollingSample:
         """The current window contents, oldest first."""
         return list(self._values)
 
+    def median(self) -> float:
+        """Median of the current window (the window must be non-empty)."""
+        return _median(self._sorted)
+
     def stats(self) -> RobustStats:
         """Robust statistics over the current window (cached)."""
         if self._cached is None:
-            self._cached = robust_stats(list(self._values))
+            self._cached = _sorted_stats(self._sorted)
         return self._cached
 
 
@@ -340,13 +389,13 @@ class FleetHealth:
         sample = self._fleet.get(phase)
         if sample is None or len(sample) == 0:
             return None
-        return sample.stats().median
+        return sample.median()
 
     def _ce_median(self, ce: str, phase: str) -> float:
         sample = self._per_ce.get((ce, phase))
         if sample is None or len(sample) == 0:
             return 0.0
-        return sample.stats().median
+        return sample.median()
 
     def health_of(self, ce: str) -> CEHealth:
         """The current :class:`CEHealth` summary of *ce*."""
@@ -357,7 +406,7 @@ class FleetHealth:
         straggler_jobs = len(self._straggler_jobs.get(ce, {}))
         ttf_sample = self._ttf.get(ce)
         median_ttf = (
-            ttf_sample.stats().median if ttf_sample is not None and len(ttf_sample) else 0.0
+            ttf_sample.median() if ttf_sample is not None and len(ttf_sample) else 0.0
         )
         health = CEHealth(
             ce=ce,

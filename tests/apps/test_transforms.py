@@ -1,9 +1,13 @@
 """Tests for rigid-transform algebra."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.apps.registration import RegistrationResult
 from repro.apps.transforms import RigidTransform, mean_transform, rotation_angle_deg
+from repro.cache.keys import fingerprint_value
 
 
 @pytest.fixture
@@ -44,6 +48,63 @@ class TestConstruction:
             transform = RigidTransform.random(rng, max_angle_deg=5.0, max_translation=2.0)
             assert rotation_angle_deg(transform) <= 5.0 * np.sqrt(3) + 1e-9
             assert np.abs(transform.translation).max() <= 2.0
+
+
+class TestEqualityAndHash:
+    def test_equal_transforms_compare_equal(self):
+        a = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        b = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        c = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 7])
+        assert a == b
+        assert a != c
+        assert a != "not a transform"
+
+    def test_hash_agrees_with_equality(self):
+        a = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        b = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        c = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 7])
+        assert hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+
+    def test_dataclasses_holding_transforms_compare(self):
+        t = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        same = RigidTransform.from_euler_deg([1, 2, 3], [4, 5, 6])
+        assert RegistrationResult("Baladin", 3, t) == RegistrationResult("Baladin", 3, same)
+
+    @pytest.mark.parametrize(
+        "quat",
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.6, -0.8, 0.0],
+            [0.6, 0.0, -0.8, 0.0],
+        ],
+    )
+    def test_half_turn_has_one_encoding(self, quat):
+        # w == 0: q and -q both have w >= 0; the first nonzero of x, y, z
+        # breaks the tie, so both signs land on one quaternion, one hash
+        # and one cache fingerprint
+        a = RigidTransform(quaternion=np.array(quat))
+        b = RigidTransform(quaternion=-np.array(quat))
+        assert a.quaternion.tobytes() == b.quaternion.tobytes()
+        assert a == b and hash(a) == hash(b)
+        assert fingerprint_value(a) == fingerprint_value(b)
+        first = next(c for c in a.quaternion if c != 0.0)
+        assert first > 0.0
+
+    def test_negative_zeros_cleared(self):
+        t = RigidTransform(quaternion=np.array([-0.0, 0.0, -0.0, -1.0]))
+        assert t.quaternion.tobytes() == np.array([0.0, 0.0, 0.0, 1.0]).tobytes()
+
+    def test_state_is_the_two_arrays(self, rng):
+        # cache fingerprints, FileStore pickles and journal lines encode
+        # exactly these two float64 arrays
+        t = RigidTransform.random(rng).perturb(rng, 0.3, 1.2)
+        assert list(vars(t)) == ["quaternion", "translation"]
+        assert t.quaternion.dtype == np.float64 and t.quaternion.shape == (4,)
+        assert t.translation.dtype == np.float64 and t.translation.shape == (3,)
+        assert pickle.loads(pickle.dumps(t)) == t
 
 
 class TestAlgebra:

@@ -105,6 +105,10 @@ KEPT = {
         "DataFlowCollector.watch_network": "kept: test seam/reference (attaches the ledger to "
                                            "a bare NetworkModel)",
     },
+    "repro.observability.health": {
+        "robust_stats": "kept: test seam/reference (one-shot form of RollingSample.stats; the "
+                        "window oracle checks the incremental statistics against it)",
+    },
     "repro.observability.monitor": {"RunMonitor.summary": LIVE_REPLAY},
     "repro.observability.ops.audit": {"audit_events_from_jsonl": ROUND_TRIP},
     "repro.observability.ops.rollup": {"ControlPlaneTelemetry.replay_audit": LIVE_REPLAY},
