@@ -226,10 +226,10 @@ class BronzeStandardApplication:
     ) -> EnactmentResult:
         """Run the workflow under *config* over *n_pairs* image pairs.
 
-        Passing a :class:`~repro.cache.ResultCache` (or enabling one on
-        *config* via ``with_cache``) memoizes every invocation by
-        provenance key, which makes a re-enactment over the same data
-        set replay from the cache instead of re-submitting grid jobs.
+        Passing a :class:`~repro.cache.ResultCache` memoizes every
+        invocation by provenance key, which makes a re-enactment over the
+        same data set replay from the cache instead of re-submitting grid
+        jobs.
         An :class:`~repro.observability.InstrumentationBus` turns the
         run into a correlated span stream (enactor + grid layers) and
         attaches the per-run metrics snapshot to the result.

@@ -10,11 +10,11 @@ This subsystem closes that gap:
   keys from service identity (descriptor fingerprints, covering every
   stage of virtual grouped services) plus the input tokens' history-tree
   lineage and payload values,
-* :mod:`~repro.cache.store` provides the bounded in-memory store and
-  the atomic JSON-on-disk store behind one protocol,
-* :mod:`~repro.cache.policy` bounds the store (LRU, TTL, byte caps),
-* :mod:`~repro.cache.stats` counts hits/misses/evictions/bytes per
-  service for the experiment reports.
+* :mod:`~repro.cache.store` provides the in-memory store and the atomic
+  JSON-on-disk store behind one protocol; a store keeps every entry it
+  is given,
+* :mod:`~repro.cache.stats` counts hits/misses/stores/bytes per service
+  for the experiment reports.
 
 :class:`ResultCache` is the facade the enactor talks to.  It also owns
 **single-flight de-duplication**: when two in-flight invocations carry
@@ -31,10 +31,7 @@ Usage::
     result = MoteurEnactor(engine, wf, config, grid=grid, cache=cache).run(ds)
     print(result.cache_stats.hit_rate)
 
-or declaratively through the configuration::
-
-    config = OptimizationConfig(data_parallelism=True, cache=True,
-                                cache_store="file", cache_dir="/tmp/bronze-cache")
+Caching is on exactly when the caller passes a :class:`ResultCache`.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from repro.cache.keys import (
     invocation_key,
     service_fingerprint,
 )
-from repro.cache.policy import CachePolicy
 from repro.cache.stats import CacheStats, CacheStatsSnapshot, ServiceCacheStats
 from repro.cache.store import (
     CacheEntry,
@@ -66,7 +62,6 @@ from repro.sim.engine import Engine, Event
 
 __all__ = [
     "ResultCache",
-    "CachePolicy",
     "CacheStats",
     "CacheStatsSnapshot",
     "ServiceCacheStats",
@@ -87,7 +82,7 @@ __all__ = [
 
 
 class ResultCache:
-    """Store + policy + stats + single-flight, behind one object.
+    """Store + stats + single-flight, behind one object.
 
     One instance may be shared across enactors and across runs — that
     is the whole point for warm re-execution.  With a
@@ -101,27 +96,8 @@ class ResultCache:
     ) -> None:
         self.store: ResultStore = store if store is not None else InMemoryStore()
         self.stats = stats or CacheStats()
-        self.store.on_evict = self._record_eviction
         #: (engine id, key) -> completion event of the executing leader
         self._inflight: Dict[Tuple[int, str], Event] = {}
-
-    def _record_eviction(self, entry: CacheEntry) -> None:
-        self.stats.record_eviction(entry.service, entry.size_bytes)
-
-    @classmethod
-    def from_config(cls, config) -> Optional["ResultCache"]:
-        """Build the cache an :class:`OptimizationConfig` asks for (or None)."""
-        if not getattr(config, "cache", False):
-            return None
-        policy = CachePolicy(
-            max_entries=config.cache_max_entries,
-            ttl=config.cache_ttl,
-        )
-        if config.cache_store == "file":
-            store: ResultStore = FileStore(config.cache_dir, policy=policy)
-        else:
-            store = InMemoryStore(policy=policy)
-        return cls(store=store)
 
     # -- lookup/store --------------------------------------------------
     def lookup(self, key: str, service: str) -> Optional[Dict[str, GridData]]:
@@ -146,14 +122,7 @@ class ResultCache:
         """Store freshly computed outputs under *key*."""
         frozen = dict(outputs)
         size = estimate_entry_bytes(frozen)
-        entry = CacheEntry(
-            key=key,
-            service=service,
-            outputs=frozen,
-            created_at=self.store.clock(),
-            size_bytes=size,
-        )
-        self.store.put(entry)
+        self.store.put(CacheEntry(key=key, service=service, outputs=frozen))
         self.stats.record_store(service, size)
 
     def clear(self) -> None:

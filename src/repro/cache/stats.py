@@ -1,14 +1,13 @@
-"""Cache observability: per-service hit/miss/eviction/byte counters.
+"""Cache observability: per-service hit/miss/store/byte counters.
 
 The counters answer the experiment-level questions the warm-run study
 needs: which services actually hit, how much submission work a warm
-re-execution skipped, and whether the eviction policy is throwing away
-entries it will need again.  :class:`CacheStats` is the live mutable
-accumulator owned by a :class:`~repro.cache.ResultCache`;
-:meth:`CacheStats.snapshot` produces the frozen per-run view the
-enactor attaches to its :class:`~repro.core.enactor.EnactmentResult`
-(a shared cache accumulates across runs, so per-run numbers are a
-snapshot delta).
+re-execution skipped, and how many bytes of results back that saving.
+:class:`CacheStats` is the live mutable accumulator owned by a
+:class:`~repro.cache.ResultCache`; :meth:`CacheStats.snapshot` produces
+the frozen per-run view the enactor attaches to its
+:class:`~repro.core.enactor.EnactmentResult` (a shared cache accumulates
+across runs, so per-run numbers are a snapshot delta).
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ class ServiceCacheStats:
     misses: int = 0
     #: invocations de-duplicated against an identical in-flight one
     coalesced: int = 0
-    evictions: int = 0
     stores: int = 0
-    #: payload bytes currently attributed to stored entries
+    #: payload bytes of the entries stored
     bytes_stored: int = 0
 
     @property
@@ -51,7 +49,6 @@ class ServiceCacheStats:
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
             coalesced=self.coalesced + other.coalesced,
-            evictions=self.evictions + other.evictions,
             stores=self.stores + other.stores,
             bytes_stored=self.bytes_stored + other.bytes_stored,
         )
@@ -61,7 +58,6 @@ class ServiceCacheStats:
             hits=self.hits - other.hits,
             misses=self.misses - other.misses,
             coalesced=self.coalesced - other.coalesced,
-            evictions=self.evictions - other.evictions,
             stores=self.stores - other.stores,
             bytes_stored=self.bytes_stored - other.bytes_stored,
         )
@@ -133,10 +129,6 @@ class CacheStats:
     def record_store(self, service: str, size_bytes: int) -> None:
         """A freshly computed result entered the store."""
         self._bump(service, stores=1, bytes_stored=size_bytes)
-
-    def record_eviction(self, service: str, size_bytes: int) -> None:
-        """An entry was evicted (policy or TTL expiry)."""
-        self._bump(service, evictions=1, bytes_stored=-size_bytes)
 
     def snapshot(self) -> CacheStatsSnapshot:
         """Frozen copy of the counters right now."""

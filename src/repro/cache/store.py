@@ -2,7 +2,7 @@
 
 Two implementations behind one small contract:
 
-* :class:`InMemoryStore` — a bounded, thread-safe LRU map.  The right
+* :class:`InMemoryStore` — a thread-safe in-process map.  The right
   store for long-lived enactor processes that re-run workflows within
   one session (and for tests).
 * :class:`FileStore` — one JSON document per entry under a directory,
@@ -13,6 +13,9 @@ Two implementations behind one small contract:
   without submitting a single grid job — the operational payoff of the
   paper's "save and store the input data set in order to be able to
   re-execute workflows on the same data set".
+
+A store keeps every entry it is given: nothing expires and nothing is
+evicted, so a put costs the same at any store size.
 
 Payload values are JSON when they are plain scalars and pickled
 (base64, fixed protocol) otherwise, so arbitrary data products — rigid
@@ -28,13 +31,10 @@ import os
 import pickle
 import tempfile
 import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
-from repro.cache.policy import CachePolicy
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData
 
@@ -65,12 +65,10 @@ class CacheEntry:
     key: str
     service: str
     outputs: Dict[str, GridData] = field(default_factory=dict)
-    created_at: float = 0.0
-    size_bytes: int = 0
 
 
 def estimate_entry_bytes(outputs: Dict[str, GridData]) -> int:
-    """Approximate payload size of an outputs dict (for byte caps/stats)."""
+    """Approximate payload size of an outputs dict (for the byte stats)."""
     try:
         return len(pickle.dumps(outputs, protocol=_PICKLE_PROTOCOL))
     except Exception:
@@ -81,58 +79,34 @@ def estimate_entry_bytes(outputs: Dict[str, GridData]) -> int:
 class ResultStore(Protocol):
     """What the cache needs from a store implementation."""
 
-    #: called with each evicted/expired entry (wired by ResultCache)
-    on_evict: Optional[Callable[[CacheEntry], None]]
-    #: clock used for TTL expiry (injectable for tests/simulation)
-    clock: Callable[[], float]
-
     def get(self, key: str) -> Optional[CacheEntry]:
-        """The live entry under *key*, refreshing its recency; else None."""
+        """The entry under *key*, else None."""
         ...
 
     def put(self, entry: CacheEntry) -> None:
-        """Insert (or overwrite) an entry, evicting to fit the policy."""
+        """Insert (or overwrite) an entry."""
         ...
 
     def clear(self) -> None:
-        """Drop every entry (not counted as evictions)."""
+        """Drop every entry."""
         ...
 
     def __len__(self) -> int: ...
 
 
 class InMemoryStore:
-    """Bounded, thread-safe, LRU-ordered in-process store."""
+    """Thread-safe in-process store: a dict from key to entry."""
 
-    def __init__(
-        self,
-        policy: Optional[CachePolicy] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.policy = policy or CachePolicy.unbounded()
-        self.clock = clock
-        self.on_evict: Optional[Callable[[CacheEntry], None]] = None
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._lock = threading.RLock()
+    def __init__(self) -> None:
+        self._entries: Dict[str, CacheEntry] = {}
+        self._lock = threading.Lock()
 
     def get(self, key: str) -> Optional[CacheEntry]:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if self.policy.expired(entry.created_at, self.clock()):
-                del self._entries[key]
-                self._notify(entry)
-                return None
-            self._entries.move_to_end(key)
-            return entry
+            return self._entries.get(key)
 
     def put(self, entry: CacheEntry) -> None:
         with self._lock:
-            self._entries.pop(entry.key, None)  # overwrite keeps one copy
-            lru_first = [(e.key, float(e.size_bytes)) for e in self._entries.values()]
-            for victim in self.policy.evictions_for(lru_first, entry.size_bytes):
-                self._notify(self._entries.pop(victim))
             self._entries[entry.key] = entry
 
     def clear(self) -> None:
@@ -147,12 +121,8 @@ class InMemoryStore:
         with self._lock:
             return key in self._entries
 
-    def _notify(self, entry: CacheEntry) -> None:
-        if self.on_evict is not None:
-            self.on_evict(entry)
-
     def __repr__(self) -> str:
-        return f"<InMemoryStore entries={len(self)} policy={self.policy}>"
+        return f"<InMemoryStore entries={len(self)}>"
 
 
 # -- JSON (de)serialization --------------------------------------------------
@@ -198,19 +168,19 @@ def entry_to_document(entry: CacheEntry) -> dict:
     return {
         "key": entry.key,
         "service": entry.service,
-        "created_at": entry.created_at,
-        "size_bytes": entry.size_bytes,
         "outputs": {port: _encode_datum(d) for port, d in entry.outputs.items()},
     }
 
 
 def entry_from_document(doc: dict) -> CacheEntry:
-    """Rebuild an entry from its JSON form."""
+    """Rebuild an entry from its JSON form.
+
+    Other keys are ignored, so documents that still carry the old
+    ``created_at`` / ``size_bytes`` fields load and hit.
+    """
     return CacheEntry(
         key=doc["key"],
         service=doc["service"],
-        created_at=doc["created_at"],
-        size_bytes=doc["size_bytes"],
         outputs={port: _decode_datum(d) for port, d in doc["outputs"].items()},
     )
 
@@ -218,20 +188,12 @@ def entry_from_document(doc: dict) -> CacheEntry:
 class FileStore:
     """One JSON file per entry under *directory*, written atomically.
 
-    LRU recency is tracked through file mtimes (a ``get`` touches the
-    file), so the policy survives process restarts along with the data.
+    A document holds the key, the service and the outputs, nothing that
+    depends on when it was written: the same result is the same bytes.
     """
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        policy: Optional[CachePolicy] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
-        self.policy = policy or CachePolicy.unbounded()
-        self.clock = clock
-        self.on_evict: Optional[Callable[[CacheEntry], None]] = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -241,19 +203,9 @@ class FileStore:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        path = self._path(key)
-        entry = self._read(path)
-        if entry is None:
-            return None
-        if self.policy.expired(entry.created_at, self.clock()):
-            self._remove(path)
-            self._notify(entry)
-            return None
-        os.utime(path)  # refresh LRU recency
-        return entry
+        return self._read(self._path(key))
 
     def put(self, entry: CacheEntry) -> None:
-        self._evict_to_fit(entry)
         document = json.dumps(entry_to_document(entry))
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -299,36 +251,6 @@ class FileStore:
             path.unlink()
         except OSError:
             pass
-
-    def _notify(self, entry: CacheEntry) -> None:
-        if self.on_evict is not None:
-            self.on_evict(entry)
-
-    def _evict_to_fit(self, incoming: CacheEntry) -> None:
-        if self.policy.max_entries is None and self.policy.max_bytes is None:
-            return
-        candidates: List[Tuple[float, str, Path]] = []
-        for path in self.directory.glob("*.json"):
-            if path.stem == incoming.key:
-                continue  # overwrite, not a second entry
-            try:
-                candidates.append((path.stat().st_mtime, path.stem, path))
-            except OSError:
-                continue
-        candidates.sort()  # least recently used first
-        sizes: Dict[str, Tuple[Path, Optional[CacheEntry]]] = {}
-        lru_first: List[Tuple[str, float]] = []
-        for _, key, path in candidates:
-            entry = self._read(path)
-            if entry is None:
-                continue
-            sizes[key] = (path, entry)
-            lru_first.append((key, float(entry.size_bytes)))
-        for victim in self.policy.evictions_for(lru_first, incoming.size_bytes):
-            path, entry = sizes[victim]
-            self._remove(path)
-            if entry is not None:
-                self._notify(entry)
 
     def __repr__(self) -> str:
         return f"<FileStore dir={str(self.directory)!r} entries={len(self)}>"

@@ -16,8 +16,7 @@ Semantics implemented by the enactor:
 * **SP on** — per-item firing (pipelining, equation (3)).
 * **DP off** — at most one job in flight per service.
 * **DP on** — one concurrent job per available data item (unbounded,
-  hypothesis H2), optionally capped via ``data_parallelism_cap`` for
-  the Section 5.4 granularity ablation.
+  hypothesis H2).
 * **JG on** — maximal sequential chains of groupable wrapped services
   are fused into single-job virtual services before execution.
 """
@@ -25,7 +24,7 @@ Semantics implemented by the enactor:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 __all__ = ["OptimizationConfig"]
 
@@ -37,18 +36,6 @@ class OptimizationConfig:
     data_parallelism: bool = False
     service_parallelism: bool = False
     job_grouping: bool = False
-    #: max concurrent jobs per service when DP is on (None = unbounded)
-    data_parallelism_cap: Optional[int] = None
-    #: provenance-keyed result caching (see :mod:`repro.cache`)
-    cache: bool = False
-    #: which result store backs the cache: "memory" or "file"
-    cache_store: str = "memory"
-    #: directory of the file store (required when ``cache_store="file"``)
-    cache_dir: Optional[str] = None
-    #: LRU entry cap of the cache store (None = unbounded)
-    cache_max_entries: Optional[int] = None
-    #: seconds a cached result stays valid (None = forever)
-    cache_ttl: Optional[float] = None
     #: "strict" aborts the run on the first unrecoverable invocation;
     #: "best_effort" contains it to its lineage (see repro.core.failures)
     failure_mode: str = "strict"
@@ -58,25 +45,6 @@ class OptimizationConfig:
             raise ValueError(
                 f"failure_mode must be 'strict' or 'best_effort', got {self.failure_mode!r}"
             )
-        if self.data_parallelism_cap is not None:
-            if not self.data_parallelism:
-                raise ValueError("data_parallelism_cap requires data_parallelism=True")
-            if self.data_parallelism_cap < 1:
-                raise ValueError(
-                    f"data_parallelism_cap must be >= 1, got {self.data_parallelism_cap}"
-                )
-        if self.cache_store not in ("memory", "file"):
-            raise ValueError(
-                f"cache_store must be 'memory' or 'file', got {self.cache_store!r}"
-            )
-        if self.cache and self.cache_store == "file" and not self.cache_dir:
-            raise ValueError("cache_store='file' requires cache_dir")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError(
-                f"cache_max_entries must be >= 1, got {self.cache_max_entries}"
-            )
-        if self.cache_ttl is not None and self.cache_ttl <= 0:
-            raise ValueError(f"cache_ttl must be > 0, got {self.cache_ttl}")
 
     @property
     def label(self) -> str:
@@ -88,8 +56,6 @@ class OptimizationConfig:
             parts.append("DP")
         if self.job_grouping:
             parts.append("JG")
-        if self.cache:
-            parts.append("cache")
         return "+".join(parts) if parts else "NOP"
 
     @property
@@ -103,10 +69,8 @@ class OptimizationConfig:
 
     @property
     def service_concurrency(self) -> "int | float":
-        """Per-service concurrent-invocation cap implied by the flags."""
-        if not self.data_parallelism:
-            return 1
-        return self.data_parallelism_cap if self.data_parallelism_cap else float("inf")
+        """Per-service concurrent-invocation cap: 1 without DP, unbounded with it."""
+        return float("inf") if self.data_parallelism else 1
 
     # -- canonical configurations -------------------------------------------
     @classmethod
@@ -138,28 +102,6 @@ class OptimizationConfig:
     def sp_dp_jg(cls) -> "OptimizationConfig":
         """Everything on — the paper's best configuration."""
         return cls(data_parallelism=True, service_parallelism=True, job_grouping=True)
-
-    def with_cache(
-        self,
-        store: str = "memory",
-        directory: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        ttl: Optional[float] = None,
-    ) -> "OptimizationConfig":
-        """This configuration plus provenance-keyed result caching.
-
-        ``store="file"`` persists results under *directory* so a later
-        process can warm-re-execute the same workflow without submitting
-        any grid job (see :mod:`repro.cache`).
-        """
-        return replace(
-            self,
-            cache=True,
-            cache_store=store,
-            cache_dir=str(directory) if directory is not None else None,
-            cache_max_entries=max_entries,
-            cache_ttl=ttl,
-        )
 
     @classmethod
     def paper_configurations(cls) -> List["OptimizationConfig"]:

@@ -176,11 +176,10 @@ class MoteurEnactor:
         When given, grid-file items of the input data set are
         registered in the grid's replica catalog before execution.
     cache:
-        A provenance-keyed :class:`~repro.cache.ResultCache`.  When
-        given (or when ``config.cache`` is on, which builds one from the
-        configuration), every invocation consults it first: a hit
-        advances the dataflow immediately — zero grid jobs, zero
-        simulated time, no service concurrency slot — and emits a
+        A provenance-keyed :class:`~repro.cache.ResultCache`; caching is
+        on exactly when one is given.  Every invocation then consults it
+        first: a hit advances the dataflow immediately — zero grid jobs,
+        zero simulated time, no service concurrency slot — and emits a
         ``kind="cached"`` trace event.  Share one instance (or one
         :class:`~repro.cache.FileStore` directory) across enactors to
         make warm re-execution nearly free.
@@ -226,7 +225,7 @@ class MoteurEnactor:
         self.crash_after_n_invocations = crash_after_n_invocations
         if grid is not None and instrumentation is not None and grid.instrumentation is None:
             grid.instrumentation = instrumentation
-        self.cache = cache if cache is not None else ResultCache.from_config(self.config)
+        self.cache = cache
         require_valid(workflow)
         for processor in workflow.services():
             if processor.service is None:

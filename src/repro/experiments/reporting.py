@@ -125,12 +125,10 @@ def format_cache_stats(stats: Optional[CacheStatsSnapshot]) -> str:
     """
     if stats is None or not stats.per_service:
         return "(result caching disabled or unused)"
-    headers = ["Service", "hits", "coalesced", "misses", "hit rate",
-               "stores", "evictions", "bytes"]
+    headers = ["Service", "hits", "coalesced", "misses", "hit rate", "stores", "bytes"]
     def row(name, s):
         return [name, str(s.hits), str(s.coalesced), str(s.misses),
-                f"{s.hit_rate:.0%}", str(s.stores), str(s.evictions),
-                str(s.bytes_stored)]
+                f"{s.hit_rate:.0%}", str(s.stores), str(s.bytes_stored)]
     rows = [row(name, s) for name, s in stats]
     rows.append(row("TOTAL", stats.total))
     return _grid(headers, rows)

@@ -131,7 +131,6 @@ class Grid:
         overhead: OverheadModel,
         network: Optional[NetworkModel] = None,
         faults: Optional[FaultModel] = None,
-        broker_strategy: str = "least-loaded",
         broker_concurrency: "int | float" = float("inf"),
         overhead_load_coupling: float = 0.0,
         name: str = "grid",
@@ -193,8 +192,6 @@ class Grid:
         self.broker = ResourceBroker(
             engine,
             self.computing_elements,
-            rng=streams.get("broker"),
-            strategy=broker_strategy,
             concurrency=broker_concurrency,
         )
         #: every record ever submitted through this façade, submission order

@@ -190,7 +190,6 @@ def egee_like_testbed(
         overhead=overhead,
         network=NetworkModel(),  # LAN/WAN defaults
         faults=faults,
-        broker_strategy="least-loaded",
         broker_concurrency=broker_concurrency,
         overhead_load_coupling=overhead_load_coupling,
         name="egee-like",
@@ -290,7 +289,6 @@ def faulty_testbed(
         ),
         network=NetworkModel(),
         faults=faults,
-        broker_strategy="least-loaded",
         name="faulty",
         retry_policy=retry_policy,
         retry_budget=retry_budget,
@@ -393,7 +391,6 @@ def chaotic_testbed(
         ),
         network=network,
         faults=faults,
-        broker_strategy="least-loaded",
         name="chaotic",
         outages=outages,
         durability=DurabilityFaultModel(

@@ -37,11 +37,11 @@ object per line — the same streaming discipline as the span trace, so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.observability.bus import InstrumentationBus, JsonlLineWriter
+from repro.observability.jsonl import records_from_jsonl, records_to_jsonl
 
 __all__ = [
     "ALERT_KINDS",
@@ -137,25 +137,12 @@ def alert_sort_key(alert: Alert) -> Tuple[float, int]:
 
 def alerts_to_jsonl(alerts: Iterable[Alert]) -> str:
     """Serialize *alerts* as one JSON object per line."""
-    return "\n".join(json.dumps(a.to_dict(), sort_keys=True) for a in alerts)
+    return records_to_jsonl(alerts)
 
 
 def alerts_from_jsonl(text: "str | Iterable[str]") -> List[Alert]:
     """Parse an alert JSONL stream (blank lines ignored)."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    alerts: List[Alert] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AlertError(f"line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise AlertError(f"line {lineno} is not an alert record: {line[:80]!r}")
-        alerts.append(Alert.from_dict(payload))
-    return alerts
+    return records_from_jsonl(text, Alert.from_dict, AlertError, "an alert record")
 
 
 def publish_alert(

@@ -35,9 +35,10 @@ the sequence numbers; this module is pure data + serialization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.observability.jsonl import records_from_jsonl, records_to_jsonl
 
 __all__ = [
     "AUDIT_KINDS",
@@ -125,26 +126,12 @@ def audit_sort_key(event: AuditEvent) -> Tuple[float, int]:
 
 def audit_events_to_jsonl(events: Iterable[AuditEvent]) -> str:
     """Serialize *events* as one JSON object per line, sorted."""
-    ordered = sorted(events, key=audit_sort_key)
-    return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in ordered)
+    return records_to_jsonl(sorted(events, key=audit_sort_key))
 
 
 def audit_events_from_jsonl(text: "str | Iterable[str]") -> List[AuditEvent]:
     """Parse an audit JSONL stream (blank lines ignored)."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    events: List[AuditEvent] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AuditError(f"line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise AuditError(f"line {lineno} is not an audit record: {line[:80]!r}")
-        events.append(AuditEvent.from_dict(payload))
-    return events
+    return records_from_jsonl(text, AuditEvent.from_dict, AuditError, "an audit record")
 
 
 def _fmt_scores(scores: Dict[str, Any]) -> str:

@@ -26,9 +26,10 @@ against the Section 3.5 model meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
+
+from repro.observability.jsonl import records_from_jsonl, records_to_jsonl
 
 __all__ = [
     "ITEM_KINDS",
@@ -154,29 +155,10 @@ def span_sort_key(span: Span) -> tuple:
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """Serialize *spans* as one JSON object per line."""
-    return "\n".join(json.dumps(span.to_dict(), sort_keys=True) for span in spans)
+    return records_to_jsonl(spans)
 
 
-def spans_from_jsonl(text) -> List[Span]:
-    """Parse a JSONL span stream (blank lines ignored).
-
-    Accepts either one string of newline-separated records or any
-    iterable of lines (an open file works directly).
-    """
-    lines = text.splitlines() if isinstance(text, str) else text
-    spans: List[Span] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SpanError(f"line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise SpanError(f"line {lineno} is not a span record: {line[:80]!r}")
-        try:
-            spans.append(Span.from_dict(payload))
-        except SpanError as exc:
-            raise SpanError(f"line {lineno} is not a span record: {exc}") from None
-    return spans
+def spans_from_jsonl(text: "str | Iterable[str]") -> List[Span]:
+    """Parse a JSONL span stream (blank lines ignored; a string or any
+    iterable of lines, so an open file works directly)."""
+    return records_from_jsonl(text, Span.from_dict, SpanError, "a span record")

@@ -198,24 +198,6 @@ class TestWarmReexecution:
 
 
 class TestConfigDrivenCache:
-    def test_with_cache_builds_a_private_memory_cache(self, engine, ideal_grid):
-        config = OptimizationConfig.sp_dp().with_cache()
-        workflow = chain_workflow(engine, ideal_grid)
-        enactor = MoteurEnactor(engine, workflow, config)
-        assert isinstance(enactor.cache, ResultCache)
-        result = enactor.run({"in": [1]})
-        assert result.cache_stats is not None
-        assert result.cache_stats.total.misses == 2
-
-    @pytest.mark.cache_files
-    def test_file_store_from_config(self, cache_dir, engine, ideal_grid):
-        config = OptimizationConfig.sp_dp().with_cache(
-            store="file", directory=str(cache_dir)
-        )
-        workflow = chain_workflow(engine, ideal_grid)
-        MoteurEnactor(engine, workflow, config).run({"in": [1]})
-        assert len(list(cache_dir.glob("*.json"))) == 2
-
     def test_cache_off_reports_no_stats(self, engine, ideal_grid):
         workflow = chain_workflow(engine, ideal_grid)
         result = MoteurEnactor(engine, workflow, OptimizationConfig.sp_dp()).run(

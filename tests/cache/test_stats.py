@@ -34,14 +34,6 @@ class TestCacheStats:
         )
         assert snap.per_service["PFMatchICP"].misses == 1
 
-    def test_eviction_returns_bytes(self):
-        stats = CacheStats()
-        stats.record_store("S", 100)
-        stats.record_eviction("S", 100)
-        row = stats.snapshot().per_service["S"]
-        assert row.evictions == 1
-        assert row.bytes_stored == 0
-
     def test_snapshot_is_frozen_in_time(self):
         stats = CacheStats()
         stats.record_hit("S")

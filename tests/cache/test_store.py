@@ -1,11 +1,12 @@
-"""Result stores: LRU/TTL behaviour, atomic persistence, corrupt entries."""
+"""Result stores: keep-everything semantics, atomic persistence, corrupt entries."""
 
 import json
-import os
+import sys
+import time
 
 import numpy as np
 
-from repro.cache.policy import CachePolicy
+from repro.cache import ResultCache
 from repro.cache.store import (
     CacheEntry,
     FileStore,
@@ -19,19 +20,8 @@ from repro.grid.storage import LogicalFile
 from repro.services.base import GridData
 
 
-def make_entry(key, value=1, size=10, created_at=0.0, service="S"):
-    outputs = {"out": GridData(value=value)}
-    return CacheEntry(
-        key=key, service=service, outputs=outputs, created_at=created_at, size_bytes=size
-    )
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
+def make_entry(key, value=1, service="S"):
+    return CacheEntry(key=key, service=service, outputs={"out": GridData(value=value)})
 
 
 class TestProtocol:
@@ -50,51 +40,18 @@ class TestInMemoryStore:
         assert store.get("absent") is None
 
     def test_overwrite_keeps_single_entry(self):
-        store = InMemoryStore(CachePolicy.lru(5))
+        store = InMemoryStore()
         store.put(make_entry("k", value=1))
         store.put(make_entry("k", value=2))
         assert len(store) == 1
         assert store.get("k").outputs["out"].value == 2
 
-    def test_lru_eviction_order_respects_recency(self):
-        store = InMemoryStore(CachePolicy.lru(2))
-        evicted = []
-        store.on_evict = lambda e: evicted.append(e.key)
-        store.put(make_entry("a"))
-        store.put(make_entry("b"))
-        store.get("a")  # refresh "a": "b" becomes LRU
-        store.put(make_entry("c"))
-        assert evicted == ["b"]
-        assert "a" in store and "c" in store and "b" not in store
-
-    def test_byte_cap(self):
-        store = InMemoryStore(CachePolicy(max_bytes=100))
-        store.put(make_entry("a", size=60))
-        store.put(make_entry("b", size=60))  # 120 > 100 -> evict "a"
-        assert "a" not in store
-        assert "b" in store
-
-    def test_ttl_expiry_on_get(self):
-        clock = FakeClock()
-        store = InMemoryStore(CachePolicy(ttl=10.0), clock=clock)
-        expired = []
-        store.on_evict = lambda e: expired.append(e.key)
-        store.put(make_entry("k", created_at=0.0))
-        clock.now = 5.0
-        assert store.get("k") is not None
-        clock.now = 11.0
-        assert store.get("k") is None
-        assert expired == ["k"]
-        assert len(store) == 0
-
-    def test_clear_is_not_eviction(self):
+    def test_clear(self):
         store = InMemoryStore()
-        evicted = []
-        store.on_evict = lambda e: evicted.append(e.key)
         store.put(make_entry("k"))
         store.clear()
         assert len(store) == 0
-        assert evicted == []
+        assert "k" not in store
 
 
 class TestDocumentCodec:
@@ -153,29 +110,8 @@ class TestFileStore:
         assert store.get("k") is None
         assert not (cache_dir / "k.json").exists()
 
-    def test_ttl_expiry(self, cache_dir):
-        clock = FakeClock()
-        store = FileStore(cache_dir, CachePolicy(ttl=10.0), clock=clock)
-        store.put(make_entry("k", created_at=0.0))
-        clock.now = 20.0
-        assert store.get("k") is None
-        assert len(store) == 0
-
-    def test_lru_eviction_uses_mtimes(self, cache_dir):
-        store = FileStore(cache_dir, CachePolicy.lru(2))
-        evicted = []
-        store.on_evict = lambda e: evicted.append(e.key)
-        store.put(make_entry("a"))
-        store.put(make_entry("b"))
-        # make recency unambiguous on coarse-mtime filesystems
-        os.utime(cache_dir / "a.json", (1000, 1000))
-        os.utime(cache_dir / "b.json", (2000, 2000))
-        store.put(make_entry("c"))
-        assert evicted == ["a"]
-        assert sorted(store.keys()) == ["b", "c"]
-
-    def test_overwrite_does_not_evict_self(self, cache_dir):
-        store = FileStore(cache_dir, CachePolicy.lru(1))
+    def test_overwrite_keeps_single_entry(self, cache_dir):
+        store = FileStore(cache_dir)
         store.put(make_entry("k", value=1))
         store.put(make_entry("k", value=2))
         assert store.get("k").outputs["out"].value == 2
@@ -187,3 +123,71 @@ class TestFileStore:
         store.put(make_entry("b"))
         store.clear()
         assert len(store) == 0
+
+    def test_same_result_is_the_same_bytes(self, cache_dir):
+        """A document holds nothing that depends on when it was written."""
+        outputs = {"out": GridData(value=[1.5, 2.5]), "n": GridData(value=3)}
+        ResultCache(store=FileStore(cache_dir / "a")).put("k", "S", outputs)
+        time.sleep(0.01)
+        ResultCache(store=FileStore(cache_dir / "b")).put("k", "S", outputs)
+        first = (cache_dir / "a" / "k.json").read_bytes()
+        assert first == (cache_dir / "b" / "k.json").read_bytes()
+
+    def test_documents_with_timestamp_and_size_still_hit(self, cache_dir):
+        """Entries written with the older created_at/size_bytes fields stay warm."""
+        document = {
+            "key": "k",
+            "service": "S",
+            "created_at": 1760000000.5,
+            "size_bytes": 64,
+            "outputs": {"out": {"value": {"kind": "json", "data": 7}}},
+        }
+        (cache_dir / "k.json").write_text(json.dumps(document), encoding="utf-8")
+        cache = ResultCache(store=FileStore(cache_dir))
+        assert cache.lookup("k", "S")["out"].value == 7
+        assert cache.snapshot().total.hits == 1
+
+
+def put_calls(resident, puts=20):
+    """Calls made inside ``repro.cache`` per put into a cache of *resident* entries.
+
+    A call counts when a ``repro.cache`` frame is on the stack or is the
+    callee (Python and C calls alike), so store work a put delegates is
+    charged to it.
+    """
+    cache = ResultCache()
+    for i in range(resident):
+        cache.put(f"old{i}", "S", {"out": GridData(value=i)})
+    inside = calls = 0
+
+    def count(frame, event, arg):
+        nonlocal inside, calls
+        in_cache = frame.f_globals.get("__name__", "").startswith("repro.cache")
+        if event == "call":
+            if inside or in_cache:
+                calls += 1
+            inside += in_cache
+        elif event == "return":
+            inside -= in_cache
+        elif event == "c_call" and inside:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for i in range(puts):
+            cache.put(f"new{i}", "S", {"out": GridData(value=i)})
+    finally:
+        sys.setprofile(previous)
+    assert len(cache) == resident + puts
+    return calls / puts
+
+
+class TestPutCost:
+    def test_put_calls_do_not_grow_with_store_size(self):
+        # Deterministic complexity guard: counts calls, never reads a clock.
+        # Rebuilding a recency list and summing entry sizes on every put
+        # cost ~1 call per resident entry; a store that keeps what it is
+        # given does the same work at any size.
+        small, large = put_calls(100), put_calls(5000)
+        assert large < 1.5 * small, (small, large)

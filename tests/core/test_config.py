@@ -30,18 +30,6 @@ class TestSemantics:
     def test_service_concurrency_with_dp(self):
         assert OptimizationConfig.dp().service_concurrency == float("inf")
 
-    def test_dp_cap(self):
-        config = OptimizationConfig(data_parallelism=True, data_parallelism_cap=4)
-        assert config.service_concurrency == 4
-
-    def test_cap_without_dp_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizationConfig(data_parallelism_cap=4)
-
-    def test_cap_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizationConfig(data_parallelism=True, data_parallelism_cap=0)
-
     def test_frozen(self):
         config = OptimizationConfig.nop()
         with pytest.raises(AttributeError):

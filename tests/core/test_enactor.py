@@ -178,11 +178,3 @@ class TestTraceConsistency:
             {"input": [1, 2, 3]}
         )
         assert result.trace.max_concurrency("P1") == 3
-
-    def test_dp_cap_limits_overlap(self, engine):
-        workflow = value_chain(engine, length=1, duration=3.0)
-        config = OptimizationConfig(
-            data_parallelism=True, service_parallelism=True, data_parallelism_cap=2
-        )
-        result = MoteurEnactor(engine, workflow, config).run({"input": [1, 2, 3, 4]})
-        assert result.trace.max_concurrency("P1") == 2

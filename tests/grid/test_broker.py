@@ -5,7 +5,6 @@ import pytest
 from repro.grid.broker import ResourceBroker
 from repro.grid.job import JobDescription, JobRecord
 from repro.grid.resources import ComputingElement, WorkerNode
-from repro.util.rng import RandomStreams
 
 
 def make_ces(engine, count, slots=1):
@@ -24,75 +23,35 @@ def match_one(engine, broker, delay=0.0):
 
 
 class TestRanking:
-    def test_least_loaded_prefers_idle_ce(self, engine, streams):
+    def test_least_loaded_prefers_idle_ce(self, engine):
         ces = make_ces(engine, 3)
         # load up ce0 and ce1
         ces[0].submit(JobRecord(JobDescription(name="busy0", compute_time=1000.0)))
         ces[1].submit(JobRecord(JobDescription(name="busy1", compute_time=1000.0)))
         engine.run(until=0.1)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"), strategy="least-loaded")
+        broker = ResourceBroker(engine, ces)
         assert match_one(engine, broker).name == "ce2"
 
-    def test_least_loaded_ties_break_by_name(self, engine, streams):
+    def test_least_loaded_ties_break_by_name(self, engine):
         ces = make_ces(engine, 3)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"), strategy="least-loaded")
+        broker = ResourceBroker(engine, ces)
         assert match_one(engine, broker).name == "ce0"
 
-    def test_round_robin_cycles(self, engine, streams):
-        ces = make_ces(engine, 3)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"), strategy="round-robin")
-        chosen = [match_one(engine, broker).name for _ in range(6)]
-        assert chosen == ["ce0", "ce1", "ce2", "ce0", "ce1", "ce2"]
-
-    def test_round_robin_state_is_per_broker(self, engine, streams):
-        # regression: the rotation used to be shared module state, so a
-        # second broker over the same fleet resumed mid-cycle instead of
-        # starting at ce0 — two identical testbeds diverged
-        ces = make_ces(engine, 3)
-        first = ResourceBroker(
-            engine, ces, rng=streams.get("b1"), strategy="round-robin"
-        )
-        assert [match_one(engine, first).name for _ in range(2)] == ["ce0", "ce1"]
-        second = ResourceBroker(
-            engine, ces, rng=streams.get("b2"), strategy="round-robin"
-        )
-        assert [match_one(engine, second).name for _ in range(3)] == [
-            "ce0", "ce1", "ce2",
-        ]
-        # and the first broker's own rotation was not disturbed
-        assert match_one(engine, first).name == "ce2"
-
-    def test_random_is_reproducible(self, engine):
-        ces = make_ces(engine, 4)
-        s1 = RandomStreams(seed=5)
-        broker1 = ResourceBroker(engine, ces, rng=s1.get("b"), strategy="random")
-        picks1 = [match_one(engine, broker1).name for _ in range(10)]
-        s2 = RandomStreams(seed=5)
-        broker2 = ResourceBroker(engine, ces, rng=s2.get("b"), strategy="random")
-        picks2 = [match_one(engine, broker2).name for _ in range(10)]
-        assert picks1 == picks2
-        assert len(set(picks1)) > 1
-
-    def test_unknown_strategy_rejected(self, engine, streams):
-        ces = make_ces(engine, 1)
-        with pytest.raises(ValueError, match="ranking strategy"):
-            ResourceBroker(engine, ces, rng=streams.get("b"), strategy="magic")
-
-    def test_needs_at_least_one_ce(self, engine, streams):
+    def test_needs_at_least_one_ce(self, engine):
         with pytest.raises(ValueError):
-            ResourceBroker(engine, [], rng=streams.get("b"))
+            ResourceBroker(engine, [])
 
 
 class TestBrokerConcurrency:
-    def test_matchmaking_delay_applies(self, engine, streams):
+    def test_matchmaking_delay_applies(self, engine):
         ces = make_ces(engine, 1)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"))
+        broker = ResourceBroker(engine, ces)
         match_one(engine, broker, delay=30.0)
         assert engine.now == 30.0
 
-    def test_finite_concurrency_serializes_matchmaking(self, engine, streams):
+    def test_finite_concurrency_serializes_matchmaking(self, engine):
         ces = make_ces(engine, 1)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"), concurrency=1)
+        broker = ResourceBroker(engine, ces, concurrency=1)
         procs = [
             engine.process(broker.match(JobRecord(JobDescription(name=f"j{i}")), 10.0))
             for i in range(3)
@@ -100,9 +59,9 @@ class TestBrokerConcurrency:
         engine.run(until=engine.all_of(procs))
         assert engine.now == 30.0  # 3 x 10s strictly serialized
 
-    def test_infinite_concurrency_overlaps(self, engine, streams):
+    def test_infinite_concurrency_overlaps(self, engine):
         ces = make_ces(engine, 1)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"))
+        broker = ResourceBroker(engine, ces)
         procs = [
             engine.process(broker.match(JobRecord(JobDescription(name=f"j{i}")), 10.0))
             for i in range(3)
@@ -110,9 +69,9 @@ class TestBrokerConcurrency:
         engine.run(until=engine.all_of(procs))
         assert engine.now == 10.0
 
-    def test_matchmaking_counter(self, engine, streams):
+    def test_matchmaking_counter(self, engine):
         ces = make_ces(engine, 2)
-        broker = ResourceBroker(engine, ces, rng=streams.get("b"))
+        broker = ResourceBroker(engine, ces)
         for _ in range(4):
             match_one(engine, broker)
         assert broker.matchmaking_count == 4
@@ -133,37 +92,37 @@ class FakeHealth:
 
 
 class TestHealthFeedback:
-    def test_blacklisted_ce_avoided(self, engine, streams):
+    def test_blacklisted_ce_avoided(self, engine):
         ces = make_ces(engine, 3)
         broker = ResourceBroker(
-            engine, ces, rng=streams.get("b"), strategy="least-loaded",
+            engine, ces,
             health=FakeHealth(blacklist={"ce0"}),
         )
         assert match_one(engine, broker).name == "ce1"
         assert broker.demotions == 1
 
-    def test_all_blacklisted_still_places_the_job(self, engine, streams):
+    def test_all_blacklisted_still_places_the_job(self, engine):
         # a blacklist is a strong preference, never a deadlock
         ces = make_ces(engine, 2)
         broker = ResourceBroker(
-            engine, ces, rng=streams.get("b"),
+            engine, ces,
             health=FakeHealth(blacklist={"ce0", "ce1"}),
         )
         assert match_one(engine, broker).name == "ce0"
 
-    def test_penalty_demotes_without_blacklisting(self, engine, streams):
+    def test_penalty_demotes_without_blacklisting(self, engine):
         ces = make_ces(engine, 2)
         broker = ResourceBroker(
-            engine, ces, rng=streams.get("b"), strategy="least-loaded",
+            engine, ces,
             health=FakeHealth(penalties={"ce0": 5.0}),
         )
         assert match_one(engine, broker).name == "ce1"
         assert broker.demotions == 0  # demotion counts blacklist exclusions only
 
-    def test_healthy_provider_changes_nothing(self, engine, streams):
+    def test_healthy_provider_changes_nothing(self, engine):
         ces = make_ces(engine, 3)
-        plain = ResourceBroker(engine, ces, rng=streams.get("a"))
+        plain = ResourceBroker(engine, ces)
         wired = ResourceBroker(
-            engine, ces, rng=streams.get("b"), health=FakeHealth()
+            engine, ces, health=FakeHealth()
         )
         assert match_one(engine, plain).name == match_one(engine, wired).name

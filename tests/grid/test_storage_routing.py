@@ -30,7 +30,6 @@ def two_site_grid(engine):
             lan=LinkParameters(latency=0.0, bandwidth=100 * MEBIBYTE),
             wan=LinkParameters(latency=10.0, bandwidth=1 * MEBIBYTE),
         ),
-        broker_strategy="least-loaded",
     )
     return grid
 

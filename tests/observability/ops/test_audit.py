@@ -83,6 +83,11 @@ class TestJsonl:
         with pytest.raises(AuditError):
             audit_events_from_jsonl('{"no": "kind"}')
 
+    def test_malformed_record_names_its_line(self):
+        text = audit_events_to_jsonl([make_event()]) + '\n{"kind": "submit"}'
+        with pytest.raises(AuditError, match="line 2 is not an audit record: .*'time'"):
+            audit_events_from_jsonl(text)
+
 
 class TestExplainRun:
     def trail(self):

@@ -61,6 +61,10 @@ class TestAlert:
         with pytest.raises(AlertError, match="not valid JSON"):
             alerts_from_jsonl("{broken")
 
+    def test_malformed_record_names_its_line(self):
+        with pytest.raises(AlertError, match="line 2 is not an alert record: .*'time'"):
+            alerts_from_jsonl('\n{"kind": "straggler"}')
+
 
 class TestAlertRules:
     def test_validation(self):

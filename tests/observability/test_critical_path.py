@@ -118,7 +118,7 @@ class TestBronzeStandard:
         bus = InstrumentationBus()
         collector = bus.collector()
         cache = ResultCache()
-        config = OptimizationConfig.sp_dp().with_cache()
+        config = OptimizationConfig.sp_dp()
         dataset = app.build_dataset(2)
         app.enact(config, dataset=dataset, cache=cache, instrumentation=bus)
         warm = app.enact(config, dataset=dataset, cache=cache, instrumentation=bus)

@@ -52,7 +52,7 @@ def instrumented_run(engine, ideal_grid, streams):
     cache = ResultCache()
     dataset = app.build_dataset(2)
     result = app.enact(
-        OptimizationConfig.sp_dp().with_cache(),
+        OptimizationConfig.sp_dp(),
         dataset=dataset,
         cache=cache,
         instrumentation=bus,
@@ -166,7 +166,7 @@ class TestMetricsAndDrift:
         app, bus, collector, cache, cold = run.app, run.bus, run.collector, run.cache, run.result
         jobs_before = len(ideal_grid.completed_records())
         warm = app.enact(
-            OptimizationConfig.sp_dp().with_cache(),
+            OptimizationConfig.sp_dp(),
             dataset=run.dataset,
             cache=cache,
             instrumentation=bus,

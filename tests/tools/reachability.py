@@ -74,8 +74,6 @@ KEPT = {
         "RigidTransform": PINNED_CLASS,
         "rotation_angle_deg": "kept: test seam/reference (measures registration error in tests)",
     },
-    "repro.cache.policy": {"CachePolicy.lru": "kept: test seam/reference (builds the bounded "
-                                              "stores the eviction tests use)"},
     "repro.cache.store": {
         "InMemoryStore": "kept: test seam/reference (the in-process store the cache tests "
                          "substitute)",
@@ -141,16 +139,22 @@ KEPT = {
     "repro.workflow.render": {"to_dot": PINNED, "summarize": PINNED},
 }
 
-# What the last deletion batch removed (module -> names), kept as the record
+# What the deletion batches removed (module -> names), kept as the record
 # the ledger prints; a name listed here must not be defined again.
 DELETED = {
     "repro.apps.accuracy": ["_group_by_pair"],
-    "repro.cache": ["ResultCache.key_for"],
+    "repro.cache": ["ResultCache.key_for", "ResultCache.from_config",
+                    "ResultCache._record_eviction"],
+    "repro.cache.policy": ["(module) CachePolicy"],
+    "repro.cache.stats": ["CacheStats.record_eviction"],
+    "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify"],
+    "repro.core.config": ["OptimizationConfig.with_cache"],
     "repro.core.provenance": ["merged_lineage"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
     "repro.grid.batch": ["ShortestJobFirstPolicy"],
-    "repro.grid.broker": ["ResourceBroker.queue_length"],
+    "repro.grid.broker": ["ResourceBroker.queue_length", "_RoundRobin", "_rank_least_loaded",
+                          "_rank_random"],
     "repro.grid.faults": ["FaultModel.expected_attempts", "OutageSchedule.generate",
                           "OutageSchedule.subjects"],
     "repro.grid.job": ["JobFailedError.attempt_failures", "JobDescription.with_name",
@@ -609,7 +613,7 @@ def build_ledger(defs, reached):
                                            key=lambda kv: (kv[0][1], kv[0][0])):
         out.append(f"- `{module}` · {verdict}: {', '.join(f'`{n}`' for n in names)}")
     if DELETED:
-        out += ["", "## Deleted by the last batch", ""]
+        out += ["", "## Deleted so far", ""]
         for module in sorted(DELETED):
             out.append(f"- `{module}` · deleted: {', '.join(f'`{n}`' for n in DELETED[module])}")
     return "\n".join(out) + "\n", problems
