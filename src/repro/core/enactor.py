@@ -354,6 +354,7 @@ class MoteurEnactor:
         if self.instrumentation is not None:
             self.instrumentation.metrics.counter("enactor.cancellations").inc()
         self._close_run_span(status="cancelled", reason=reason)
+        self._close_journal()
         self._failed = True
         error = EnactmentCancelled(self.workflow.name, reason, self._report)
         # Pre-defuse: the scheduler harvests via callbacks, and nothing
@@ -861,9 +862,12 @@ class MoteurEnactor:
     ) -> None:
         """Record one completed invocation and let its outputs take effect.
 
-        Ordering is the WAL contract: the journal line is durable
-        *before* the outputs are emitted downstream, so a crash can
-        never have published results it did not persist.
+        Ordering is the WAL contract: the journal line is written and
+        flushed to the OS *before* the outputs are emitted downstream,
+        so a killed process never published results it did not record.
+        The fsync is group-committed (see :mod:`repro.core.journal`):
+        the journal is closed, and so made durable, before the run's
+        completion event triggers.
         """
         self._record(state, history, start, end, kind, job_ids)
         self._invocation_count += 1
@@ -881,6 +885,10 @@ class MoteurEnactor:
                         outputs=dict(outputs),
                     )
                 )
+                if self._completion.triggered:
+                    # A straggler of a finished (failed/cancelled) run:
+                    # keep its line, not the file handle.
+                    self.journal.close()
             self._progress += 1
             crash_after = self.crash_after_n_invocations
             if crash_after is not None and self._progress >= crash_after:
@@ -1006,12 +1014,23 @@ class MoteurEnactor:
         if self._failed or self._completion is None or self._completion.triggered:
             return
         if self._in_flight == 0:
+            self._close_journal()
             self._completion.succeed(self._build_result())
+
+    def _close_journal(self) -> None:
+        """Commit and close the journal before the completion triggers.
+
+        Whoever acts on the outcome — the caller, the service's store,
+        the CLI — therefore follows a durable journal.
+        """
+        if self.journal is not None:
+            self.journal.close()
 
     def _fail(self, exc: Exception) -> None:
         if not self._failed and self._completion is not None and not self._completion.triggered:
             self._failed = True
             self._close_run_span(status="error", error=str(exc))
+            self._close_journal()
             if isinstance(exc, SimulatedCrash):
                 # Crash tests must see the interrupt itself, not a wrapper.
                 self._completion.fail(exc)

@@ -3,17 +3,28 @@
 An interrupted enactment used to restart from zero.  The journal fixes
 that: the enactor appends one line per *completed* invocation —
 provenance key, trace metadata, and the produced outputs in the result
-cache's wire format — flushed and fsync'd before the outputs become
-visible to the dataflow.  ``MoteurEnactor.resume`` loads the journal
-and replays every recorded invocation instantly (``kind="replayed"``
-trace events, zero grid jobs), so the run continues exactly where the
-crash cut it off and the final outputs match an uninterrupted run.
+cache's wire format — before the outputs become visible to the
+dataflow.  ``MoteurEnactor.resume`` loads the journal and replays every
+recorded invocation instantly (``kind="replayed"`` trace events, zero
+grid jobs), so the run continues exactly where the crash cut it off and
+the final outputs match an uninterrupted run.
 
-Write-ahead ordering matters: an entry is durable *before* its outputs
-are emitted downstream, so a crash can lose at most work that had not
-yet taken effect.  Conversely a torn final line (the crash hit mid
-write) is detected on load and skipped — that invocation simply
-re-executes.
+Durability is two-level (group commit):
+
+* **Every line reaches the OS before its outputs are emitted**: each
+  append is written and flushed, so a killed process loses nothing it
+  has published downstream.
+* **``os.fsync`` runs in** :meth:`EnactmentJournal.commit`: once every
+  :data:`GROUP_COMMIT_LINES` unsynced lines, on :meth:`close`, and —
+  because the enactor closes its journal just before its completion
+  event triggers — before the caller, the service's store or the CLI
+  can act on the run's result.  An OS crash or power loss can
+  therefore drop only an unsynced tail whose effects lived in memory
+  that died with it; those invocations simply re-execute, with
+  identical outputs under the input-keyed RNG.
+
+A torn final line (the crash hit mid write) is detected on load and
+skipped — that invocation re-executes too.
 
 Failed invocations are never journaled: a resumed run retries them,
 which is exactly what you want after fixing whatever killed the run.
@@ -31,6 +42,9 @@ from repro.cache.store import decode_datum, encode_datum
 from repro.services.base import GridData
 
 __all__ = ["EnactmentJournal", "JournalEntry", "SimulatedCrash"]
+
+#: unsynced lines that force an ``os.fsync`` (group commit batch size)
+GROUP_COMMIT_LINES = 64
 
 
 class SimulatedCrash(RuntimeError):
@@ -93,6 +107,7 @@ class EnactmentJournal:
         self._handle: Optional[IO[str]] = None
         #: entries appended by THIS process (not counting loaded ones)
         self.appended = 0
+        self._unsynced = 0
 
     # -- writing -------------------------------------------------------
     def _ensure_open(self) -> IO[str]:
@@ -104,11 +119,13 @@ class EnactmentJournal:
     def _write(self, doc: dict) -> None:
         handle = self._ensure_open()
         handle.write(json.dumps(doc, sort_keys=True) + "\n")
-        # WAL semantics: the line must be durable before the enactor
-        # lets the recorded outputs take effect downstream.
+        # WAL semantics: the line reaches the OS before the enactor lets
+        # the recorded outputs take effect downstream; fsync is batched.
         handle.flush()
-        os.fsync(handle.fileno())
         self.appended += 1
+        self._unsynced += 1
+        if self._unsynced >= GROUP_COMMIT_LINES:
+            self.commit()
 
     def append_run(self, workflow: str, config_label: str, at: float) -> None:
         """Mark the start of one enactment (sanity anchor for load())."""
@@ -120,8 +137,16 @@ class EnactmentJournal:
         """Record one completed invocation (outputs included)."""
         self._write(entry.to_document())
 
+    def commit(self) -> None:
+        """Make every line written so far durable (one ``os.fsync``)."""
+        if self._handle is not None and self._unsynced:
+            os.fsync(self._handle.fileno())
+            self._unsynced = 0
+
     def close(self) -> None:
+        """Commit, then release the file handle (reopened on next append)."""
         if self._handle is not None:
+            self.commit()
             self._handle.close()
             self._handle = None
 

@@ -747,6 +747,10 @@ class EnactmentService:
             return out
 
     def close(self) -> None:
-        """Stop the worker and release the store."""
+        """Stop the worker, close in-flight runs' journals, release the store."""
         self.stop()
+        with self._lock:
+            for active in self._active.values():
+                if active.enactor.journal is not None:
+                    active.enactor.journal.close()
         self.store.close()

@@ -89,3 +89,18 @@ def test_killed_service_resumes_to_identical_outputs(tmp_path):
     for run_id, digest in expected.items():
         assert runs[run_id].result["outputs_digest"] == digest
     second_life.close()
+
+
+def test_close_commits_and_closes_in_flight_journals(tmp_path):
+    service = build_service(str(tmp_path / "service"))
+    r1, _ = submit_pair(service)
+    for _ in range(4000):
+        service.tick(max_events=10)
+        if journal_lines(service.store, r1.run_id) >= 3:
+            break
+    else:
+        pytest.fail("service never journalled enough progress to close mid-run")
+    journals = [active.enactor.journal for active in service._active.values()]
+    assert any(journal._handle is not None for journal in journals)
+    service.close()
+    assert journals and all(journal._handle is None for journal in journals)
