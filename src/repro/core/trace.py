@@ -15,7 +15,7 @@ from repro.observability.timeline import busy_seconds, peak, step_function
 __all__ = ["TraceEvent", "ExecutionTrace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One service invocation as observed by the enactor."""
 

@@ -41,7 +41,7 @@ class JobState(Enum):
     The happy path is ``CREATED -> SUBMITTED -> MATCHED -> QUEUED ->
     RUNNING -> DONE``.  A failing attempt goes to ``FAILED`` and, if the
     retry policy allows, back to ``SUBMITTED`` (the record keeps one
-    timestamp list per state, so resubmissions are visible).
+    timestamp list per state entered, so resubmissions are visible).
     """
 
     CREATED = "created"
@@ -93,7 +93,7 @@ class JobCancelledError(RuntimeError):
         self.resubmit = resubmit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobDescription:
     """Immutable description of one grid job.
 
@@ -119,8 +119,9 @@ class JobDescription:
         closest storage element and registered.
     payload:
         Optional callable ``payload() -> Any`` evaluated when the job
-        completes; its return value is stored on the record.  This is
-        how simulated services produce real data products.
+        completes; its return value is stored on the record, whose
+        description then drops it.  This is how simulated services
+        produce real data products.
     owner:
         Accounting tag (used by fair-share batch scheduling and the
         background-load separation in reports).
@@ -140,29 +141,69 @@ class JobDescription:
         return as_distribution(self.compute_time)
 
 
+class _Timestamps(dict):
+    """State -> entry times, holding only the states a job entered.
+
+    A state never entered reads as ``[]`` without being stored.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, state: JobState) -> list[float]:
+        return []
+
+
 class JobRecord:
-    """Mutable per-job execution record kept by the middleware."""
+    """Mutable per-job execution record kept by the middleware.
+
+    A finished record keeps what the statistics read (states, times,
+    attempts, the payload's result) and nothing else: the middleware
+    drops the payload closure once the job is DONE, and the timestamp
+    lists and failure history exist only for what actually happened.
+    """
+
+    __slots__ = (
+        "job_id",
+        "description",
+        "state",
+        "timestamps",
+        "computing_element",
+        "worker_node",
+        "attempts",
+        "result",
+        "failure_reason",
+        "_failures",
+        "stage_in_time",
+        "stage_out_time",
+        "execution_time",
+    )
 
     def __init__(self, description: JobDescription) -> None:
         self.job_id: int = next(_job_ids)
         self.description = description
         self.state: JobState = JobState.CREATED
         #: state -> list of times the state was entered (resubmission => several).
-        self.timestamps: dict[JobState, list[float]] = {state: [] for state in JobState}
+        self.timestamps: dict[JobState, list[float]] = _Timestamps()
         self.computing_element: Optional[str] = None
         self.worker_node: Optional[str] = None
         self.attempts: int = 0
         self.result: Any = None
         #: latest failure reason (None after a successful completion)
         self.failure_reason: Optional[str] = None
-        #: every attempt-level failure, oldest first — resubmissions
-        #: accumulate here instead of overwriting each other
-        self.failure_history: list[AttemptFailure] = []
+        self._failures: Optional[list[AttemptFailure]] = None
         #: seconds spent moving input/output files for the final attempt
         self.stage_in_time: float = 0.0
         self.stage_out_time: float = 0.0
         #: sampled payload execution seconds for the final attempt
         self.execution_time: float = 0.0
+
+    @property
+    def failure_history(self) -> list[AttemptFailure]:
+        """Every attempt-level failure, oldest first.
+
+        Resubmissions accumulate here instead of overwriting each other.
+        """
+        return self._failures if self._failures is not None else []
 
     @property
     def name(self) -> str:
@@ -172,7 +213,11 @@ class JobRecord:
     def enter(self, state: JobState, now: float) -> None:
         """Record entering *state* at simulated time *now*."""
         self.state = state
-        self.timestamps[state].append(now)
+        times = self.timestamps.get(state)
+        if times is None:
+            self.timestamps[state] = [now]
+        else:
+            times.append(now)
 
     def record_failure(
         self,
@@ -190,7 +235,9 @@ class JobRecord:
             at=at,
             kind=kind,
         )
-        self.failure_history.append(failure)
+        if self._failures is None:
+            self._failures = []
+        self._failures.append(failure)
         self.failure_reason = reason
         return failure
 

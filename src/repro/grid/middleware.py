@@ -26,7 +26,7 @@ which the experiment harness mines for overhead/makespan statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from repro.grid.broker import ResourceBroker
@@ -1064,6 +1064,11 @@ class Grid:
                 yield engine.timeout(sample.completion_notification)
             record.enter(JobState.DONE, engine.now)
             record.failure_reason = None
+            # The payload has produced the result: drop the closure and
+            # the input values it captured.  (Not on the CE: an attempt
+            # abandoned by a timeout may still run there, and the retry
+            # must evaluate the payload again.)
+            record.description = replace(record.description, payload=None)
             if bus is not None:
                 self._record_success(record, attempt_span, matched_at, chosen.name)
                 if job_span is not None and job_span.open:

@@ -105,6 +105,8 @@ class _ActiveRun:
     record: RunRecord
     enactor: MoteurEnactor
     completion: Event
+    #: ``len(grid.records)`` at launch: the run's jobs all come after it
+    first_job: int
 
 
 def _outputs_digest(result) -> str:
@@ -486,6 +488,7 @@ class EnactmentService:
         """Launch *run* on the shared engine (QUEUED -> RUNNING)."""
         record = run.advance(RunState.RUNNING)
         record.started_at = self.engine.now
+        first_job = len(self.grid.records)
         streams = RandomStreams(seed=record.seed)
         app = BronzeStandardApplication(
             self.engine,
@@ -517,7 +520,7 @@ class EnactmentService:
             lambda event, run_id=record.run_id: self._harvest(run_id, event)
         )
         self._active[record.run_id] = _ActiveRun(
-            record=record, enactor=enactor, completion=completion
+            record=record, enactor=enactor, completion=completion, first_job=first_job
         )
         self.store.put_run(record)
 
@@ -529,7 +532,13 @@ class EnactmentService:
         record = active.record
         now = self.engine.now
         record.finished_at = now
-        job_records = [r for r in self.grid.records if r.description.tags.get("run") == run_id]
+        # Only jobs submitted since the launch can be this run's, so a
+        # harvest scans them and not the whole history of the grid.
+        job_records = [
+            r
+            for r in self.grid.records[active.first_job:]
+            if r.description.tags.get("run") == run_id
+        ]
         jobs = len(job_records)
         if event.ok:
             result = event.value

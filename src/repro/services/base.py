@@ -58,7 +58,7 @@ class GridData:
         return GridData(value=value)
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationRecord:
     """One service invocation, for tracing and assertions."""
 

@@ -129,6 +129,13 @@ class CompositeService(Service):
             tuple(self._input_map),
             tuple(self._output_map),
         )
+        #: tags stamped on every grouped job (shared: nothing mutates them)
+        self._job_tags: Dict[str, Any] = {
+            **self.stages[0].tags,
+            "service": self.name,
+            "grouped": True,
+            "stages": len(self.stages),
+        }
 
     # -- introspection -------------------------------------------------------
     def public_input_name(self, stage_index: int, port: str) -> str:
@@ -230,12 +237,7 @@ class CompositeService(Service):
             output_files=tuple(produced),
             payload=payload,
             owner=self.stages[0].owner,
-            tags={
-                **self.stages[0].tags,
-                "service": self.name,
-                "grouped": True,
-                "stages": len(self.stages),
-            },
+            tags=self._job_tags,
         )
         handle = self.grid.submit(description)
         job_record = yield handle.completion

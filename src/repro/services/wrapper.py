@@ -97,6 +97,8 @@ class GenericWrapperService(Service):
         #: extra accounting tags stamped on every job this service
         #: submits (e.g. tenant / run id in multi-tenant enactments)
         self.tags: Dict[str, Any] = dict(tags or {})
+        #: what every job carries: one dict shared by all of them
+        self._job_tags: Dict[str, Any] = {**self.tags, "service": self.name}
         # Publish sandboxed files once: they are fetched by every job
         # (Figure 8 lists three of them for CrestLines.pl).
         self.sandbox_gfns: Tuple[str, ...] = tuple(
@@ -170,7 +172,7 @@ class GenericWrapperService(Service):
             output_files=tuple(produced),
             payload=payload,
             owner=self.owner,
-            tags={**self.tags, "service": self.name},
+            tags=self._job_tags,
         )
         return PreparedJob(description=description, minted=minted)
 

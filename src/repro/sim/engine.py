@@ -63,6 +63,8 @@ class Event:
     ``pending -> succeeded`` or ``pending -> failed``.
     """
 
+    __slots__ = ("engine", "name", "callbacks", "_value", "_ok", "defused")
+
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
@@ -123,6 +125,8 @@ class Event:
 class Timeout(Event):
     """An event that succeeds ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, engine: "Engine", delay: float, value: Any = None, name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
@@ -135,6 +139,8 @@ class Timeout(Event):
 
 class Initialize(Event):
     """Internal: starts a freshly created process at the current time."""
+
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", process: "Process") -> None:
         super().__init__(engine)
@@ -151,6 +157,8 @@ class Process(Event):
     return value when the generator finishes, or fails with the
     exception that escaped the generator.
     """
+
+    __slots__ = ("_gen", "_target")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -210,6 +218,8 @@ class AllOf(Event):
     sub-events were given (not the order they triggered in).
     """
 
+    __slots__ = ("events", "_remaining")
+
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = "") -> None:
         super().__init__(engine, name=name)
         self.events: List[Event] = list(events)
@@ -248,6 +258,8 @@ class AnyOf(Event):
     The success value is a ``(event, value)`` pair identifying which
     sub-event won.
     """
+
+    __slots__ = ("events",)
 
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = "") -> None:
         super().__init__(engine, name=name)

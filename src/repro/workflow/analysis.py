@@ -13,14 +13,14 @@ phrased in:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+import heapq
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.workflow.graph import ProcessorKind, Workflow, WorkflowError
 
 __all__ = [
     "processor_graph",
+    "lexicographic_order",
     "critical_path",
     "services_on_critical_path",
     "find_cycles",
@@ -29,21 +29,46 @@ __all__ = [
 ]
 
 
-def processor_graph(workflow: Workflow, constraints: bool = False) -> nx.DiGraph:
-    """Collapse port-level links into a processor-level digraph.
+def processor_graph(workflow: Workflow, constraints: bool = False) -> Dict[str, List[str]]:
+    """Collapse port-level links into a processor-level adjacency mapping.
 
+    Every processor is a key, in insertion order; its value lists the
+    distinct processors it feeds, in the order of their first link.
     With ``constraints=True`` the coordination control links are
     included as edges too (they constrain order like data links do).
     """
-    graph = nx.DiGraph()
-    for name in workflow.processors:
-        graph.add_node(name)
-    for link in workflow.links:
-        graph.add_edge(link.source.processor, link.target.processor)
+    graph: Dict[str, List[str]] = {name: [] for name in workflow.processors}
+    edges = [(link.source.processor, link.target.processor) for link in workflow.links]
     if constraints:
-        for before, after in workflow.coordination_constraints:
-            graph.add_edge(before, after)
+        edges.extend(workflow.coordination_constraints)
+    for before, after in edges:
+        if after not in graph[before]:
+            graph[before].append(after)
     return graph
+
+
+def lexicographic_order(graph: Mapping[str, Sequence[str]]) -> List[str]:
+    """Kahn's algorithm, smallest ready name first.
+
+    On an acyclic *graph* this is its lexicographically smallest
+    topological order.  On a cyclic one it stops short: processors on
+    a cycle, or downstream of one, never become ready.
+    """
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for name in successors:
+            indegree[name] += 1
+    ready = [name for name, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order: List[str] = []
+    while ready:
+        name = heapq.heappop(ready)
+        order.append(name)
+        for successor in graph[name]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    return order
 
 
 def critical_path(
@@ -55,9 +80,12 @@ def critical_path(
     time; missing services default to 1.0 and sources/sinks to 0.0, so
     the unweighted call returns the path with the most services — the
     ``n_W`` of the paper's model under its constant-time hypothesis.
+    Ties go to the predecessor linked first, then to the terminal
+    processor added first.
     """
     graph = processor_graph(workflow)
-    if not nx.is_directed_acyclic_graph(graph):
+    order = lexicographic_order(graph)
+    if len(order) < len(graph):
         raise WorkflowError("critical_path requires an acyclic workflow")
 
     def weight(name: str) -> float:
@@ -66,9 +94,14 @@ def critical_path(
         kind = workflow.processor(name).kind
         return 1.0 if kind is ProcessorKind.SERVICE else 0.0
 
+    predecessors: Dict[str, List[str]] = {name: [] for name in graph}
+    for link in workflow.links:
+        sources = predecessors[link.target.processor]
+        if link.source.processor not in sources:
+            sources.append(link.source.processor)
     best: Dict[str, Tuple[float, List[str]]] = {}
-    for name in nx.topological_sort(graph):
-        incoming = [best[p] for p in graph.predecessors(name)]
+    for name in order:
+        incoming = [best[p] for p in predecessors[name]]
         if incoming:
             base_cost, base_path = max(incoming, key=lambda item: item[0])
         else:
@@ -78,7 +111,7 @@ def critical_path(
         return []
     # A path links an input to an output: only terminal nodes (no
     # successors) can end the critical path.
-    terminals = [n for n in graph.nodes if graph.out_degree(n) == 0]
+    terminals = [name for name, successors in graph.items() if not successors]
     return max((best[n] for n in terminals), key=lambda item: item[0])[1]
 
 
@@ -91,17 +124,64 @@ def services_on_critical_path(workflow: Workflow) -> int:
 
 
 def find_cycles(workflow: Workflow) -> List[List[str]]:
-    """Simple cycles of the data-link graph ([] for DAG workflows)."""
+    """Simple cycles of the data-link graph ([] for DAG workflows).
+
+    Johnson's algorithm, run once per processor in insertion order over
+    the processors added no earlier than it.  So each cycle starts at
+    its earliest-added processor and follows links in the order they
+    were added; cycles are listed by that first processor, then in
+    depth-first discovery order.  A self-link is a one-processor cycle.
+    """
     graph = processor_graph(workflow)
-    return [list(cycle) for cycle in nx.simple_cycles(graph)]
+    rank = {name: index for index, name in enumerate(graph)}
+    cycles: List[List[str]] = []
+    for start in graph:
+        floor = rank[start]
+        path = [start]
+        blocked = {start}
+        # processor -> blocked processors to release when it is released
+        waiting: Dict[str, Set[str]] = {}
+        stack = [iter(graph[start])]
+        closed = [False]
+        while stack:
+            for name in stack[-1]:
+                if rank[name] < floor:
+                    continue
+                if name == start:
+                    cycles.append(list(path))
+                    closed[-1] = True
+                elif name not in blocked:
+                    path.append(name)
+                    blocked.add(name)
+                    stack.append(iter(graph[name]))
+                    closed.append(False)
+                    break
+            else:
+                stack.pop()
+                done = path.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    release = [done]
+                    while release:
+                        name = release.pop()
+                        if name in blocked:
+                            blocked.remove(name)
+                            release.extend(waiting.pop(name, ()))
+                else:
+                    for name in graph[done]:
+                        if rank[name] >= floor:
+                            waiting.setdefault(name, set()).add(done)
+    return cycles
 
 
 def topological_order(workflow: Workflow, constraints: bool = True) -> List[str]:
     """A deterministic topological order (lexicographic tie-breaks)."""
     graph = processor_graph(workflow, constraints=constraints)
-    if not nx.is_directed_acyclic_graph(graph):
+    order = lexicographic_order(graph)
+    if len(order) < len(graph):
         raise WorkflowError("topological_order requires an acyclic workflow")
-    return list(nx.lexicographical_topological_sort(graph))
+    return order
 
 
 def sequential_chains(workflow: Workflow) -> List[List[str]]:

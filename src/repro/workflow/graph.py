@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 __all__ = [
     "ProcessorKind",
     "PortRef",
@@ -301,30 +299,13 @@ class Workflow:
                 out.append(link.target.processor)
         return out
 
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """Export to a networkx multigraph (analysis layer input)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for name, processor in self._processors.items():
-            graph.add_node(name, kind=processor.kind.value, processor=processor)
-        for link in self._links:
-            graph.add_edge(
-                link.source.processor,
-                link.target.processor,
-                source_port=link.source.port,
-                target_port=link.target.port,
-            )
-        for before, after in self.coordination_constraints:
-            graph.add_edge(before, after, constraint=True)
-        return graph
-
     def is_dag(self) -> bool:
         """True when the data-link graph has no directed cycle."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._processors)
-        graph.add_edges_from(
-            (l.source.processor, l.target.processor) for l in self._links
-        )
-        return nx.is_directed_acyclic_graph(graph)
+        # analysis builds on this module, so it is imported on first use
+        from repro.workflow.analysis import lexicographic_order, processor_graph
+
+        graph = processor_graph(self)
+        return len(lexicographic_order(graph)) == len(graph)
 
     def copy(self, name: Optional[str] = None) -> "Workflow":
         """Shallow structural copy (processors are immutable, so shared)."""

@@ -38,7 +38,7 @@ import zlib
 from collections import Counter
 from itertools import product
 
-import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +47,7 @@ from repro.core.provenance import HistoryTree, compatible
 from repro.services.base import LocalService
 from repro.sim.engine import Engine
 from repro.workflow.graph import Processor, ProcessorKind, Workflow
+from tests.tools.networkx_reference import to_networkx
 
 
 class ReferenceEnactor:
@@ -64,7 +65,8 @@ class ReferenceEnactor:
         workflow = self.workflow
         emitted = {}  # (processor, output port) -> stream
         collected = {}  # sink -> stream
-        for name in nx.topological_sort(workflow.to_networkx()):
+        nx = pytest.importorskip("networkx")
+        for name in nx.topological_sort(to_networkx(workflow, constraints=True)):
             processor = workflow.processor(name)
             if processor.kind is ProcessorKind.SOURCE:
                 emitted[name, processor.output_ports[0]] = [

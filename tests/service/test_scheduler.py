@@ -235,3 +235,45 @@ class TestBackgroundWorker:
         finally:
             service.stop()
         assert service.status(first.run_id).result["grid_jobs"] == 6
+
+
+class _CountingRecords(list):
+    """``grid.records`` that counts the job records handed to a reader."""
+
+    handed = 0
+
+    def __iter__(self):
+        for record in list.__iter__(self):
+            self.handed += 1
+            yield record
+
+    def __getitem__(self, index):
+        items = list.__getitem__(self, index)
+        self.handed += len(items) if isinstance(index, slice) else 1
+        return items
+
+
+class TestHarvestCost:
+    def test_harvest_reads_only_its_own_runs_jobs(self):
+        # Deterministic complexity guard: counts the job records a harvest
+        # looks at, never reads a clock.  Filtering every job the shared
+        # grid ever ran by its run tag costs 6, 12, 18, ... records for
+        # back-to-back one-pair runs; a harvest that starts at its run's
+        # first job reads the run's 6 whatever ran before it.
+        service = make_service(max_runs=1)
+        service.add_tenant(TenantSpec(name="a"))
+        records = service.grid.records = _CountingRecords(service.grid.records)
+        harvest = service._harvest
+        per_harvest = []
+
+        def counted(run_id, event):
+            before = records.handed
+            harvest(run_id, event)
+            per_harvest.append(records.handed - before)
+
+        service._harvest = counted
+        for _ in range(6):
+            service.submit("a", n_items=1)
+        runs = service.drain()
+        assert [run.result["grid_jobs"] for run in runs] == [6] * 6
+        assert per_harvest == [6] * 6

@@ -127,11 +127,7 @@ KEPT = {
     "repro.taskbased.dag": {"StaticDag.edges": OBSERVED},
     "repro.workflow.builder": {"WorkflowBuilder": PINNED_CLASS},
     "repro.workflow.datasets": {"InputDataSet": PINNED_CLASS},
-    "repro.workflow.graph": {
-        "Workflow.to_networkx": "kept: test seam/reference (graph analyses are checked "
-                                "against networkx)",
-        "Workflow": PINNED_CLASS,
-    },
+    "repro.workflow.graph": {"Workflow": PINNED_CLASS},
     "repro.workflow.patterns": {
         "figure2_workflow": "kept: test seam/reference (a canned workflow the tests build on)",
         "diamond_workflow": "kept: test seam/reference (a canned workflow the tests build on)",

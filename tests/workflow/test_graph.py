@@ -3,6 +3,7 @@
 import pytest
 
 from repro.services.base import LocalService
+from repro.workflow.analysis import processor_graph
 from repro.workflow.graph import (
     PortRef,
     Processor,
@@ -10,6 +11,7 @@ from repro.workflow.graph import (
     Workflow,
     WorkflowError,
 )
+from tests.tools.networkx_reference import to_networkx
 
 
 @pytest.fixture
@@ -147,9 +149,11 @@ class TestWorkflowInspection:
         assert not wf.is_dag()
 
     def test_to_networkx(self, simple):
-        graph = simple.to_networkx()
+        # networkx is the test-side reference of the stdlib processor graph
+        graph = to_networkx(simple)
         assert set(graph.nodes) == {"src", "P1", "out"}
         assert graph.number_of_edges() == 2
+        assert {name: list(graph.successors(name)) for name in graph} == processor_graph(simple)
 
     def test_copy_is_independent(self, simple):
         clone = simple.copy()
