@@ -97,10 +97,12 @@ def main() -> None:
                 make_registry(run_engine),
             )
             run_dataset = dataset_from_xml(dataset_path.read_text())
-            cache = ResultCache(store=FileStore(cache_dir))
+            store = FileStore(cache_dir)
             run = MoteurEnactor(
-                run_engine, run_workflow, OptimizationConfig.sp_dp(), cache=cache
+                run_engine, run_workflow, OptimizationConfig.sp_dp(),
+                cache=ResultCache(store=store),
             ).run(run_dataset)
+            store.close()
             stats = run.cache_stats.total
             print(f"  {tag}: makespan {run.makespan:.0f}s, "
                   f"hits={stats.hits} misses={stats.misses} "
@@ -109,8 +111,10 @@ def main() -> None:
         print("\nwith the provenance-keyed result cache:")
         enact("cold run")
         enact("warm run")
-        entries = len(list(cache_dir.glob("*.json")))
-        print(f"  ({entries} cache entries persisted under {cache_dir.name}/)")
+        store = FileStore(cache_dir)
+        print(f"  ({len(store)} cache entries persisted in "
+              f"{cache_dir.name}/{store.path.name})")
+        store.close()
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ This subsystem closes that gap:
   keys from service identity (descriptor fingerprints, covering every
   stage of virtual grouped services) plus the input tokens' history-tree
   lineage and payload values,
-* :mod:`~repro.cache.store` provides the in-memory store and the atomic
-  JSON-on-disk store behind one protocol; a store keeps every entry it
-  is given,
+* :mod:`~repro.cache.store` provides the in-memory store and the
+  append-only on-disk log store behind one protocol; a store keeps
+  every entry it is given,
 * :mod:`~repro.cache.stats` counts hits/misses/stores/bytes per service
   for the experiment reports.
 

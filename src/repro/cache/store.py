@@ -5,14 +5,15 @@ Two implementations behind one small contract:
 * :class:`InMemoryStore` — a thread-safe in-process map.  The right
   store for long-lived enactor processes that re-run workflows within
   one session (and for tests).
-* :class:`FileStore` — one JSON document per entry under a directory,
-  written atomically (``tmp`` + ``os.replace``) so a crashed run never
-  leaves a torn entry behind.  This is the store that makes **warm
-  re-execution across processes** work: a cold run persists every
-  result, a later run with the same provenance keys replays them
-  without submitting a single grid job — the operational payoff of the
-  paper's "save and store the input data set in order to be able to
-  re-execute workflows on the same data set".
+* :class:`FileStore` — every entry as one line of an append-only log,
+  ``<directory>/entries.jsonl``, under the crash-tolerant line
+  discipline the enactment journal shares (:mod:`repro.util.linelog`),
+  so a crashed run never serves a torn entry.  This is the store that
+  makes **warm re-execution across processes** work: a cold run
+  persists every result, a later run with the same provenance keys
+  replays them without submitting a single grid job — the operational
+  payoff of the paper's "save and store the input data set in order to
+  be able to re-execute workflows on the same data set".
 
 A store keeps every entry it is given: nothing expires and nothing is
 evicted, so a put costs the same at any store size.
@@ -29,14 +30,14 @@ import json
 import math
 import os
 import pickle
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import BinaryIO, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData
+from repro.util.linelog import append_line, complete_lines, open_log
 
 __all__ = [
     "CacheEntry",
@@ -186,10 +187,17 @@ def entry_from_document(doc: dict) -> CacheEntry:
 
 
 class FileStore:
-    """One JSON file per entry under *directory*, written atomically.
+    """Every entry as one line of ``<directory>/entries.jsonl``.
 
-    A document holds the key, the service and the outputs, nothing that
-    depends on when it was written: the same result is the same bytes.
+    A line is the entry's JSON document — the key, the service and the
+    outputs, nothing that depends on when it was written — so the same
+    result is the same bytes.  A put is one appended line; an in-memory
+    index maps each key to its line's (offset, length), so a hit is one
+    positional read.  A miss first indexes the lines other instances or
+    processes appended since the last look; a later line for a key
+    wins.  A line that is torn or does not parse is never indexed, and a
+    read whose line turns out not to carry the key asked for (the log was
+    cleared under a stale index) is a miss: neither ever crashes.
     """
 
     def __init__(self, directory: "str | Path") -> None:
@@ -198,59 +206,104 @@ class FileStore:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CacheStoreError(f"cannot create cache directory {directory}: {exc}") from exc
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        self.path = self.directory / "entries.jsonl"
+        self._lock = threading.Lock()
+        self._handle: Optional[BinaryIO] = None
+        #: key -> (offset, length) of its latest line, "\n" excluded
+        self._index: Dict[str, Tuple[int, int]] = {}
+        #: every complete line before this offset is indexed
+        self._scanned = 0
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        return self._read(self._path(key))
+        with self._lock:
+            span = self._index.get(key)
+            if span is None:
+                self._refresh()
+                span = self._index.get(key)
+                if span is None:
+                    return None
+            offset, length = span
+            line = os.pread(self._open().fileno(), length, offset)
+        try:
+            entry = entry_from_document(json.loads(line))
+        except Exception:
+            entry = None  # a corrupt entry is a miss, never a crash
+        if entry is not None and entry.key == key:
+            return entry
+        with self._lock:
+            if self._index.get(key) == span:
+                # stale offsets (another instance cleared the log): the
+                # next lookup re-indexes from the start
+                self._forget()
+        return None
 
     def put(self, entry: CacheEntry) -> None:
-        document = json.dumps(entry_to_document(entry))
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(document)
-            os.replace(tmp_name, self._path(entry.key))
-        except OSError as exc:
+        line = json.dumps(entry_to_document(entry)).encode("utf-8")
+        with self._lock:
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise CacheStoreError(f"cannot write cache entry {entry.key}: {exc}") from exc
+                end = append_line(self._open(), line)
+            except OSError as exc:
+                raise CacheStoreError(f"cannot write cache entry {entry.key}: {exc}") from exc
+            start = end - len(line) - 1
+            self._index[entry.key] = (start, len(line))
+            if self._scanned == start:
+                self._scanned = end
 
     def clear(self) -> None:
-        for path in self.directory.glob("*.json"):
-            self._remove(path)
+        with self._lock:
+            self._open().truncate(0)
+            self._forget()
+
+    def close(self) -> None:
+        """Release the log handle; the next operation reopens and re-indexes."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+            self._forget()
 
     def keys(self) -> List[str]:
-        """Keys currently on disk."""
-        return [path.stem for path in self.directory.glob("*.json")]
+        """Keys in the log."""
+        with self._lock:
+            self._refresh()
+            return list(self._index)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
+        with self._lock:
+            self._refresh()
+            return len(self._index)
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        with self._lock:
+            self._refresh()
+            return key in self._index
 
-    # -- internals -----------------------------------------------------
-    def _read(self, path: Path) -> Optional[CacheEntry]:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            return entry_from_document(json.loads(text))
-        except Exception:
-            # A torn/corrupt entry is a miss, never a crash.
-            self._remove(path)
-            return None
+    # -- internals (call with the lock held) ---------------------------
+    def _open(self) -> BinaryIO:
+        if self._handle is None:
+            try:
+                self._handle = open_log(self.path)
+            except OSError as exc:
+                raise CacheStoreError(f"cannot open cache log {self.path}: {exc}") from exc
+        return self._handle
 
-    def _remove(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    def _forget(self) -> None:
+        self._index.clear()
+        self._scanned = 0
+
+    def _refresh(self) -> None:
+        """Index the complete lines appended since the last scan."""
+        handle = self._open()
+        if os.fstat(handle.fileno()).st_size < self._scanned:
+            self._forget()  # truncated by another instance's clear()
+        for offset, line in complete_lines(handle, self._scanned):
+            self._scanned = offset + len(line) + 1
+            try:
+                key = json.loads(line)["key"]
+            except (ValueError, TypeError, KeyError):
+                continue  # torn or corrupt: never indexed, reads as a miss
+            if isinstance(key, str):
+                self._index[key] = (offset, len(line))
 
     def __repr__(self) -> str:
         return f"<FileStore dir={str(self.directory)!r} entries={len(self)}>"

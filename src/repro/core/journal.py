@@ -23,8 +23,12 @@ Durability is two-level (group commit):
   that died with it; those invocations simply re-execute, with
   identical outputs under the input-keyed RNG.
 
-A torn final line (the crash hit mid write) is detected on load and
-skipped — that invocation re-executes too.
+Lines follow the crash-tolerant discipline of :mod:`repro.util.linelog`,
+shared with the result cache's ``FileStore``: a torn final line (the
+crash hit mid write) does not parse and is skipped, so that invocation
+re-executes too, while a final line cut only at its newline still loads;
+reopening the journal ends the fragment before the next line, so a
+resumed run's first line is never glued onto it.
 
 Failed invocations are never journaled: a resumed run retries them,
 which is exactly what you want after fixing whatever killed the run.
@@ -36,10 +40,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, List, Mapping, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cache.store import decode_datum, encode_datum
 from repro.services.base import GridData
+from repro.util.linelog import append_line, complete_lines, open_log
 
 __all__ = ["EnactmentJournal", "JournalEntry", "SimulatedCrash"]
 
@@ -104,24 +109,18 @@ class EnactmentJournal:
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
+        self._handle: Optional[BinaryIO] = None
         #: entries appended by THIS process (not counting loaded ones)
         self.appended = 0
         self._unsynced = 0
 
     # -- writing -------------------------------------------------------
-    def _ensure_open(self) -> IO[str]:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
-
     def _write(self, doc: dict) -> None:
-        handle = self._ensure_open()
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
+        if self._handle is None:
+            self._handle = open_log(self.path)
         # WAL semantics: the line reaches the OS before the enactor lets
         # the recorded outputs take effect downstream; fsync is batched.
-        handle.flush()
+        append_line(self._handle, json.dumps(doc, sort_keys=True).encode("utf-8"))
         self.appended += 1
         self._unsynced += 1
         if self._unsynced >= GROUP_COMMIT_LINES:
@@ -157,6 +156,22 @@ class EnactmentJournal:
         self.close()
 
     # -- reading -------------------------------------------------------
+    def _documents(self) -> Iterator[dict]:
+        """Every complete line that parses as a JSON object, oldest first."""
+        if not self.path.exists():
+            return
+        with open(self.path, "rb") as handle:
+            # A JSON object parses only up to its closing brace, so a
+            # final fragment that parses is a whole line short of its
+            # newline; a torn one fails to parse and is skipped.
+            for _, line in complete_lines(handle, tail=True):
+                try:
+                    doc = json.loads(line)
+                except ValueError:
+                    continue  # a torn fragment, at the end or ended by a reopen
+                if isinstance(doc, dict):
+                    yield doc
+
     def load(self) -> Dict[str, JournalEntry]:
         """Replay map ``provenance key -> entry`` from the journal file.
 
@@ -166,37 +181,19 @@ class EnactmentJournal:
         journal spanning several runs replays the freshest results.
         """
         entries: Dict[str, JournalEntry] = {}
-        if not self.path.exists():
-            return entries
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    if doc.get("event") != "invocation":
-                        continue
-                    entry = JournalEntry.from_document(doc)
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn/corrupt line: re-execute that invocation
-                entries[entry.key] = entry
+        for doc in self._documents():
+            if doc.get("event") != "invocation":
+                continue
+            try:
+                entry = JournalEntry.from_document(doc)
+            except (ValueError, KeyError, TypeError):
+                continue  # corrupt line: re-execute that invocation
+            entries[entry.key] = entry
         return entries
 
     def runs(self) -> List[dict]:
         """The run-start markers present in the journal, oldest first."""
-        markers: List[dict] = []
-        if not self.path.exists():
-            return markers
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if doc.get("event") == "run":
-                    markers.append(doc)
-        return markers
+        return [doc for doc in self._documents() if doc.get("event") == "run"]
 
     def __repr__(self) -> str:
         return f"<EnactmentJournal {str(self.path)!r} appended={self.appended}>"

@@ -123,8 +123,13 @@ class TestWarmReexecution:
         replays — the cross-process re-execution story."""
         config = OptimizationConfig.sp_dp()
         dataset = {"in": [10, 20]}
-        cold, _ = run_once(config, ResultCache(store=FileStore(cache_dir)), dataset)
-        warm, warm_grid = run_once(config, ResultCache(store=FileStore(cache_dir)), dataset)
+        cold_store, warm_store = FileStore(cache_dir), FileStore(cache_dir)
+        try:
+            cold, _ = run_once(config, ResultCache(store=cold_store), dataset)
+            warm, warm_grid = run_once(config, ResultCache(store=warm_store), dataset)
+        finally:
+            cold_store.close()
+            warm_store.close()
         assert len(warm_grid.records) == 0
         assert sorted(warm.output_values("out")) == sorted(cold.output_values("out"))
         assert warm.cache_stats.hit_rate == 1.0

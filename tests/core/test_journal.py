@@ -84,6 +84,20 @@ class TestEnactmentJournal:
         loaded = EnactmentJournal(path).load()
         assert set(loaded) == {"a"}  # entry b re-executes, nothing raises
 
+    def test_first_append_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        with EnactmentJournal(path) as journal:
+            journal.append_invocation(make_entry(key="a"))
+            journal.append_invocation(make_entry(key="b"))
+        raw = path.read_text()
+        path.write_text(raw[: len(raw) - 20])  # the crash tore b's line
+
+        with EnactmentJournal(path) as journal:
+            journal.append_run("bronze", "SP+DP", at=50.0)
+            journal.append_invocation(make_entry(key="c"))
+        assert set(EnactmentJournal(path).load()) == {"a", "c"}
+        assert [m["at"] for m in EnactmentJournal(path).runs()] == [50.0]
+
     def test_later_entries_win_on_key_collision(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with EnactmentJournal(path) as journal:

@@ -143,8 +143,10 @@ DELETED = {
                     "ResultCache._record_eviction"],
     "repro.cache.policy": ["(module) CachePolicy"],
     "repro.cache.stats": ["CacheStats.record_eviction"],
-    "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify"],
+    "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify",
+                          "FileStore._path", "FileStore._read", "FileStore._remove"],
     "repro.core.config": ["OptimizationConfig.with_cache"],
+    "repro.core.journal": ["EnactmentJournal._ensure_open"],
     "repro.core.provenance": ["merged_lineage"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
