@@ -53,8 +53,6 @@ from repro.cache.store import (
     FileStore,
     InMemoryStore,
     ResultStore,
-    decode_datum,
-    encode_datum,
     estimate_entry_bytes,
 )
 from repro.services.base import GridData, Service
@@ -76,8 +74,6 @@ __all__ = [
     "fingerprint_value",
     "fingerprint_datum",
     "estimate_entry_bytes",
-    "encode_datum",
-    "decode_datum",
 ]
 
 

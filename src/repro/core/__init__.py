@@ -23,7 +23,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.enactor import EnactmentResult, MoteurEnactor
 from repro.core.failures import DeadLetter, FailureReport, InvocationFailure
 from repro.core.grouping import GroupInfo, group_workflow
-from repro.core.journal import EnactmentJournal, JournalEntry, SimulatedCrash
+from repro.core.journal import EnactmentJournal, SimulatedCrash
 from repro.core.provenance import HistoryTree, compatible
 from repro.core.tokens import NO_DATA, DataToken
 from repro.core.trace import ExecutionTrace, TraceEvent
@@ -44,6 +44,5 @@ __all__ = [
     "DeadLetter",
     "FailureReport",
     "EnactmentJournal",
-    "JournalEntry",
     "SimulatedCrash",
 ]

@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache import CacheStatsSnapshot, ResultCache, invocation_key
+from repro.cache import CacheEntry, CacheStatsSnapshot, ResultCache, invocation_key
 from repro.core.config import OptimizationConfig
 from repro.core.failures import DeadLetter, FailureReport, InvocationFailure
 from repro.core.grouping import GroupInfo, group_workflow
 from repro.core.iteration import Binding, IterationEngine, expected_bindings
-from repro.core.journal import EnactmentJournal, JournalEntry, SimulatedCrash
+from repro.core.journal import EnactmentJournal, SimulatedCrash
 from repro.core.provenance import HistoryTree
 from repro.core.tokens import DataToken, NoData
 from repro.core.trace import ExecutionTrace, TraceEvent
@@ -275,7 +275,7 @@ class MoteurEnactor:
         self._trace_id = ""
         self._metrics_baseline: Optional[MetricsSnapshot] = None
         self._report = FailureReport()
-        self._replay: Dict[str, JournalEntry] = {}
+        self._replay: Dict[str, CacheEntry] = {}
         self._replayed_count = 0
         self._progress = 0  # non-replayed completions (crash hook counter)
 
@@ -283,31 +283,23 @@ class MoteurEnactor:
     def run(
         self,
         dataset: "InputDataSet | Mapping[str, Sequence[Any]]",
-        replay: Optional[Mapping[str, JournalEntry]] = None,
+        resume: bool = False,
     ) -> EnactmentResult:
         """Enact the workflow on *dataset*, driving the engine to completion."""
-        completion = self.enact(dataset, replay=replay)
+        completion = self.enact(dataset, resume=resume)
         return self.engine.run(until=completion)
 
-    def resume(
-        self,
-        dataset: "InputDataSet | Mapping[str, Sequence[Any]]",
-        journal: "Optional[EnactmentJournal | str | Path]" = None,
-    ) -> EnactmentResult:
-        """Continue an interrupted enactment from its journal.
+    def resume(self, dataset: "InputDataSet | Mapping[str, Sequence[Any]]") -> EnactmentResult:
+        """Continue an interrupted enactment from this enactor's journal.
 
-        Every invocation recorded in the journal (this enactor's own,
-        unless *journal* overrides it) is replayed instantly — zero grid
-        jobs, ``kind="replayed"`` trace events — and only the remaining
-        work executes.  With the same seed and dataset, the final
-        outputs are byte-identical to an uninterrupted run.
+        Every invocation recorded in the journal is replayed instantly —
+        zero grid jobs, ``kind="replayed"`` trace events — and only the
+        remaining work executes.  With the same seed and dataset, the
+        final outputs are byte-identical to an uninterrupted run.
         """
-        source = journal if journal is not None else self.journal
-        if source is None:
+        if self.journal is None:
             raise ValueError("resume() needs a journal (none configured on this enactor)")
-        if isinstance(source, (str, Path)):
-            source = EnactmentJournal(source)
-        return self.run(dataset, replay=source.load())
+        return self.run(dataset, resume=True)
 
     def cancel(self, reason: str = "cancelled", job_filter=None) -> FailureReport:
         """Cancel the in-flight enactment.
@@ -366,20 +358,20 @@ class MoteurEnactor:
     def enact(
         self,
         dataset: "InputDataSet | Mapping[str, Sequence[Any]]",
-        replay: Optional[Mapping[str, JournalEntry]] = None,
+        resume: bool = False,
     ) -> Event:
         """Start an enactment; returns an event yielding the result.
 
         Use this form to embed the enactment in a larger simulation (or
         to run several enactments concurrently on one engine — each
-        needs its own enactor instance).  *replay* is a journal's
-        replay map (see :meth:`resume`).
+        needs its own enactor instance).  With *resume*, the invocations
+        this enactor's journal recorded replay (see :meth:`resume`).
         """
         data = self._normalize_dataset(dataset)
         self._reset()
-        if replay:
-            self._replay = dict(replay)
         if self.journal is not None:
+            if resume:
+                self._replay = self.journal.load()
             self.journal.append_run(self.workflow.name, self.config.label, self.engine.now)
         self._build_states()
         self._register_input_files(data)
@@ -529,8 +521,8 @@ class MoteurEnactor:
         Every token a centralized enactor routes carries its payload
         file through the enactor host once per consumer — the traffic
         Barker's choreography argument wants off the orchestrator, and
-        the ROADMAP item 4 yardstick (``bytes.enactor_moved``) any
-        future choreography mode must beat.
+        the yardstick (``bytes.enactor_moved``) any future choreography
+        mode must beat.
         """
         if fanout == 0:
             return
@@ -764,7 +756,7 @@ class MoteurEnactor:
         engine = self.engine
         cache = self.cache
         key: Optional[str] = None
-        if cache is not None or self.journal is not None or self._replay:
+        if cache is not None or self.journal is not None:
             # A barrier consumes whole streams whose arrival order is a
             # DP+SP race artifact, so its key treats each port's tokens
             # as a multiset (unordered): a warm run whose tokens arrive
@@ -776,12 +768,12 @@ class MoteurEnactor:
             key = invocation_key(processor.service, facts, unordered=barrier)
         if key is not None and key in self._replay:
             # Journal replay: the previous (interrupted) run already
-            # completed this invocation and persisted its outputs.
-            entry = self._replay[key]
-            outputs = dict(entry.outputs)
+            # completed this invocation and persisted its outputs.  Like
+            # a cache hit it submits nothing, so it reports no job ids.
+            outputs = dict(self._replay[key].outputs)
             self._register_cached_files(outputs)
             self._replayed_count += 1
-            return outputs, engine.now, engine.now, "replayed", entry.job_ids, key
+            return outputs, engine.now, engine.now, "replayed", (), key
         flight_open = False
         try:
             if cache is not None:
@@ -874,16 +866,7 @@ class MoteurEnactor:
         if kind != "replayed":
             if self.journal is not None and key is not None:
                 self.journal.append_invocation(
-                    JournalEntry(
-                        key=key,
-                        processor=state.processor.name,
-                        label=history.label(),
-                        kind=kind,
-                        started=start,
-                        finished=end,
-                        job_ids=job_ids,
-                        outputs=dict(outputs),
-                    )
+                    CacheEntry(key=key, service=state.processor.name, outputs=dict(outputs))
                 )
                 if self._completion.triggered:
                     # A straggler of a finished (failed/cancelled) run:

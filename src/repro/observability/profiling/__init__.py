@@ -1,7 +1,7 @@
 """Hot-path profiling: deterministic scopes and flamegraphs.
 
-The measurement side of ROADMAP item 2 ("make the event core
-scream").  A :class:`Profiler` watches an enactment from outside
+The measurement side of making the event core fast: it names where
+the time goes before anyone rebuilds anything.  A :class:`Profiler` watches an enactment from outside
 through one ``sys.setprofile`` hook (:meth:`Profiler.active`) and
 accounts every ``repro`` function — event dispatch, resumed process
 bodies, invocation lifecycle, submission, brokering, cache lookups,

@@ -382,7 +382,7 @@ class Budgets:
     the relative *growth* of the data-plane counters ``bytes.total``
     and ``bytes.enactor_moved`` — the enactor-bytes-moved gate that
     catches a change quietly routing more data through the centralized
-    enactor (ROADMAP item 4's yardstick).  Unlike ``perf.*``, byte
+    enactor, the cost a choreography mode would remove.  Unlike ``perf.*``, byte
     counters are simulated and deterministic, so the budget can be 0.0.
     Phases smaller than ``min_seconds`` in both runs are noise and
     never compared.

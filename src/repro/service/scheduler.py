@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -56,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.apps.bronze_standard import BRONZE_CRITICAL_PATH, BronzeStandardApplication
 from repro.core.config import OptimizationConfig
 from repro.core.enactor import EnactmentCancelled, MoteurEnactor
-from repro.core.journal import EnactmentJournal
 from repro.grid.job import JobState
 from repro.grid.middleware import Grid
 from repro.grid.testbeds import (
@@ -498,21 +496,17 @@ class EnactmentService:
             tags={"tenant": record.tenant, "run": record.run_id},
         )
         dataset = app.build_dataset(record.n_items)
-        journal_path = self.store.journal_path(record.run_id)
-        replay = None
-        if record.resume and journal_path and os.path.exists(journal_path):
-            replay = EnactmentJournal(journal_path).load()
         enactor = MoteurEnactor(
             self.engine,
             app.workflow,
             self._configs[record.config_label],
             grid=self.grid,
             instrumentation=self.instrumentation,
-            journal=journal_path,
+            journal=self.store.journal_path(record.run_id),
             run_attributes={"tenant": record.tenant, "run": record.run_id},
             claim_run_span=False,
         )
-        completion = enactor.enact(dataset, replay=replay)
+        completion = enactor.enact(dataset, resume=record.resume)
         # The scheduler harvests failures via callback; an undefused
         # failed event would crash the shared engine for every run.
         completion.defused = True

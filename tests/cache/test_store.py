@@ -1,5 +1,6 @@
 """Result stores: keep-everything semantics, the FileStore log, torn and corrupt lines."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -199,6 +200,23 @@ class TestFileStore:
         fresh = open_store()
         assert fresh.get("new").outputs["out"].value == 7
         assert sorted(fresh.keys()) == ["k0", "k1", "new"]
+
+    def test_a_line_another_writer_is_still_writing_is_not_a_torn_tail(self, open_store, cache_dir):
+        log = cache_dir / "entries.jsonl"
+        line = json.dumps(entry_to_document(make_entry("k", value=1))).encode("utf-8")
+        with open(log, "ab", buffering=0) as writer:
+            fcntl.flock(writer, fcntl.LOCK_EX)
+            writer.write(line[:10])  # the other writer's line, half copied in
+            store = open_store()
+            opener = threading.Thread(target=store.put, args=(make_entry("j", value=2),))
+            opener.start()
+            opener.join(timeout=0.2)
+            assert opener.is_alive()  # the torn-tail check waits for the writer
+            writer.write(line[10:] + b"\n")
+            fcntl.flock(writer, fcntl.LOCK_UN)
+        opener.join(timeout=60)
+        assert not opener.is_alive()
+        assert [json.loads(line)["key"] for line in log.read_bytes().splitlines()] == ["k", "j"]
 
     def test_clear_by_another_instance_turns_stale_offsets_into_misses(self, open_store):
         store, other = open_store(), open_store()

@@ -3,20 +3,15 @@ group commit and its cost."""
 
 import json
 import math
-import os
 
 import pytest
 
 import repro.core.journal as journal_module
 from repro.apps.bronze_standard import BronzeStandardApplication
+from repro.cache.store import CacheEntry, EntryLog, FileStore
 from repro.core import MoteurEnactor, OptimizationConfig
 from repro.core.enactor import EnactmentError
-from repro.core.journal import (
-    GROUP_COMMIT_LINES,
-    EnactmentJournal,
-    JournalEntry,
-    SimulatedCrash,
-)
+from repro.core.journal import GROUP_COMMIT_LINES, EnactmentJournal, SimulatedCrash
 from repro.grid.testbeds import cluster_testbed, faulty_testbed
 from repro.services.base import GridData, LocalService
 from repro.sim.engine import Engine
@@ -24,34 +19,52 @@ from repro.util.rng import RandomStreams
 from repro.workflow.builder import WorkflowBuilder
 
 
-def make_entry(key="k1", processor="P1", value=42, **overrides):
-    fields = dict(
-        key=key,
-        processor=processor,
-        label="D0",
-        kind="invocation",
-        started=10.0,
-        finished=25.0,
-        job_ids=(3, 7),
-        outputs={"y": GridData(value=value)},
-    )
-    fields.update(overrides)
-    return JournalEntry(**fields)
+def make_entry(key="k1", service="P1", value=42):
+    return CacheEntry(key=key, service=service, outputs={"y": GridData(value=value)})
 
 
 class TestJournalEntry:
-    def test_document_round_trip(self):
+    """A journaled invocation is the result cache's entry, on the cache's line."""
+
+    def test_document_round_trip(self, tmp_path):
         entry = make_entry()
-        doc = entry.to_document()
-        # the document must be plain JSON (the WAL is JSONL)
-        restored = JournalEntry.from_document(json.loads(json.dumps(doc)))
+        with EnactmentJournal(tmp_path / "wal.jsonl") as journal:
+            journal.append_invocation(entry)
+        with EnactmentJournal(tmp_path / "wal.jsonl") as journal:
+            restored = journal.load()["k1"]
         assert restored.key == entry.key
-        assert restored.processor == entry.processor
-        assert restored.job_ids == (3, 7)
+        assert restored.service == entry.service
         assert restored.outputs["y"].value == 42
 
-    def test_document_is_tagged(self):
-        assert make_entry().to_document()["event"] == "invocation"
+    def test_document_is_tagged(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        with EnactmentJournal(path) as journal:
+            journal.append_invocation(make_entry())
+        assert json.loads(path.read_bytes())["event"] == "invocation"
+
+    def test_line_is_the_file_stores_line_for_the_same_entry(self, tmp_path):
+        entry = CacheEntry(
+            key="k", service="S", outputs={"out": GridData(value=[1.5, 2.5]), "n": GridData(value=3)}
+        )
+        with EnactmentJournal(tmp_path / "wal.jsonl") as journal:
+            journal.append_invocation(entry)
+        with FileStore(tmp_path / "cache") as store:
+            store.put(entry)
+        line = (tmp_path / "wal.jsonl").read_bytes()
+        assert line == (tmp_path / "cache" / "entries.jsonl").read_bytes()
+
+    def test_a_journal_opened_as_a_log_yields_the_loaded_entries(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        with EnactmentJournal(path) as journal:
+            journal.append_run("bronze", "SP+DP", at=0.0)
+            journal.append_invocation(make_entry(key="a", value=1))
+            journal.append_invocation(make_entry(key="b", value=2))
+            journal.append_invocation(make_entry(key="a", value=3))
+        with EnactmentJournal(path) as journal:
+            loaded = journal.load()
+        with EntryLog(path) as log:
+            assert log.keys() == list(loaded) == ["a", "b"]
+            assert {key: log.get(key) for key in log.keys()} == loaded
 
 
 class TestEnactmentJournal:
@@ -321,33 +334,40 @@ class TestFsyncCost:
         path = tmp_path / "wal.jsonl"
         enactor, _, app = bronze_enactor(path)
         journal = enactor.journal
-        written = 0  # bytes the journal has been asked to write so far
-        line_end = {}  # (processor, label) -> file size covering its line
+        journaled = []  # provenance keys handed to append_invocation
+        emitting = []  # key of the invocation whose outputs are moving
         checked, late = 0, []
 
-        write = journal._write
+        append = journal.append_invocation
 
-        def counting_write(doc):
-            nonlocal written
-            written += len((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
-            write(doc)
-            if doc["event"] == "invocation":
-                line_end[doc["processor"], doc["label"]] = written
+        def recording_append(entry):
+            append(entry)
+            journaled.append(entry.key)
+
+        complete = enactor._complete_invocation
+
+        def tracking_complete(*args):
+            emitting.append(args[-1])  # the key is the last argument
+            try:
+                complete(*args)
+            finally:
+                emitting.pop()
 
         deliver = enactor._deliver
 
         def checking_deliver(state, port, token):
             nonlocal checked
-            end = line_end.get((state.processor.name, token.history.label()))
-            if end is not None:
+            if emitting:
                 checked += 1
-                if os.stat(path).st_size < end:
-                    late.append((state.processor.name, token.history.label()))
+                on_disk = {json.loads(line).get("key") for line in path.read_bytes().splitlines()}
+                if emitting[-1] not in on_disk:
+                    late.append(emitting[-1])
             deliver(state, port, token)
 
-        journal._write = counting_write
+        journal.append_invocation = recording_append
+        enactor._complete_invocation = tracking_complete
         enactor._deliver = checking_deliver
         result = enactor.run(app.build_dataset(4))
         assert late == []
-        assert len(line_end) == result.invocation_count
+        assert len(set(journaled)) == len(journaled) == result.invocation_count
         assert checked >= result.invocation_count  # each emits at least once

@@ -17,6 +17,7 @@ from repro.core import OptimizationConfig
 from repro.core.enactor import EnactmentError
 from repro.core.journal import EnactmentJournal, SimulatedCrash
 from repro.grid.testbeds import cluster_testbed, faulty_testbed
+from repro.observability import InstrumentationBus
 from repro.sim.engine import Engine
 from repro.util.rng import RandomStreams
 
@@ -128,9 +129,29 @@ class TestCrashResume:
         assert resumed.invocation_count == total_invocations
         # the grid only saw the jobs of the invocations that still had to
         # run (the local MTT service never submits grid jobs)
+        grid_services = {e.processor for e in reference.trace if e.job_ids}
         assert len(grid2.records) == total_grid_jobs - len(
-            [e for e in journaled.values() if e.job_ids]
+            [e for e in journaled.values() if e.service in grid_services]
         )
+
+    def test_replayed_invocations_report_no_job_ids(self, tmp_path):
+        """Replay submits nothing, so it claims none of the crashed run's jobs."""
+        wal = tmp_path / "wal.jsonl"
+        app, _ = self._app()
+        with pytest.raises(SimulatedCrash):
+            app.enact(SP_DP, n_pairs=self.N_PAIRS, journal=wal, crash_after=self.CRASH_AFTER)
+
+        app, _ = self._app()
+        bus = InstrumentationBus()
+        collector = bus.collector()
+        resumed = app.enact(
+            SP_DP, n_pairs=self.N_PAIRS, journal=wal, resume=True, instrumentation=bus
+        )
+        replayed = [e for e in resumed.trace if e.kind == "replayed"]
+        spans = [s for s in collector.named("invocation") if s.attributes["kind"] == "replayed"]
+        assert len(replayed) == len(spans) == self.CRASH_AFTER
+        assert [e.job_ids for e in replayed] == [()] * self.CRASH_AFTER
+        assert [s.attributes["job_ids"] for s in spans] == [[]] * self.CRASH_AFTER
 
     def test_resume_on_untouched_journal_replays_everything(self, tmp_path):
         wal = tmp_path / "wal.jsonl"

@@ -77,7 +77,6 @@ KEPT = {
     "repro.cache.store": {
         "InMemoryStore": "kept: test seam/reference (the in-process store the cache tests "
                          "substitute)",
-        "FileStore.keys": OBSERVED,
     },
     "repro.core.config": {"OptimizationConfig": PINNED_CLASS},
     "repro.core.iteration": {"IterationEngine.buffered": OBSERVED},
@@ -88,8 +87,8 @@ KEPT = {
     },
     "repro.core.trace": {"ExecutionTrace": PINNED_CLASS},
     "repro.experiments.harness": {"SweepResult.table1": OBSERVED},
-    "repro.grid.load": {"BackgroundLoad": "kept: ROADMAP item 10 (a load knob the Table 1 fit "
-                                          "sweeps)"},
+    "repro.grid.load": {"BackgroundLoad": "kept: calibration (a load knob a fit of the Table 1 "
+                                          "cells would sweep)"},
     "repro.grid.overhead": {"OverheadModel.total_mean": "kept: test seam/reference (the "
                                                          "testbed calibration tests check it)"},
     "repro.grid.retry": {"RetryBudget.remaining": OBSERVED},
@@ -146,7 +145,9 @@ DELETED = {
     "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify",
                           "FileStore._path", "FileStore._read", "FileStore._remove"],
     "repro.core.config": ["OptimizationConfig.with_cache"],
-    "repro.core.journal": ["EnactmentJournal._ensure_open"],
+    "repro.core.journal": ["EnactmentJournal._ensure_open", "JournalEntry",
+                           "JournalEntry.to_document", "JournalEntry.from_document",
+                           "EnactmentJournal._write", "EnactmentJournal._documents"],
     "repro.core.provenance": ["merged_lineage"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
