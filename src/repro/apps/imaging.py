@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.apps.transforms import RigidTransform
+from repro.util import codec
 from repro.util.rng import RandomStreams
 
 __all__ = ["MedicalImage", "ImagePair", "ImageDatabase"]
@@ -30,6 +31,7 @@ DEFAULT_SHAPE = (256, 256, 60)
 DEFAULT_BITS = 16
 
 
+@codec.register("MedicalImage")
 @dataclass(frozen=True)
 class MedicalImage:
     """Metadata of one acquisition (the bytes themselves are synthetic)."""
@@ -64,6 +66,7 @@ class MedicalImage:
         return self.size_bytes * self.compressed_ratio
 
 
+@codec.register("ImagePair")
 @dataclass(frozen=True)
 class ImagePair:
     """One registration problem: floating image onto reference image.

@@ -38,6 +38,7 @@ from repro.services.descriptor import (
 )
 from repro.services.wrapper import GenericWrapperService
 from repro.sim.engine import Engine
+from repro.util import codec
 from repro.util.distributions import Distribution, TruncatedNormal, as_distribution
 from repro.util.rng import RandomStreams, stable_hash64
 from repro.util.units import KIBIBYTE, MEBIBYTE
@@ -54,6 +55,7 @@ __all__ = [
 _SERVER = "http://colors.unice.fr"
 
 
+@codec.register("RegistrationResult")
 @dataclass(frozen=True)
 class RegistrationResult:
     """One method's estimated transform for one image pair."""
@@ -66,6 +68,7 @@ class RegistrationResult:
         return f"{self.method}#{self.pair_id}"
 
 
+@codec.register("CrestData")
 @dataclass(frozen=True)
 class CrestData:
     """Crest lines extracted from one image (the crestLines output)."""
@@ -78,6 +81,7 @@ class CrestData:
         return f"crest({self.pair.pair_id},{self.role},{self.n_points}pts)"
 
 
+@codec.register("MatchedPointSet")
 @dataclass(frozen=True)
 class MatchedPointSet:
     """Point matches produced by PFMatchICP, consumed by PFRegister."""

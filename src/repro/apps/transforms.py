@@ -38,6 +38,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.util import codec
+
 __all__ = ["RigidTransform", "mean_transform", "rotation_angle_deg"]
 
 Quat = Tuple[float, float, float, float]
@@ -119,6 +121,7 @@ def _make(q: Sequence[float], t: Sequence[float]) -> "RigidTransform":
     return transform
 
 
+@codec.register("RigidTransform")
 @dataclass(frozen=True)
 class RigidTransform:
     """A rigid spatial transform: rotation (unit quaternion) + translation.

@@ -41,7 +41,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.cache.keys import (
     TokenFact,
     fingerprint_datum,
-    fingerprint_value,
     history_fingerprint,
     invocation_key,
     service_fingerprint,
@@ -53,7 +52,6 @@ from repro.cache.store import (
     FileStore,
     InMemoryStore,
     ResultStore,
-    estimate_entry_bytes,
 )
 from repro.services.base import GridData, Service
 from repro.sim.engine import Engine, Event
@@ -71,9 +69,7 @@ __all__ = [
     "invocation_key",
     "service_fingerprint",
     "history_fingerprint",
-    "fingerprint_value",
     "fingerprint_datum",
-    "estimate_entry_bytes",
 ]
 
 
@@ -115,11 +111,14 @@ class ResultCache:
         self.stats.record_miss(service)
 
     def put(self, key: str, service: str, outputs: Mapping[str, GridData]) -> None:
-        """Store freshly computed outputs under *key*."""
-        frozen = dict(outputs)
-        size = estimate_entry_bytes(frozen)
-        self.store.put(CacheEntry(key=key, service=service, outputs=frozen))
-        self.stats.record_store(service, size)
+        """Store freshly computed outputs under *key*.
+
+        The stored bytes counted are the length of the outputs' canonical
+        text, the part of a log line that holds them.
+        """
+        entry = CacheEntry(key=key, service=service, outputs=dict(outputs))
+        self.store.put(entry)
+        self.stats.record_store(service, len(entry.outputs_text))
 
     def clear(self) -> None:
         """Drop every stored entry (stats are kept)."""

@@ -18,7 +18,8 @@ the answer is yes exactly when
 
 Keys are hex SHA-256 digests of a canonical text encoding, so they are
 stable across processes and Python versions — the property the
-:class:`~repro.cache.store.FileStore` needs for warm re-execution.
+:class:`~repro.cache.store.FileStore` needs for warm re-execution.  A
+value enters as its :mod:`repro.util.codec` text, which log lines hold.
 
 Synchronization processors consume their *whole* input streams in one
 invocation, and under DP+SP the arrival order of those streams is a
@@ -30,17 +31,13 @@ run whose tokens arrive in a different order still hits.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime import would close a cycle through repro.core
     from repro.core.provenance import HistoryTree
     from repro.services.base import GridData, Service
 
 __all__ = [
-    "fingerprint_value",
     "fingerprint_datum",
     "history_fingerprint",
     "service_fingerprint",
@@ -48,64 +45,14 @@ __all__ = [
     "TokenFact",
 ]
 
-#: what the key derivation needs from one input token: lineage + payload,
-#: the payload either as the datum or as its :func:`fingerprint_datum`
-#: (the enactor passes the one its token memoized)
-TokenFact = Tuple["HistoryTree", Union["GridData", str]]
-
-
-def fingerprint_value(value: Any) -> str:
-    """Canonical, process-stable text encoding of a payload value.
-
-    Handles the value vocabulary that actually flows through the
-    workflows (scalars, strings, containers, numpy arrays, frozen
-    dataclasses like ``RigidTransform``/``ImagePair``) structurally;
-    anything else falls back to ``repr``, which is deterministic for
-    every remaining type used in the repository.
-    """
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return f"b:{value}"
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    if isinstance(value, str):
-        return f"s:{value}"
-    if isinstance(value, bytes):
-        return f"y:{hashlib.sha256(value).hexdigest()}"
-    if isinstance(value, np.ndarray):
-        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
-        return f"nd:{value.dtype}:{value.shape}:{digest}"
-    if isinstance(value, np.generic):
-        return f"ns:{value.dtype}:{value.item()!r}"
-    if isinstance(value, (list, tuple)):
-        inner = ",".join(fingerprint_value(item) for item in value)
-        tag = "l" if isinstance(value, list) else "t"
-        return f"{tag}:[{inner}]"
-    if isinstance(value, (set, frozenset)):
-        inner = ",".join(sorted(fingerprint_value(item) for item in value))
-        return f"set:[{inner}]"
-    if isinstance(value, Mapping):
-        inner = ",".join(
-            f"{fingerprint_value(k)}={fingerprint_value(v)}"
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        )
-        return f"m:{{{inner}}}"
-    if is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        inner = ",".join(
-            f"{f.name}={fingerprint_value(getattr(value, f.name))}" for f in fields(value)
-        )
-        return f"dc:{cls.__module__}.{cls.__qualname__}({inner})"
-    return f"r:{type(value).__module__}.{type(value).__qualname__}:{value!r}"
+#: what the key derivation needs from one input token: lineage + payload
+TokenFact = Tuple["HistoryTree", "GridData"]
 
 
 def fingerprint_datum(datum: GridData) -> str:
-    """Fingerprint of one :class:`GridData`: payload value + grid identity."""
+    """Fingerprint of one :class:`GridData`: its memoized value text + grid identity."""
     gfn = datum.file.gfn if datum.file is not None else ""
-    return f"v={fingerprint_value(datum.value)};g={gfn}"
+    return f"v={datum.value_text};g={gfn}"
 
 
 def history_fingerprint(tree: HistoryTree) -> str:
@@ -167,8 +114,7 @@ def invocation_key(
     bindings:
         Input port -> the token facts consumed on that port.  Ordinary
         invocations bind exactly one token per port; synchronization
-        invocations bind the whole stream.  A fact's payload may be
-        given pre-fingerprinted; the key is the same either way.
+        invocations bind the whole stream.
     unordered:
         Encode each port's tokens as a sorted multiset.  Used for
         synchronization barriers, whose stream arrival order is
@@ -177,8 +123,7 @@ def invocation_key(
     parts = [f"service:{service_fingerprint(service)}"]
     for port in sorted(bindings):
         token_fps = [
-            f"h={history_fingerprint(history)};"
-            f"{datum if isinstance(datum, str) else fingerprint_datum(datum)}"
+            f"h={history_fingerprint(history)};{fingerprint_datum(datum)}"
             for history, datum in bindings[port]
         ]
         if unordered:

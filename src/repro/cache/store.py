@@ -21,26 +21,27 @@ Two implementations behind one small contract:
 A store keeps every entry it is given: nothing expires and nothing is
 evicted, so a put costs the same at any store size.
 
-Payload values are JSON when they are plain scalars and pickled
-(base64, fixed protocol) otherwise, so arbitrary data products — rigid
-transforms, numpy arrays — round-trip bit-exactly.
+A line is canonical JSON, each value a :mod:`repro.util.codec` tree.
+Older lines hold a ``{"kind", "data"}`` object (executable serialization)
+where the value goes: no codec tree, so they read as misses, never run.
 """
 
 from __future__ import annotations
 
-import base64
 import fcntl
 import json
-import math
 import os
-import pickle
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData
+from repro.util.codec import CodecError, canonical, decode
 
 __all__ = [
     "CacheEntry",
@@ -49,12 +50,7 @@ __all__ = [
     "FileStore",
     "CacheStoreError",
     "EntryLog",
-    "estimate_entry_bytes",
 ]
-
-#: pinned pickle protocol so FileStore entries are portable across the
-#: Python versions CI runs (protocol 4 loads on every supported version)
-_PICKLE_PROTOCOL = 4
 
 
 class CacheStoreError(RuntimeError):
@@ -69,13 +65,18 @@ class CacheEntry:
     service: str
     outputs: Dict[str, GridData] = field(default_factory=dict)
 
-
-def estimate_entry_bytes(outputs: Dict[str, GridData]) -> int:
-    """Approximate payload size of an outputs dict (for the byte stats)."""
-    try:
-        return len(pickle.dumps(outputs, protocol=_PICKLE_PROTOCOL))
-    except Exception:
-        return len(repr(outputs).encode("utf-8", errors="replace"))
+    @cached_property
+    def outputs_text(self) -> str:
+        """``{port: {"file": ..., "value": ...}}`` as canonical JSON, from the data's memos."""
+        parts = []
+        for port in sorted(self.outputs):
+            datum = self.outputs[port]
+            file = datum.file
+            where = "" if file is None else (
+                f'"file":{{"gfn":{_string(file.gfn)},"size":{file.size}}},'
+            )
+            parts.append(f'{_string(port)}:{{{where}"value":{datum.value_text}}}')
+        return "{" + ",".join(parts) + "}"
 
 
 @runtime_checkable
@@ -132,59 +133,40 @@ class InMemoryStore:
         return f"<InMemoryStore entries={len(self)}>"
 
 
-# -- JSON (de)serialization --------------------------------------------------
+# -- the line of one entry ---------------------------------------------------
 
-def _json_scalar(value: object) -> bool:
-    if value is None or isinstance(value, (bool, int, str)):
-        return True
-    return isinstance(value, float) and math.isfinite(value)
-
-
-def _encode_datum(datum: GridData) -> dict:
-    doc: dict = {}
-    if datum.file is not None:
-        doc["file"] = {"gfn": datum.file.gfn, "size": datum.file.size}
-    value = datum.value
-    if _json_scalar(value):
-        doc["value"] = {"kind": "json", "data": value}
-    else:
-        blob = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        doc["value"] = {"kind": "pickle", "data": base64.b64encode(blob).decode("ascii")}
-    return doc
-
-
-def _decode_datum(doc: dict) -> GridData:
-    file_doc = doc.get("file")
-    file = LogicalFile(file_doc["gfn"], size=file_doc["size"]) if file_doc else None
-    value_doc = doc["value"]
-    if value_doc["kind"] == "json":
-        value = value_doc["data"]
-    else:
-        value = pickle.loads(base64.b64decode(value_doc["data"]))
-    return GridData(value=value, file=file)
+def entry_line(entry: CacheEntry) -> str:
+    """The entry's log line: its document as canonical JSON, ``"\\n"`` excluded."""
+    return (
+        f'{{"event":"invocation","key":{_string(entry.key)},'
+        f'"outputs":{entry.outputs_text},"service":{_string(entry.service)}}}'
+    )
 
 
 def entry_to_document(entry: CacheEntry) -> dict:
-    """The JSON-serializable form of one entry, tagged as one completed invocation."""
-    return {
-        "event": "invocation",
-        "key": entry.key,
-        "service": entry.service,
-        "outputs": {port: _encode_datum(d) for port, d in entry.outputs.items()},
-    }
+    """The JSON document of one entry (its line, parsed), tagged as one completed invocation."""
+    return json.loads(entry_line(entry))
 
 
 def entry_from_document(doc: dict) -> CacheEntry:
-    """Rebuild an entry from its JSON form.
+    """Rebuild an entry from its JSON document.
 
-    Other keys are ignored, so documents without the ``event`` tag or
-    with the old ``created_at`` / ``size_bytes`` fields load and hit.
+    Other keys are ignored, so documents with the old ``created_at`` /
+    ``size_bytes`` fields load and hit.
     """
     return CacheEntry(
         key=doc["key"],
         service=doc["service"],
-        outputs={port: _decode_datum(d) for port, d in doc["outputs"].items()},
+        outputs={port: _datum(d) for port, d in doc["outputs"].items()},
     )
+
+
+def _datum(doc: dict) -> GridData:
+    tree = doc["value"]
+    file = doc.get("file")
+    datum = GridData(decode(tree), None if file is None else LogicalFile(file["gfn"], file["size"]))
+    vars(datum)["value_text"] = canonical(tree)  # the memo, so keys reading it walk nothing
+    return datum
 
 
 class EntryLog:
@@ -199,16 +181,21 @@ class EntryLog:
     wins.  A line that is torn, does not parse or carries no key is never
     indexed, and a read whose line turns out not to carry the key asked
     for (the log was cleared under a stale index) is a miss: neither ever
-    crashes.
+    crashes, but a codec tag no class registered (a missing import)
+    raises :class:`~repro.util.codec.CodecError`.  Reads open the log
+    read-only and a missing log reads empty; only a put or a clear
+    creates it.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._handle: Optional[BinaryIO] = None
+        #: whether _handle is the append handle (else read-only)
+        self._appending = False
         #: key -> (offset, length) of its latest line, "\n" excluded
         self._index: Dict[str, Tuple[int, int]] = {}
-        #: every complete line before this offset is indexed
+        #: every line before this offset is indexed
         self._scanned = 0
 
     def get(self, key: str) -> Optional[CacheEntry]:
@@ -220,11 +207,13 @@ class EntryLog:
                 if span is None:
                     return None
             offset, length = span
-            line = os.pread(self._open().fileno(), length, offset)
+            line = os.pread(self._handle.fileno(), length, offset)
         document = _parse(line)
         if document is not None and document.get("key") == key:
             try:
                 return entry_from_document(document)
+            except CodecError:
+                raise
             except Exception:
                 return None  # a corrupt entry is a miss, never a crash
         with self._lock:
@@ -235,11 +224,11 @@ class EntryLog:
         return None
 
     def put(self, entry: CacheEntry) -> None:
-        self._append(entry_to_document(entry))
+        self._append(entry_line(entry), entry.key)
 
     def clear(self) -> None:
         with self._lock:
-            self._open().truncate(0)
+            self._writer().truncate(0)
             self._forget()
 
     def close(self) -> None:
@@ -248,6 +237,7 @@ class EntryLog:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+                self._appending = False
             self._forget()
 
     def __enter__(self) -> "EntryLog":
@@ -265,8 +255,10 @@ class EntryLog:
     def documents(self) -> List[dict]:
         """Every line that parses as a JSON object, oldest first."""
         with self._lock:
-            documents = (_parse(line) for _, line in _complete_lines(self._open()))
-            return [document for document in documents if document is not None]
+            handle = self._reader()
+            lines = _lines(handle.fileno()) if handle is not None else ()
+            documents = [_parse(line) for _, line, _ in lines]
+        return [document for document in documents if document is not None]
 
     def __len__(self) -> int:
         with self._lock:
@@ -279,28 +271,51 @@ class EntryLog:
             return key in self._index
 
     # -- internals -----------------------------------------------------
-    def _append(self, document: dict) -> None:
-        """Append *document* as one line, indexed under its ``key`` if it has one."""
-        line = json.dumps(document).encode("utf-8")
-        key = document.get("key")
+    @contextmanager
+    def _one_shot(self) -> Iterator[None]:
+        """Close again the handle a read inside opens."""
+        held = self._handle is not None
+        try:
+            yield
+        finally:
+            if not held:
+                self.close()
+
+    def _append(self, line: str, key: Optional[str]) -> None:
+        """Append *line*, indexed under *key* if it has one."""
+        data = line.encode("utf-8")
         with self._lock:
             try:
-                end = _append_line(self._open(), line)
+                end = _append_line(self._writer(), data)
             except OSError as exc:
                 raise CacheStoreError(f"cannot append to {self.path}: {exc}") from exc
-            start = end - len(line) - 1
+            start = end - len(data) - 1
             if key is not None:
-                self._index[key] = (start, len(line))
+                self._index[key] = (start, len(data))
             if self._scanned == start:
                 self._scanned = end
 
     # (the methods below run with the lock held)
-    def _open(self) -> BinaryIO:
-        if self._handle is None:
+    def _writer(self) -> BinaryIO:
+        if not self._appending:
             try:
-                self._handle = _open_log(self.path)
+                handle = _open_log(self.path)
             except OSError as exc:
                 raise CacheStoreError(f"cannot open log {self.path}: {exc}") from exc
+            if self._handle is not None:
+                self._handle.close()  # the read-only one; the index stays valid
+            self._handle, self._appending = handle, True
+        return self._handle
+
+    def _reader(self) -> Optional[BinaryIO]:
+        """The handle to read through; None while the log does not exist."""
+        if self._handle is None:
+            try:
+                self._handle = open(self.path, "rb", buffering=0)
+            except FileNotFoundError:
+                return None
+            except OSError as exc:
+                raise CacheStoreError(f"cannot read log {self.path}: {exc}") from exc
         return self._handle
 
     def _forget(self) -> None:
@@ -308,17 +323,21 @@ class EntryLog:
         self._scanned = 0
 
     def _refresh(self) -> None:
-        """Index the complete lines appended since the last scan.
+        """Index the lines appended since the last scan.
 
-        Opening the log ends a torn tail, so a final line that lost only
-        its newline to a crash is indexed and a torn one never is.
+        A final line without its ``"\\n"`` counts if it parses (a crash
+        cut only its newline); else it is torn or still being written.
         """
-        handle = self._open()
+        handle = self._reader()
+        if handle is None:
+            return
         if os.fstat(handle.fileno()).st_size < self._scanned:
             self._forget()  # truncated by another instance's clear()
-        for offset, line in _complete_lines(handle, self._scanned):
-            self._scanned = offset + len(line) + 1
+        for offset, line, complete in _lines(handle.fileno(), self._scanned):
             document = _parse(line)
+            if document is None and not complete:
+                break
+            self._scanned = offset + len(line) + complete
             key = document.get("key") if document is not None else None
             if isinstance(key, str):
                 self._index[key] = (offset, len(line))
@@ -371,21 +390,21 @@ def _append_line(handle: BinaryIO, line: bytes) -> int:
         fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def _complete_lines(handle: BinaryIO, start: int = 0) -> Iterator[Tuple[int, bytes]]:
-    """``(offset, line)`` for each complete line at or after *start*.
+def _lines(fd: int, start: int = 0) -> Iterator[Tuple[int, bytes, bool]]:
+    """``(offset, line, complete)`` for each line at or after *start*.
 
     The line comes without its ``"\\n"``; a final fragment with no
-    ``"\\n"`` is not yielded, so a reader never sees half a line.  Reads
-    through the file descriptor at explicit offsets, so the handle's own
-    position never moves.
+    ``"\\n"`` comes last, with *complete* False, for the caller to judge.
+    Reads at explicit offsets, so no handle's position ever moves.
     """
-    fd = handle.fileno()
     size = os.fstat(fd).st_size
     data = os.pread(fd, size - start, start) if size > start else b""
     begin = 0
     while (end := data.find(b"\n", begin)) >= 0:
-        yield start + begin, data[begin:end]
+        yield start + begin, data[begin:end], True
         begin = end + 1
+    if begin < len(data):
+        yield start + begin, data[begin:], False
 
 
 def _parse(line: bytes) -> Optional[dict]:

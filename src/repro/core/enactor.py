@@ -762,8 +762,7 @@ class MoteurEnactor:
             # as a multiset (unordered): a warm run whose tokens arrive
             # in a different order still hits.
             facts = {
-                port: [(t.history, t.payload_fingerprint) for t in tokens]
-                for port, tokens in bound.items()
+                port: [(t.history, t.data) for t in tokens] for port, tokens in bound.items()
             }
             key = invocation_key(processor.service, facts, unordered=barrier)
         if key is not None and key in self._replay:

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.cache.store import CacheEntry, EntryLog
+from repro.util.codec import canonical
 
 __all__ = ["EnactmentJournal", "SimulatedCrash"]
 
@@ -67,10 +68,10 @@ class EnactmentJournal(EntryLog):
         self.appended = 0
         self._unsynced = 0
 
-    def _append(self, document: dict) -> None:
+    def _append(self, line: str, key: Optional[str]) -> None:
         # WAL semantics: the line reaches the OS before the enactor lets
         # the recorded outputs take effect downstream; fsync is batched.
-        super()._append(document)
+        super()._append(line, key)
         self.appended += 1
         self._unsynced += 1
         if self._unsynced >= GROUP_COMMIT_LINES:
@@ -78,7 +79,8 @@ class EnactmentJournal(EntryLog):
 
     def append_run(self, workflow: str, config_label: str, at: float) -> None:
         """Mark the start of one enactment (a line with no key: never replayed)."""
-        self._append({"event": "run", "workflow": workflow, "config": config_label, "at": at})
+        marker = {"event": "run", "workflow": workflow, "config": config_label, "at": at}
+        self._append(canonical(marker), None)
 
     def append_invocation(self, entry: CacheEntry) -> None:
         """Record one completed invocation (outputs included)."""
@@ -102,10 +104,15 @@ class EnactmentJournal(EntryLog):
         crash) are skipped: losing one entry only means re-executing
         one invocation.  Later entries win on key collisions, so a
         journal spanning several runs replays the freshest results.
+        A missing journal loads empty and is not created; a handle this
+        opens is closed again.
         """
-        entries = {key: self.get(key) for key in self.keys()}
+        with self._one_shot():
+            entries = {key: self.get(key) for key in self.keys()}
         return {key: entry for key, entry in entries.items() if entry is not None}
 
     def runs(self) -> List[dict]:
         """The run-start markers present in the journal, oldest first."""
-        return [doc for doc in self.documents() if doc.get("event") == "run"]
+        with self._one_shot():
+            documents = self.documents()
+        return [doc for doc in documents if doc.get("event") == "run"]

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
+from repro.util import codec
 from repro.util.units import MEBIBYTE
 
 __all__ = [
@@ -56,6 +57,7 @@ class ReplicaUnavailableError(LookupError):
         super().__init__(f"no live replica of {gfn!r} (sites tried: {where})")
 
 
+@codec.register("LogicalFile")
 @dataclass(frozen=True)
 class LogicalFile:
     """A grid file: logical name (GFN) + size in bytes.

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.grid.storage import LogicalFile
 from repro.sim.engine import Engine, Event
+from repro.util import codec
 
 __all__ = ["GridData", "Service", "ServiceError", "LocalService", "InvocationRecord"]
 
@@ -30,12 +32,21 @@ class ServiceError(RuntimeError):
     """An invocation failed (bad ports, job failure, program error)."""
 
 
+@codec.register("GridData")
 @dataclass(frozen=True)
 class GridData:
     """A datum exchanged between services: value and/or grid file."""
 
     value: Any = None
     file: Optional[LogicalFile] = None
+
+    @cached_property
+    def value_text(self) -> str:
+        """The value's :mod:`repro.util.codec` text, for keys and log lines.
+
+        Kept in the instance dict, outside the fields (no part in ``==``).
+        """
+        return codec.canonical(codec.encode(self.value))
 
     @property
     def gfn(self) -> Optional[str]:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps.registration import RegistrationResult
 from repro.apps.transforms import RigidTransform, mean_transform, rotation_angle_deg
-from repro.cache.keys import fingerprint_value
+from repro.util.codec import canonical, decode, encode
 
 
 @pytest.fixture
@@ -89,7 +89,7 @@ class TestEqualityAndHash:
         b = RigidTransform(quaternion=-np.array(quat))
         assert a.quaternion.tobytes() == b.quaternion.tobytes()
         assert a == b and hash(a) == hash(b)
-        assert fingerprint_value(a) == fingerprint_value(b)
+        assert canonical(encode(a)) == canonical(encode(b))
         first = next(c for c in a.quaternion if c != 0.0)
         assert first > 0.0
 
@@ -98,13 +98,16 @@ class TestEqualityAndHash:
         assert t.quaternion.tobytes() == np.array([0.0, 0.0, 0.0, 1.0]).tobytes()
 
     def test_state_is_the_two_arrays(self, rng):
-        # cache fingerprints, FileStore pickles and journal lines encode
-        # exactly these two float64 arrays
+        # cache keys, FileStore lines and journal lines encode exactly
+        # these two float64 arrays
         t = RigidTransform.random(rng).perturb(rng, 0.3, 1.2)
         assert list(vars(t)) == ["quaternion", "translation"]
         assert t.quaternion.dtype == np.float64 and t.quaternion.shape == (4,)
         assert t.translation.dtype == np.float64 and t.translation.shape == (3,)
         assert pickle.loads(pickle.dumps(t)) == t
+        back = decode(encode(t))
+        assert type(back) is RigidTransform and back == t
+        assert list(vars(back)) == ["quaternion", "translation"]
 
 
 class TestAlgebra:

@@ -11,9 +11,11 @@ import pickle
 
 import pytest
 
+import repro.util.codec as codec
+from repro.apps.bronze_standard import BronzeStandardApplication
 from repro.cache import FileStore, InMemoryStore, ResultCache
 from repro.core import MoteurEnactor, OptimizationConfig
-from repro.grid.testbeds import ideal_testbed
+from repro.grid.testbeds import cluster_testbed, ideal_testbed
 from repro.services.base import LocalService
 from repro.services.descriptor import (
     AccessMethod,
@@ -23,6 +25,7 @@ from repro.services.descriptor import (
 )
 from repro.services.wrapper import GenericWrapperService
 from repro.sim.engine import Engine
+from repro.util.rng import RandomStreams
 from repro.workflow.builder import WorkflowBuilder
 
 
@@ -200,6 +203,43 @@ class TestWarmReexecution:
         assert len(grid2.records) == 0
         assert warm.cache_stats.total.misses == 0
         assert warm.output_values("out") == cold.output_values("out")
+
+
+class TestOneWalkPerDatum:
+    """Counts, not clocks: the codec's top-level walk per datum."""
+
+    def test_a_cold_run_walks_each_datum_once_and_a_warm_run_only_sources(
+        self, cache_dir, monkeypatch
+    ):
+        n_pairs = 6
+        sources = 3 * n_pairs + 1  # floating, reference and scale per pair; the method
+        walks, stored = [], {}
+        real_encode, real_put = codec.encode, ResultCache.put
+        monkeypatch.setattr(
+            codec, "encode", lambda value: walks.append(value) or real_encode(value)
+        )
+
+        def put(cache, key, service, outputs):
+            stored.update((id(datum), datum) for datum in outputs.values())
+            real_put(cache, key, service, outputs)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+
+        def enact():
+            engine = Engine()
+            streams = RandomStreams(seed=42)
+            app = BronzeStandardApplication(engine, cluster_testbed(engine, streams), streams)
+            with FileStore(cache_dir) as store:
+                cache = ResultCache(store)
+                return app.enact(OptimizationConfig.sp_dp(), n_pairs=n_pairs, cache=cache)
+
+        cold = enact()
+        assert cold.cache_stats.total.stores == 6 * n_pairs + 1
+        assert len(walks) == len(stored) + sources
+        walks.clear()
+        warm = enact()
+        assert warm.cache_stats.total.hits == 6 * n_pairs + 1
+        assert len(walks) == sources
 
 
 class TestConfigDrivenCache:

@@ -8,7 +8,6 @@ import numpy as np
 from repro.cache import ResultCache
 from repro.cache.keys import (
     fingerprint_datum,
-    fingerprint_value,
     history_fingerprint,
     invocation_key,
     service_fingerprint,
@@ -19,7 +18,13 @@ from repro.core.tokens import DataToken
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData, LocalService
 from repro.sim.engine import Engine
+from repro.util.codec import canonical, encode
 from repro.workflow.patterns import figure2_workflow
+
+
+def fingerprint_value(value):
+    """A payload value's part of the key: its canonical codec text."""
+    return canonical(encode(value))
 
 
 class TestValueFingerprints:
@@ -226,17 +231,24 @@ class TestServiceFingerprints:
 
 
 class TestTokenPayloadMemo:
-    def test_payload_fingerprint_is_fingerprint_datum_once(self):
+    def test_value_text_is_encoded_once(self, monkeypatch):
+        import repro.util.codec as codec
+
+        walks = []
+        real = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda value: walks.append(value) or real(value))
         token = DataToken(GridData(value=[1, 2.5]), HistoryTree.leaf("s", 0))
-        memo = token.payload_fingerprint
-        assert memo == fingerprint_datum(token.data)
-        assert token.payload_fingerprint is memo
+        memo = token.data.value_text
+        assert memo == fingerprint_value([1, 2.5]) and walks == [[1, 2.5]]
+        assert fingerprint_datum(token.data) == f"v={memo};g="
+        assert token.data.value_text is memo and len(walks) == 1
 
     def test_memo_stays_out_of_equality_and_hash(self):
         a = DataToken(GridData(value=3), HistoryTree.leaf("s", 0))
         b = DataToken(GridData(value=3), HistoryTree.leaf("s", 0))
-        a.payload_fingerprint
+        a.data.value_text
         assert a == b and hash(a) == hash(b)
+        assert a.data == b.data and hash(a.data) == hash(b.data)
 
 
 def figure2_loop(engine, factor, tolerance):

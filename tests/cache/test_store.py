@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 
 import repro
+import repro.cache.store as store_module
 from repro.cache import ResultCache
 from repro.cache.store import (
     CacheEntry,
+    CacheStoreError,
     FileStore,
     InMemoryStore,
     ResultStore,
     entry_from_document,
+    entry_line,
     entry_to_document,
-    estimate_entry_bytes,
 )
 from repro.grid.storage import LogicalFile
 from repro.services.base import GridData
@@ -79,7 +81,7 @@ class TestDocumentCodec:
     def test_scalars_stay_json(self):
         entry = make_entry("k", value=3)
         doc = entry_to_document(entry)
-        assert doc["outputs"]["out"]["value"]["kind"] == "json"
+        assert doc["outputs"]["out"]["value"] == 3
         assert entry_from_document(doc).outputs["out"].value == 3
 
     def test_numpy_roundtrips_bit_exact(self):
@@ -90,13 +92,13 @@ class TestDocumentCodec:
         assert isinstance(back, np.ndarray)
         np.testing.assert_array_equal(back, array)
 
-    def test_nonfinite_floats_take_pickle_path(self):
-        entry = CacheEntry(
-            key="k", service="S", outputs={"o": GridData(value=float("inf"))}
-        )
-        doc = json.loads(json.dumps(entry_to_document(entry)))
-        assert doc["outputs"]["o"]["value"]["kind"] == "pickle"
-        assert entry_from_document(doc).outputs["o"].value == float("inf")
+    def test_nonfinite_floats_round_trip(self):
+        values = [float("inf"), float("-inf"), float("nan"), -0.0]
+        entry = CacheEntry(key="k", service="S", outputs={"o": GridData(value=values)})
+        line = entry_line(entry)
+        json.loads(line, parse_constant=pytest.fail)  # strict JSON: no NaN/Infinity literals
+        back = entry_from_document(json.loads(line)).outputs["o"].value
+        assert [repr(v) for v in back] == ["inf", "-inf", "nan", "-0.0"]
 
     def test_grid_file_identity_survives(self):
         datum = GridData(value=None, file=LogicalFile("gfn://x/1", size=2048))
@@ -104,8 +106,28 @@ class TestDocumentCodec:
         back = entry_from_document(entry_to_document(entry)).outputs["o"]
         assert back.file == LogicalFile("gfn://x/1", size=2048)
 
-    def test_estimate_is_positive(self):
-        assert estimate_entry_bytes({"o": GridData(value=list(range(100)))}) > 0
+    def test_bytes_stored_is_the_encoded_length(self):
+        outputs = {"o": GridData(value=list(range(100))), "f": GridData(value=np.arange(3.0))}
+        cache = ResultCache()
+        cache.put("k", "S", outputs)
+        stored = cache.snapshot().total.bytes_stored
+        encoded = json.dumps(
+            entry_to_document(CacheEntry("k", "S", outputs))["outputs"],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert stored == len(encoded) > 0
+
+    def test_the_line_is_canonical_json(self):
+        outputs = {"z": GridData(value={"b": (1, 2.5), "a": {3}}), "a": GridData(value=None)}
+        line = entry_line(CacheEntry("k", "S", outputs))
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+    def test_a_decoded_datum_carries_its_line_text(self):
+        outputs = {"o": GridData(value=[1.5, (2, "x")])}
+        doc = entry_to_document(CacheEntry("k", "S", outputs))
+        back = entry_from_document(doc).outputs["o"]
+        assert vars(back)["value_text"] == outputs["o"].value_text
 
 
 class TestFileStore:
@@ -158,17 +180,17 @@ class TestFileStore:
         ResultCache(store=open_store(cache_dir / "b")).put("k", "S", outputs)
         first = (cache_dir / "a" / "entries.jsonl").read_bytes()
         assert first == (cache_dir / "b" / "entries.jsonl").read_bytes()
-        document = json.dumps(entry_to_document(CacheEntry("k", "S", outputs)))
+        document = entry_line(CacheEntry("k", "S", outputs))
         assert first == document.encode("utf-8") + b"\n"
 
     def test_documents_with_timestamp_and_size_still_hit(self, open_store, cache_dir):
-        """Entries written with the older created_at/size_bytes fields stay warm."""
+        """Entries carrying the older created_at/size_bytes fields stay warm."""
         document = {
             "key": "k",
             "service": "S",
             "created_at": 1760000000.5,
             "size_bytes": 64,
-            "outputs": {"out": {"value": {"kind": "json", "data": 7}}},
+            "outputs": {"out": {"value": 7}},
         }
         (cache_dir / "entries.jsonl").write_text(json.dumps(document) + "\n", encoding="utf-8")
         cache = ResultCache(store=open_store())
@@ -228,6 +250,38 @@ class TestFileStore:
         assert store.get("b") is None  # past the end of the new log
         assert store.get("c").outputs["out"].value == "y" * 50
         assert sorted(store.keys()) == ["c"]
+
+    def test_reads_of_a_missing_log_create_nothing(self, open_store, tmp_path):
+        store = open_store(tmp_path / "nowhere")
+        assert store.get("k") is None and len(store) == 0 and "k" not in store
+        assert store.keys() == [] and store.documents() == []
+        assert not (tmp_path / "nowhere").exists()
+        store.put(make_entry("k", value=4))  # a put creates the log
+        assert store.get("k").outputs["out"].value == 4
+
+    def test_reads_write_nothing(self, open_store, cache_dir):
+        open_store().put(make_entry("k", value=1))
+        log = cache_dir / "entries.jsonl"
+        torn = log.read_bytes() + b'{"key": "t", "serv'
+        log.write_bytes(torn)
+        store = open_store()
+        assert store.get("t") is None and store.get("k") is not None and len(store) == 1
+        assert log.read_bytes() == torn
+
+    def test_a_log_that_cannot_be_opened_for_append_still_serves_reads(
+        self, open_store, monkeypatch
+    ):
+        open_store().put(make_entry("k", value=1))
+        store = open_store()
+        assert store.get("k") is not None  # indexed through a read-only handle
+
+        def refuse(path):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr(store_module, "_open_log", refuse)
+        with pytest.raises(CacheStoreError):
+            store.put(make_entry("j", value=2))
+        assert store.get("k").outputs["out"].value == 1
 
     def test_close_releases_the_handle_and_the_next_call_reopens(self, open_store):
         store = open_store()

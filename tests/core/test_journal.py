@@ -85,6 +85,26 @@ class TestEnactmentJournal:
         assert journal.load() == {}
         assert journal.runs() == []
 
+    def test_reads_of_a_missing_journal_create_nothing(self, tmp_path):
+        path = tmp_path / "runs" / "wal.jsonl"
+        journal = EnactmentJournal(path)
+        assert journal.load() == {} and journal.runs() == [] and len(journal) == 0
+        assert not (tmp_path / "runs").exists()
+
+    def test_load_and_runs_leave_no_handle_and_write_nothing(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        with EnactmentJournal(path) as journal:
+            journal.append_run("bronze", "SP+DP", at=0.0)
+            journal.append_invocation(make_entry(key="a"))
+        torn = path.read_bytes() + b'{"event": "invoc'  # a crash tore the next line
+        path.write_bytes(torn)
+        journal = EnactmentJournal(path)
+        assert set(journal.load()) == {"a"}
+        assert journal._handle is None
+        assert [m["at"] for m in journal.runs()] == [0.0]
+        assert journal._handle is None
+        assert path.read_bytes() == torn  # a read never ends the torn tail
+
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with EnactmentJournal(path) as journal:

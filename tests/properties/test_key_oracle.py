@@ -1,14 +1,21 @@
-"""Differential oracle: memoized cache keys against the key derivation they replaced.
+"""Differential oracle: the cache keys and the codec against the key derivation they replaced.
 
-The reference below is the un-memoized key derivation, kept verbatim:
+The reference below is the structural key derivation, kept verbatim:
 ``fingerprint_value`` walks one ``isinstance`` chain per value,
 ``history_fingerprint`` re-encodes the whole tree recursively, and
 ``invocation_key`` fingerprints every payload and the service on every
-call.  Cache files and journal lines written by it must stay readable,
-so :mod:`repro.cache.keys` with its memos — the history fingerprint
-slot, the token's payload fingerprint and the wrapper's descriptor
-digest — must produce the same text and the same keys, ordered and
-unordered, whatever was keyed before.
+call.  Production now encodes a payload value once, as its
+:mod:`repro.util.codec` canonical text (memoized on the datum), and the
+history and descriptor fingerprints are memoized too.  So:
+
+* canonical texts are equal exactly when the reference fingerprints are
+  (keys collide exactly as before);
+* a production key is the reference key with the value fingerprint
+  swapped for the canonical text, whatever was keyed before, ordered and
+  unordered;
+* ``decode(encode(v))`` is *v*, bit for bit and of the same type (an int
+  or list subclass comes back as its base type, a set as a frozenset);
+* a dataclass nobody registered is refused at encode time.
 
 Hand mutants of the production code, each killed by this test:
 
@@ -18,8 +25,8 @@ Hand mutants of the production code, each killed by this test:
    (``node.parents[:1]`` when collecting ``pending``), so a second
    parent is joined before it is encoded;
 3. the iteration tag dropped from a derived node (``iteration = ""``);
-4. ``DataToken.payload_fingerprint`` memoizing
-   ``fingerprint_value(self.data.value)``, dropping the grid file;
+4. the key reading the ``GridData.value_text`` memo alone, dropping the
+   grid file (``keys.fingerprint_datum`` returning ``g=`` empty);
 5. the wrapper's descriptor digest memo kept when ``descriptor`` is
    replaced (``if memo is None:`` only);
 6. ``if unordered: token_fps = sorted(token_fps)`` dropped.
@@ -29,10 +36,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
+import json
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Mapping, Sequence, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +55,7 @@ from repro.services.base import GridData, LocalService
 from repro.services.descriptor import AccessMethod, ExecutableDescriptor, InputSpec, OutputSpec
 from repro.services.wrapper import GenericWrapperService
 from repro.sim.engine import Engine
+from repro.util import codec
 
 TokenFact = Tuple["HistoryTree", "GridData"]
 
@@ -166,12 +177,14 @@ class Words(list):
     """A list subclass."""
 
 
+@codec.register("oracle.Point")
 @dataclass(frozen=True)
 class Point:
     x: Any
     y: Any
 
 
+@codec.register("oracle.Point3")
 @dataclass(frozen=True)
 class Point3(Point):
     """A dataclass subclass: its own name and one more field."""
@@ -179,8 +192,14 @@ class Point3(Point):
     z: Any = 0
 
 
+@codec.register("oracle.Boxed")
 @dataclass(frozen=True)
 class Boxed:
+    inner: Any
+
+
+@dataclass(frozen=True)
+class Unregistered:
     inner: Any
 
 
@@ -323,15 +342,86 @@ def test_invocation_keys_match_the_reference(pool, bound, kind, rng):
     bindings = {}
     for port, datum in bound:
         bindings.setdefault(port, []).append((rng.choice(pool), datum))
-    # the enactor's route: one token per fact, its payload memo fed in
-    memoized = {
-        port: [(history, DataToken(datum, history).payload_fingerprint) for history, datum in facts]
+    # the enactor's route: the tokens' data, the key reading each one's memo
+    tokens = {
+        port: [DataToken(datum, history) for history, datum in facts]
         for port, facts in bindings.items()
     }
+    memoized = {port: [(t.history, t.data) for t in ts] for port, ts in tokens.items()}
     for unordered in (False, True):
-        expected = invocation_key(service, bindings, unordered=unordered)
+        expected = translated_key(service, bindings, unordered)
         assert keys.invocation_key(service, bindings, unordered=unordered) == expected
         assert keys.invocation_key(service, memoized, unordered=unordered) == expected
         shuffled = {port: rng.sample(facts, len(facts)) for port, facts in memoized.items()}
         if unordered:
             assert keys.invocation_key(service, shuffled, unordered=True) == expected
+
+
+def text(value) -> str:
+    return codec.canonical(codec.encode(value))
+
+
+def translated_key(service, bindings, unordered):
+    """The reference key with its value fingerprint swapped for the canonical text."""
+    global fingerprint_value
+    reference = fingerprint_value
+    fingerprint_value = text
+    try:
+        return invocation_key(service, bindings, unordered=unordered)
+    finally:
+        fingerprint_value = reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(payloads, min_size=2, max_size=6))
+def test_canonical_texts_collide_exactly_when_the_reference_fingerprints_do(values):
+    references = [fingerprint_value(value) for value in values]
+    texts = [text(value) for value in values]
+    for i, j in itertools.combinations(range(len(values)), 2):
+        assert (texts[i] == texts[j]) == (references[i] == references[j]), (values[i], values[j])
+
+
+def assert_same(back, value):
+    """*back* is *value*, bit for bit and of the same type (up to the base types above)."""
+    if isinstance(value, (set, frozenset)):
+        assert type(back) is frozenset and back == value
+        return
+    expected = type(value)
+    if isinstance(value, int) and not isinstance(value, (bool, np.generic)):
+        expected = int
+    elif isinstance(value, list):
+        expected = list
+    assert type(back) is expected, (back, value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        assert (back.dtype, back.shape) == (value.dtype, value.shape)
+        assert back.tobytes() == value.tobytes()
+    elif isinstance(value, float):
+        assert repr(back) == repr(value)  # nan is nan, -0.0 is not 0.0
+    elif isinstance(value, (list, tuple)):
+        assert len(back) == len(value)
+        for b, v in zip(back, value):
+            assert_same(b, v)
+    elif isinstance(value, dict):
+        assert back.keys() == value.keys()
+        for key in value:
+            assert_same(back[key], value[key])
+    elif is_dataclass(value):
+        for f in fields(value):
+            assert_same(getattr(back, f.name), getattr(value, f.name))
+    else:
+        assert back == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_decode_inverts_encode(value):
+    tree = codec.encode(value)
+    assert_same(codec.decode(json.loads(codec.canonical(tree))), value)
+    assert_same(codec.decode(tree), value)
+
+
+def test_an_unregistered_dataclass_is_refused():
+    with pytest.raises(codec.CodecError, match="Unregistered"):
+        codec.encode([1, Unregistered(2)])
+    with pytest.raises(codec.CodecError, match="oracle.Nowhere"):
+        codec.decode({"oracle.Nowhere": {}})

@@ -13,13 +13,13 @@ CITATION = re.compile(r"\s+".join(("ROADMAP", "item")))
 DOCS = ("README.md", "DESIGN.md", "REACHABILITY.md")
 
 
-def checked_files():
-    for tree in ("src", "tests"):
+def checked_files(trees=("src", "tests"), docs=DOCS):
+    for tree in trees:
         yield from sorted(
             path for path in (ROOT / tree).rglob("*")
             if path.is_file() and "__pycache__" not in path.parts
         )
-    yield from (ROOT / doc for doc in DOCS)
+    yield from (ROOT / doc for doc in docs)
 
 
 def test_no_roadmap_item_citations():

@@ -77,6 +77,7 @@ KEPT = {
     "repro.cache.store": {
         "InMemoryStore": "kept: test seam/reference (the in-process store the cache tests "
                          "substitute)",
+        "entry_to_document": ROUND_TRIP,
     },
     "repro.core.config": {"OptimizationConfig": PINNED_CLASS},
     "repro.core.iteration": {"IterationEngine.buffered": OBSERVED},
@@ -140,15 +141,19 @@ DELETED = {
     "repro.apps.accuracy": ["_group_by_pair"],
     "repro.cache": ["ResultCache.key_for", "ResultCache.from_config",
                     "ResultCache._record_eviction"],
+    "repro.cache.keys": ["fingerprint_value"],
     "repro.cache.policy": ["(module) CachePolicy"],
     "repro.cache.stats": ["CacheStats.record_eviction"],
     "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify",
-                          "FileStore._path", "FileStore._read", "FileStore._remove"],
+                          "FileStore._path", "FileStore._read", "FileStore._remove",
+                          "estimate_entry_bytes", "_json_scalar", "_encode_datum",
+                          "_decode_datum", "EntryLog._open", "_complete_lines"],
     "repro.core.config": ["OptimizationConfig.with_cache"],
     "repro.core.journal": ["EnactmentJournal._ensure_open", "JournalEntry",
                            "JournalEntry.to_document", "JournalEntry.from_document",
                            "EnactmentJournal._write", "EnactmentJournal._documents"],
     "repro.core.provenance": ["merged_lineage"],
+    "repro.core.tokens": ["DataToken.payload_fingerprint"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
     "repro.grid.batch": ["ShortestJobFirstPolicy"],
