@@ -26,6 +26,8 @@ which the experiment harness mines for overhead/makespan statistics.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
@@ -188,7 +190,13 @@ class Grid:
             for ce in site.computing_elements:
                 ce.grid = self
                 self.computing_elements.append(ce)
-            self._storage_by_site[site.name] = site.storage_element
+            if site.storage_element is not None:
+                self._storage_by_site[site.name] = site.storage_element
+        #: every SE by name: the one order repair targets, stage-out
+        #: fallback and the outage beacon walk
+        self._storage_elements: List[StorageElement] = sorted(
+            self._storage_by_site.values(), key=lambda se: se.name
+        )
         self.broker = ResourceBroker(
             engine,
             self.computing_elements,
@@ -227,6 +235,7 @@ class Grid:
         if not self.outages.empty:
             engine.process(self._outage_beacon(), name=f"{name}:outage-beacon")
         if self.repair_target > 1:
+            self.catalog.track_replication(self.repair_target)
             engine.process(self._repair_loop(), name=f"{name}:replica-repair")
 
     # -- data management -------------------------------------------------
@@ -432,7 +441,7 @@ class Grid:
                 if outcome == "lost":
                     # Metadata says the replica exists but the bytes are
                     # gone — detected instantly, fail over in place.
-                    se.mark_lost(gfn)
+                    self.catalog.mark_lost(gfn, se)
                     sites_tried.append(se.site)
                     self._counter("grid.replicas.lost")
                     self._chaos_span(
@@ -448,7 +457,7 @@ class Grid:
                     # rejects it: time wasted, replica quarantined.
                     yield engine.timeout(seconds)
                     elapsed += seconds
-                    se.quarantine(gfn)
+                    self.catalog.quarantine(gfn, se)
                     sites_tried.append(se.site)
                     failures += 1
                     last_error = f"checksum mismatch from {se.name} (expected {file.checksum})"
@@ -498,18 +507,10 @@ class Grid:
         """The SE a produced file goes to under chaos: the local SE,
         else the default site's, else the first live SE by name; None
         when every SE is down."""
-        ordered: List[StorageElement] = []
-        local = self.storage_at(site)
-        if local is not None:
-            ordered.append(local)
-        default = self.default_site.storage_element
-        if default not in ordered:
-            ordered.append(default)
-        for se in sorted(self._storage_by_site.values(), key=lambda s: s.name):
-            if se not in ordered:
-                ordered.append(se)
-        for se in ordered:
-            if not self.storage_down(se, now):
+        preferred = (self.storage_at(site), self.default_site.storage_element)
+        for se in itertools.chain(preferred, self._storage_elements):
+            # a repeat is down again: the first live SE is the answer
+            if se is not None and not self.storage_down(se, now):
                 return se
         return None
 
@@ -535,7 +536,7 @@ class Grid:
             if target is None:
                 resume = min(
                     self.entity_next_up(se.name, se.site, engine.now)
-                    for se in self._storage_by_site.values()
+                    for se in self._storage_elements
                 )
                 if resume <= engine.now:
                     continue
@@ -587,7 +588,7 @@ class Grid:
         """
         engine = self.engine
         events = []
-        for se in sorted(self._storage_by_site.values(), key=lambda s: s.name):
+        for se in self._storage_elements:
             for subject in dict.fromkeys((se.name, se.site)):
                 for start, end in self.outages.down_windows(subject):
                     events.append((start, end, se.name))
@@ -614,7 +615,7 @@ class Grid:
 
         Cycle-first: the daemon does an initial replication pass as soon
         as the simulation starts (input files are registered before the
-        clock moves), then rescans every :attr:`repair_interval`.
+        clock moves), then runs a cycle every :attr:`repair_interval`.
         """
         engine = self.engine
         while True:
@@ -622,27 +623,54 @@ class Grid:
             yield engine.timeout(self.repair_interval)
 
     def _repair_cycle(self):
+        """One pass over the GFNs that need a copy, in GFN order.
+
+        Visits every GFN known when the cycle began that is in the
+        catalog's under-replicated set when the cursor reaches it — one
+        that loses a replica mid-cycle and sorts after the cursor
+        included, one first registered mid-cycle not.  Cost is
+        O(u log u) for u under-replicated GFNs, whatever the catalog's
+        size.
+        """
         engine = self.engine
-        for gfn in list(self.catalog.gfns()):
-            healthy = self.catalog.healthy_replicas(gfn)
-            live = sorted(
+        catalog = self.catalog
+        under = catalog.under_replicated
+        pending = sorted(under)  # a sorted list is a heap
+        catalog.drain_joins()  # the snapshot covers every earlier join
+        minted: Set[str] = set()
+        cursor = ""
+        while True:
+            for gfn, new in catalog.drain_joins().items():
+                if new:
+                    minted.add(gfn)
+                elif gfn > cursor and gfn not in minted:
+                    heapq.heappush(pending, gfn)
+            if not pending:
+                return
+            gfn = heapq.heappop(pending)
+            if gfn <= cursor:
+                continue  # a duplicate push
+            cursor = gfn
+            if gfn not in under:
+                continue
+            healthy = catalog.healthy_replicas(gfn)
+            src = min(
                 (se for se in healthy if not self.storage_down(se)),
                 key=lambda se: se.name,
+                default=None,
             )
-            if not live or len(healthy) >= self.repair_target:
+            if src is None:
                 continue
             holders = {se.name for se in healthy}
-            targets = sorted(
-                (
-                    se
-                    for se in self._storage_by_site.values()
-                    if se.name not in holders and not self.storage_down(se)
-                ),
-                key=lambda se: se.name,
-            )
-            src = live[0]
-            file = self.catalog.lookup(gfn)
-            for dst in targets[: self.repair_target - len(healthy)]:
+            need = self.repair_target - len(healthy)
+            targets: List[StorageElement] = []
+            for se in self._storage_elements:
+                if len(targets) == need:
+                    break
+                if se.name not in holders and not self.storage_down(se):
+                    targets.append(se)
+            file = catalog.lookup(gfn)
+            for dst in targets:
                 self.transfer_context = TransferContext(purpose="repair", gfn=gfn)
                 try:
                     seconds = self.network.transfer_time(
@@ -651,7 +679,7 @@ class Grid:
                 finally:
                     self.transfer_context = None
                 yield engine.timeout(seconds)
-                self.catalog.register(file, dst)
+                catalog.register(file, dst)
                 self._counter("grid.repair.transfers")
 
     # -- instrumentation hooks ---------------------------------------------

@@ -8,7 +8,10 @@ The paper's executable descriptors reference data by **Grid File Name**
   the Bronze Standard images are 7.8 MB raw / ~2.3 MB compressed),
 * :class:`StorageElement` — a named store attached to a site,
 * :class:`ReplicaCatalog` — the GFN -> {storage elements} mapping with
-  registration and replica resolution.
+  registration, replica resolution and replica health: every change to
+  whether a replica is usable (registration, loss, quarantine) goes
+  through it, so it can keep the exact set of under-replicated GFNs the
+  re-replication daemon works from.
 
 A catalog lookup chooses the replica closest to the requesting site
 (same site wins, then any remote replica deterministically by name) —
@@ -20,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set
 
 from repro.util import codec
 from repro.util.units import MEBIBYTE
@@ -152,7 +155,15 @@ class StorageElement:
 
 
 class ReplicaCatalog:
-    """GFN -> replicas mapping plus file metadata."""
+    """GFN -> replicas mapping plus file metadata and replica health.
+
+    Replica health changes only through :meth:`register`,
+    :meth:`mark_lost` and :meth:`quarantine`.  Once
+    :meth:`track_replication` is on, the catalog keeps
+    :attr:`under_replicated` — every GFN with fewer healthy replicas than
+    the target — exact at every instant, plus a log of the GFNs that
+    joined it since the last :meth:`drain_joins`.
+    """
 
     def __init__(self) -> None:
         self._replicas: Dict[str, List[StorageElement]] = {}
@@ -161,6 +172,59 @@ class ReplicaCatalog:
         #: registration, in add order; the grid registers its metrics
         #: hook here and a data-flow collector adds its own.
         self.observers: List[Callable[[LogicalFile, StorageElement], None]] = []
+        #: healthy replicas a GFN needs (0 = no index kept)
+        self._target = 0
+        self._under: Set[str] = set()
+        #: GFNs that joined ``_under`` since the last drain, in join
+        #: order -> True when the join was the GFN's first registration
+        self._joins: Dict[str, bool] = {}
+
+    def track_replication(self, target: int) -> None:
+        """Keep :attr:`under_replicated` for *target* healthy replicas."""
+        self._target = target
+        self._under = set()
+        for gfn in self._replicas:
+            self._reindex(gfn)
+        self._joins = {}
+
+    @property
+    def under_replicated(self) -> Set[str]:
+        """The live set of GFNs below the tracked target (do not mutate)."""
+        return self._under
+
+    def drain_joins(self) -> Dict[str, bool]:
+        """GFNs that joined :attr:`under_replicated` since the last call.
+
+        Join order; the value is True when the join was the GFN's first
+        registration.  Clears the log.
+        """
+        joins, self._joins = self._joins, {}
+        return joins
+
+    def _reindex(self, gfn: str, new: bool = False) -> None:
+        """Recount *gfn*'s healthy replicas after its health may have changed."""
+        if not self._target:
+            return
+        healthy = sum(1 for se in self._replicas[gfn] if se.healthy(gfn))
+        if healthy >= self._target:
+            self._under.discard(gfn)
+        elif gfn not in self._under:
+            self._under.add(gfn)
+            self._joins.setdefault(gfn, new)
+
+    def mark_lost(self, gfn: str, element: StorageElement) -> None:
+        """The replica of *gfn* on *element* is gone (disk loss, deletion)."""
+        if gfn not in self._replicas:
+            raise UnknownFileError(gfn)
+        element.mark_lost(gfn)
+        self._reindex(gfn)
+
+    def quarantine(self, gfn: str, element: StorageElement) -> None:
+        """The replica of *gfn* on *element* failed verification."""
+        if gfn not in self._replicas:
+            raise UnknownFileError(gfn)
+        element.quarantine(gfn)
+        self._reindex(gfn)
 
     def add_observer(
         self, observer: Callable[[LogicalFile, StorageElement], None]
@@ -182,6 +246,7 @@ class ReplicaCatalog:
         if element not in replicas:
             replicas.append(element)
         element.add(file.gfn)
+        self._reindex(file.gfn, new=known is None)
         for observer in self.observers:
             observer(file, element)
 
@@ -203,7 +268,7 @@ class ReplicaCatalog:
         return [se for se in self.replicas(gfn) if se.healthy(gfn)]
 
     def healthy_replica_count(self, gfn: str) -> int:
-        """How many usable replicas *gfn* still has (repair's scan metric)."""
+        """How many usable replicas *gfn* still has."""
         return len(self.healthy_replicas(gfn))
 
     def failover_order(

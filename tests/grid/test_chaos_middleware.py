@@ -115,7 +115,7 @@ class TestReplicaFailover:
         file = LogicalFile("gfn://doomed", size=1 * MEBIBYTE)
         grid.add_input_file(file, site_name="s1")
         for se in grid.catalog.replicas(file.gfn):
-            se.mark_lost(file.gfn)
+            grid.catalog.mark_lost(file.gfn, se)
         handle = grid.submit(
             JobDescription(name="j", compute_time=1.0, input_files=(file.gfn,))
         )
@@ -134,7 +134,7 @@ class TestReplicaFailover:
         grid.add_input_file(file, site_name="s0")
         grid.add_input_file(file, site_name="s1")
         # kill the local copy: stage-in must fail over to the remote
-        grid.storage_at("s0").mark_lost(file.gfn)
+        grid.catalog.mark_lost(file.gfn, grid.storage_at("s0"))
         handle = grid.submit(
             JobDescription(
                 name="j", compute_time=1.0, input_files=(file.gfn,)

@@ -107,3 +107,39 @@ class TestReplicaUnavailableError:
         with pytest.raises(UnknownFileError):
             catalog.closest_replica("gfn://never-registered", "s0")
         assert not issubclass(ReplicaUnavailableError, UnknownFileError)
+
+
+class TestUnderReplicatedIndex:
+    def test_index_follows_every_health_change(self):
+        catalog = ReplicaCatalog()
+        a, b = StorageElement("se-a", site="x"), StorageElement("se-b", site="y")
+        catalog.register(LogicalFile("gfn://old", size=1), a)
+        catalog.track_replication(2)
+        assert catalog.under_replicated == {"gfn://old"}
+        assert catalog.drain_joins() == {}
+        catalog.register(LogicalFile("gfn://old", size=1), b)
+        catalog.register(LogicalFile("gfn://new", size=1), a)
+        assert catalog.under_replicated == {"gfn://new"}
+        catalog.quarantine("gfn://old", b)
+        catalog.mark_lost("gfn://old", a)
+        assert catalog.under_replicated == {"gfn://new", "gfn://old"}
+        # joins in order; True marks a GFN's first registration
+        assert catalog.drain_joins() == {"gfn://new": True, "gfn://old": False}
+        assert catalog.drain_joins() == {}
+        catalog.register(LogicalFile("gfn://old", size=1), b)  # re-add heals
+        catalog.register(LogicalFile("gfn://old", size=1), a)
+        assert catalog.under_replicated == {"gfn://new"}
+
+    def test_untracked_catalog_keeps_no_index(self):
+        catalog = ReplicaCatalog()
+        catalog.register(LogicalFile("gfn://x", size=1), StorageElement("se", site="s"))
+        assert catalog.under_replicated == set()
+        assert catalog.drain_joins() == {}
+
+    def test_health_changes_need_a_known_gfn(self):
+        catalog = ReplicaCatalog()
+        se = StorageElement("se", site="s")
+        with pytest.raises(UnknownFileError):
+            catalog.mark_lost("gfn://never", se)
+        with pytest.raises(UnknownFileError):
+            catalog.quarantine("gfn://never", se)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.grid.faults import OutageSchedule
 from repro.grid.job import JobDescription
 from repro.grid.middleware import Grid
 from repro.grid.overhead import OverheadModel
@@ -12,13 +13,12 @@ from repro.util.rng import RandomStreams
 from repro.util.units import MEBIBYTE
 
 
-@pytest.fixture
-def two_site_grid(engine):
+def make_two_site_grid(engine, **grid_kwargs):
     """site0 has storage; site1 is compute-only."""
     ce0 = ComputingElement(engine, "ce0", "site0", workers=[WorkerNode("w0")])
     ce1 = ComputingElement(engine, "ce1", "site1", workers=[WorkerNode("w1", slots=8)])
     se0 = StorageElement("se0", "site0")
-    grid = Grid(
+    return Grid(
         engine,
         RandomStreams(seed=0),
         sites=[
@@ -30,8 +30,13 @@ def two_site_grid(engine):
             lan=LinkParameters(latency=0.0, bandwidth=100 * MEBIBYTE),
             wan=LinkParameters(latency=10.0, bandwidth=1 * MEBIBYTE),
         ),
+        **grid_kwargs,
     )
-    return grid
+
+
+@pytest.fixture
+def two_site_grid(engine):
+    return make_two_site_grid(engine)
 
 
 class TestComputeOnlySite:
@@ -71,3 +76,27 @@ class TestComputeOnlySite:
         record = engine.run(until=handle.completion)
         assert record.computing_element == "ce0"  # least-loaded picks the free one
         assert record.stage_in_time == pytest.approx(2.0 / 100.0)  # LAN
+
+
+class TestChaosWithComputeOnlySite:
+    """The per-file chaos path on a grid where one site has no SE."""
+
+    def produce(self, engine, grid):
+        out = LogicalFile("gfn://out/chaos", size=1 * MEBIBYTE)
+        handle = grid.submit(
+            JobDescription(name="produce", compute_time=1.0, output_files=(out,))
+        )
+        record = engine.run(until=handle.completion)
+        assert record.state.name == "DONE"
+        return [se.name for se in grid.catalog.replicas(out.gfn)]
+
+    def test_repair_daemon_runs(self, engine):
+        grid = make_two_site_grid(engine, repair_target=2, repair_interval=10.0)
+        assert self.produce(engine, grid) == ["se0"]
+        engine.run(until=50.0)  # further cycles: no second SE to copy to
+
+    def test_outage_beacon_runs(self, engine):
+        grid = make_two_site_grid(
+            engine, outages=OutageSchedule.from_windows({"site1": [(0.0, 5.0)]})
+        )
+        assert self.produce(engine, grid) == ["se0"]

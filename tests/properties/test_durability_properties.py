@@ -114,7 +114,7 @@ def enact_with_data_loss(n_items, doomed, window_map, config):
         dataset.add_file("input", gfn, 1 * MEBIBYTE, value=i)
     for i in doomed:
         for se in grid.catalog.replicas(f"gfn://item-{i}"):
-            se.mark_lost(f"gfn://item-{i}")
+            grid.catalog.mark_lost(f"gfn://item-{i}", se)
 
     def factory(name, inputs, outputs):
         return GenericWrapperService(
