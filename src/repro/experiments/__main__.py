@@ -26,9 +26,7 @@ Usage::
                                         [--top 10] [--dot dataflow.dot]
     python -m repro.experiments record-run --store runstore [--config SP+DP]
                                         [--out baseline.json]
-    python -m repro.experiments compare-runs --store runstore \
-                                        run-0001 latest [--budget-makespan 0.05]
-                                        [--budget-bytes 0.0]
+    python -m repro.experiments compare-runs --store runstore run-0001 latest
     python -m repro.experiments profile record --out profile.json
                                         [--clock deterministic|wall]
     python -m repro.experiments profile report profile.json
@@ -67,19 +65,20 @@ prints the data plane's ledger — top-talker links with ASCII bandwidth
 sparklines, per-service and per-purpose byte shares, per-site storage —
 and exports the site-to-site data-flow graph as DOT (``--dot``).
 ``record-run`` appends one summary to a run store and ``compare-runs``
-checks a candidate run against a baseline within budgets — it exits
-non-zero on regression, which is the CI gate; when a throughput budget
-trips and both rows carry a ``perf.profile.*`` breakdown, it also
-names the top regressed components; ``--budget-bytes`` additionally
-gates growth of ``bytes.total`` / ``bytes.enactor_moved``.
+diffs a candidate run against a baseline: a seeded run reproduces
+exactly, so every key that differs is printed with both values and any
+change, an improvement included, exits 1 — the CI gate.  An intended
+change is acknowledged by re-recording the baseline.
 
 The ``profile`` family drives the hot-path profiler
 (:mod:`repro.observability.profiling`): ``record`` runs one Bronze
 Standard enactment under the profiler's ``sys.setprofile`` hook
 (deterministic tick clock by default, so the file is byte-identical
 across same-seed runs), ``report`` renders a saved profile,
-``diff`` ranks per-component movement between two profiles, and
-``flame`` exports collapsed-stack or speedscope flamegraphs.
+``diff`` ranks per-component movement between two profiles and names
+the top regressed component (the one attribution path for a
+slowdown), and ``flame`` exports collapsed-stack or speedscope
+flamegraphs.
 """
 
 from __future__ import annotations
@@ -455,7 +454,7 @@ def _load_spans(path: str):
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
 
 
-def _instrumented_bronze(args: argparse.Namespace, profiler=None):
+def _instrumented_bronze(args: argparse.Namespace):
     """One instrumented Bronze Standard enactment (``--testbed`` grid).
 
     The shared front half of the analytics subcommands: returns
@@ -480,9 +479,7 @@ def _instrumented_bronze(args: argparse.Namespace, profiler=None):
     monitor = RunMonitor.attach(
         bus, expected_items=args.pairs, policy=policy_key(config)
     )
-    result = app.enact(
-        config, n_pairs=args.pairs, instrumentation=bus, profiler=profiler
-    )
+    result = app.enact(config, n_pairs=args.pairs, instrumentation=bus)
     return app, grid, result, collector.spans, monitor
 
 
@@ -601,17 +598,9 @@ def cmd_record_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.observability import RunStore, summarize_run
-    from repro.observability.profiling import Profiler, TickClock, profile_counters
 
     out = cli_logger()
-    # Always profile with the deterministic clock: the perf.profile.*
-    # breakdown costs little, adds no nondeterminism to the row, and is
-    # what compare-runs attribution reads when a throughput budget trips.
-    profiler = Profiler(
-        clock=TickClock(),
-        label=f"record-run {args.config} pairs={args.pairs} seed={args.seed}",
-    )
-    _app, grid, result, spans, _monitor = _instrumented_bronze(args, profiler=profiler)
+    _app, grid, result, spans, _monitor = _instrumented_bronze(args)
     summary = summarize_run(
         result,
         spans=spans,
@@ -621,7 +610,6 @@ def cmd_record_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         note=args.note,
     )
-    summary.counters.update(profile_counters(profiler.snapshot()))
     store = RunStore(args.store)
     store.append(summary)
     out.info(
@@ -638,48 +626,16 @@ def cmd_record_run(args: argparse.Namespace) -> int:
 
 def cmd_compare_runs(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_run_comparison
-    from repro.observability import Budgets, RunStore, RunStoreError, compare
+    from repro.observability import RunStore, RunStoreError, compare
 
-    out = cli_logger()
-    budgets = Budgets(
-        makespan=args.budget_makespan,
-        phase=args.budget_phase,
-        drift=args.budget_drift,
-        hit_rate=args.budget_hit_rate,
-        jobs=args.budget_jobs,
-        alerts=args.budget_alerts,
-        throughput=args.budget_throughput,
-        bytes=args.budget_bytes,
-        min_seconds=args.min_seconds,
-    )
     store = RunStore(args.store)
     try:
-        baseline = store.resolve(args.baseline)
-        candidate = store.resolve(args.candidate)
-        comparison = compare(baseline, candidate, budgets)
+        comparison = compare(
+            store.resolve(args.baseline), store.resolve(args.candidate)
+        )
     except RunStoreError as exc:
         raise SystemExit(str(exc))
-    out.info(format_run_comparison(comparison))
-    if not comparison.ok:
-        from repro.observability.profiling import attribute, format_attribution
-
-        throughput_blown = any(
-            entry.metric.startswith("counter.perf.")
-            for entry in comparison.regressions
-        )
-        if throughput_blown:
-            lines = format_attribution(
-                attribute(baseline.counters, candidate.counters)
-            )
-            if lines:
-                out.info("")
-                for line in lines:
-                    out.info(line)
-            else:
-                out.info(
-                    "\n(no perf.profile.* breakdown in both rows: record runs "
-                    "with the profiler installed to attribute the slowdown)"
-                )
+    cli_logger().info(format_run_comparison(comparison))
     return 0 if comparison.ok else 1
 
 
@@ -1049,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_runs = sub.add_parser(
         "compare-runs",
-        help="budgeted baseline-vs-candidate comparison (exit 1 on regression)",
+        help="diff a candidate run against a baseline golden (exit 1 on any change)",
     )
     compare_runs.add_argument(
         "baseline", help="run id, 'latest[:POLICY]', or a summary JSON path"
@@ -1060,46 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_runs.add_argument(
         "--store", default="runstore", metavar="DIR",
         help="run-store directory the run ids resolve against",
-    )
-    compare_runs.add_argument(
-        "--budget-makespan", type=float, default=0.05,
-        help="allowed relative makespan growth (default 0.05 = +5%%)",
-    )
-    compare_runs.add_argument(
-        "--budget-phase", type=float, default=0.10,
-        help="allowed relative growth per critical-path phase bucket",
-    )
-    compare_runs.add_argument(
-        "--budget-drift", type=float, default=0.05,
-        help="allowed absolute increase of the model's relative error",
-    )
-    compare_runs.add_argument(
-        "--budget-hit-rate", type=float, default=0.05,
-        help="allowed absolute drop of the cache hit rate",
-    )
-    compare_runs.add_argument(
-        "--budget-jobs", type=float, default=0.0,
-        help="allowed relative growth of submitted grid jobs",
-    )
-    compare_runs.add_argument(
-        "--budget-alerts", type=float, default=0.0,
-        help="allowed absolute growth of monitor alerts "
-        "(default 0: any new health alert is a regression)",
-    )
-    compare_runs.add_argument(
-        "--budget-throughput", type=float, default=None,
-        help="when set, allowed relative loss of perf.events_per_sec / growth "
-        "of perf.us_per_invocation (off by default: wall-clock noise)",
-    )
-    compare_runs.add_argument(
-        "--budget-bytes", type=float, default=None,
-        help="when set, allowed relative growth of bytes.total and "
-        "bytes.enactor_moved (byte counters are deterministic, so 0.0 "
-        "is a sound gate; off by default)",
-    )
-    compare_runs.add_argument(
-        "--min-seconds", type=float, default=1.0,
-        help="phases below this size in both runs are noise, never compared",
     )
     compare_runs.set_defaults(func=cmd_compare_runs)
 

@@ -315,51 +315,34 @@ def format_ce_utilization(rows: Sequence[Mapping[str, object]]) -> str:
 
 
 def format_run_comparison(comparison: RunComparison) -> str:
-    """Baseline-vs-candidate verdict: per-metric deltas, then budgets."""
+    """Baseline-vs-candidate verdict: every changed key, both values."""
     baseline = comparison.baseline
     candidate = comparison.candidate
+
+    def show(value: object) -> str:
+        return "(absent)" if value is None else repr(value)
+
     lines = [
         f"baseline:  {baseline.run_id or '(file)'} {baseline.policy} "
         f"makespan {baseline.makespan:.1f}s",
         f"candidate: {candidate.run_id or '(file)'} {candidate.policy} "
         f"makespan {candidate.makespan:.1f}s",
-        f"checked: {', '.join(comparison.checked)}",
+        f"compared {len(comparison.checked)} keys "
+        "(run_id, note and created_at are provenance)",
     ]
-    if comparison.deltas:
-        blown = {entry.metric for entry in comparison.regressions}
-        rows = []
-        for entry in comparison.deltas:
-            if entry.mode == "relative":
-                change = f"{entry.change:+.1%}"
-                budget = f"{entry.budget:+.1%}"
-            else:
-                change = f"{entry.change:+.3f}"
-                budget = f"{entry.budget:+.3f}"
-            rows.append([
-                entry.metric,
-                f"{entry.baseline:.2f}",
-                f"{entry.candidate:.2f}",
-                change,
-                budget,
-                "OVER" if entry.metric in blown else "ok",
-            ])
+    if comparison.changes:
         lines.append("")
-        lines.append(
-            _grid(["metric", "baseline", "candidate", "change", "budget", ""], rows)
+        lines.append("changed:")
+        lines.extend(
+            f"  {change.key}: {show(change.baseline)} -> {show(change.candidate)}"
+            for change in comparison.changes
         )
-    if comparison.regressions:
-        lines.append("")
-        lines.append("REGRESSIONS:")
-        lines.extend(f"  {entry.describe()}" for entry in comparison.regressions)
-    if comparison.improvements:
-        lines.append("")
-        lines.append("improvements:")
-        lines.extend(f"  {entry.describe()}" for entry in comparison.improvements)
     lines.append("")
     lines.append(
-        "verdict: OK (within budgets)"
+        "verdict: OK (identical)"
         if comparison.ok
-        else f"verdict: {len(comparison.regressions)} regression(s) over budget"
+        else f"verdict: {len(comparison.changes)} key(s) changed "
+        "(re-record the baseline if the change is intended)"
     )
     return "\n".join(lines)
 

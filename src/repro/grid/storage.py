@@ -160,9 +160,11 @@ class ReplicaCatalog:
     Replica health changes only through :meth:`register`,
     :meth:`mark_lost` and :meth:`quarantine`.  Once
     :meth:`track_replication` is on, the catalog keeps
-    :attr:`under_replicated` — every GFN with fewer healthy replicas than
-    the target — exact at every instant, plus a log of the GFNs that
-    joined it since the last :meth:`drain_joins`.
+    :attr:`under_replicated` — every GFN with at least one but fewer
+    than the target healthy replicas — exact at every instant, plus a
+    log of the GFNs that joined it since the last :meth:`drain_joins`.
+    A GFN with no healthy replica left has no source to copy from, so it
+    stays out until a registration gives it one.
     """
 
     def __init__(self) -> None:
@@ -189,7 +191,8 @@ class ReplicaCatalog:
 
     @property
     def under_replicated(self) -> Set[str]:
-        """The live set of GFNs below the tracked target (do not mutate)."""
+        """The live set of GFNs below the tracked target that still have
+        a healthy replica to copy from (do not mutate)."""
         return self._under
 
     def drain_joins(self) -> Dict[str, bool]:
@@ -206,7 +209,7 @@ class ReplicaCatalog:
         if not self._target:
             return
         healthy = sum(1 for se in self._replicas[gfn] if se.healthy(gfn))
-        if healthy >= self._target:
+        if not 0 < healthy < self._target:
             self._under.discard(gfn)
         elif gfn not in self._under:
             self._under.add(gfn)

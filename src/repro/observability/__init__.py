@@ -32,8 +32,9 @@ Pieces (all dependency-free, all in simulated time):
   queue-depth step functions and a dependency-free ASCII Gantt
   renderer;
 * :mod:`~repro.observability.runstore` — the append-only run-history
-  store (one JSON summary per run) and the budgeted
-  :func:`~repro.observability.runstore.compare` regression gate;
+  store (one JSON summary per run) and the exact
+  :func:`~repro.observability.runstore.compare` gate: a summary is a
+  golden, and every key that differs is a change;
 * :mod:`~repro.observability.health` — rolling robust statistics
   (median/MAD with a zero-variance guard) scoring every computing
   element online: straggler and blackhole detection;
@@ -50,15 +51,15 @@ Pieces (all dependency-free, all in simulated time):
 * :mod:`~repro.observability.profiling` — the hot-path profiler: one
   ``sys.setprofile`` hook feeding nested scope accounting over an
   injectable clock, flamegraph export (collapsed / speedscope) and the
-  per-component ``compare-runs`` regression attribution;
+  per-component ``profile diff`` attribution of a slowdown;
 * :mod:`~repro.observability.dataflow` — the data plane's ledger: the
   :class:`DataFlowCollector` accounting every transfer as a typed,
   attributed record (purpose, owning service/tenant/run), per-link
   bandwidth timelines and sparklines, the deterministic DOT data-flow
   graph with strict parser, and the always-on byte counters
   (``bytes.enactor_moved`` vs ``bytes.peer_moved``,
-  ``bytes.intermediate_saved_by_grouping``) behind the
-  ``compare-runs --budget-bytes`` gate.
+  ``bytes.intermediate_saved_by_grouping``) that every run summary
+  carries, so ``compare-runs`` gates them exactly.
 
 Usage::
 
@@ -158,8 +159,7 @@ from repro.observability.profiling import (
     wall_clock,
 )
 from repro.observability.runstore import (
-    Budgets,
-    Regression,
+    KeyChange,
     RunComparison,
     RunStore,
     RunStoreError,
@@ -212,8 +212,7 @@ __all__ = [
     "RunStoreError",
     "RunSummary",
     "RunStore",
-    "Budgets",
-    "Regression",
+    "KeyChange",
     "RunComparison",
     "summarize_run",
     "compare",

@@ -157,7 +157,7 @@ def publish_alert(
     in ``monitor.alerts.total`` and ``monitor.alerts.<kind>`` and
     recorded as an instant ``alert.<kind>`` span (category ``alert``)
     under the current run span, which is how it reaches JSONL/Chrome
-    traces and the ``compare-runs --budget-alerts`` gate.
+    traces and the run summaries that ``compare-runs`` gates.
     """
     for sink in sinks:
         sink(alert)

@@ -23,7 +23,7 @@ incrementally as spans close,
   every registered sink, re-emitted through the bus as zero-duration
   ``category="alert"`` spans (so they land in the JSONL trace and the
   Chrome trace), and counted in the metrics registry (``monitor.alerts.*``)
-  so run-store summaries and ``compare-runs`` budgets see them.
+  so run-store summaries carry them and ``compare-runs`` gates them.
 
 **The online invariant.**  Every piece of state that determines health
 scores and alerts is derived *solely* from closed spans, in the order

@@ -7,9 +7,8 @@ fast the error budget is being spent relative to the objective), and
 raises an ``slo-burn`` :class:`~repro.observability.alerts.Alert`
 through the existing alert machinery when the burn crosses its
 threshold.  Because those alerts are counted into the bus's
-``monitor.alerts.*`` metrics, the stock
-``compare-runs --budget-alerts`` regression gate catches SLO burns
-with no extra wiring.
+``monitor.alerts.*`` metrics, which every run summary carries, the
+exact ``compare-runs`` gate catches SLO burns with no extra wiring.
 
 Three objective kinds (:data:`SLO_KINDS`):
 
@@ -173,8 +172,8 @@ class SLOTracker:
     monitor's path too: sinks are invoked, and when a bus is attached
     the alert is counted in ``monitor.alerts.total`` /
     ``monitor.alerts.slo-burn`` and recorded as an instant
-    ``alert.slo-burn`` span — which is what lets
-    ``compare-runs --budget-alerts`` gate SLO burns.
+    ``alert.slo-burn`` span — which is what lets ``compare-runs``
+    gate SLO burns.
     """
 
     def __init__(

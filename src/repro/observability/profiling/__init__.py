@@ -8,25 +8,22 @@ bodies, invocation lifecycle, submission, brokering, cache lookups,
 and the instrumentation bus itself — into a scope tree with per-call
 self/cumulative time, bucketed per component.  Snapshots
 (:class:`Profile`) export to collapsed-stack / speedscope flamegraphs
-and diff into ranked per-component regression tables that
-``compare-runs`` prints when a throughput budget trips.
+and diff into ranked per-component regression tables
+(``profile diff``), the one place host cost is attributed: run
+summaries carry no profile counters.
 
 No code outside this package refers to the profiler: off, it costs
 nothing.
 """
 
 from repro.observability.profiling.attribution import (
-    PROFILE_PREFIX,
     ComponentDelta,
     ProfileDiff,
     ScopeDelta,
     attribute,
-    components_from_counters,
     diff_profiles,
-    format_attribution,
     format_profile_diff,
     format_profile_report,
-    profile_counters,
 )
 from repro.observability.profiling.clock import (
     Clock,
@@ -66,15 +63,11 @@ __all__ = [
     "to_speedscope",
     "parse_speedscope",
     "speedscope_json",
-    "PROFILE_PREFIX",
-    "profile_counters",
-    "components_from_counters",
     "ComponentDelta",
     "ScopeDelta",
     "ProfileDiff",
     "attribute",
     "diff_profiles",
-    "format_attribution",
     "format_profile_report",
     "format_profile_diff",
 ]

@@ -1,84 +1,36 @@
 """Turn profiles into answers: reports, diffs, regression attribution.
 
-A tripped ``compare-runs --budget-throughput`` gate says the run got
-slower; this module says *where*.  Three layers:
+Run summaries hold simulated quantities only, so a saved profile is
+where host cost is attributed.  Two layers:
 
-* :func:`profile_counters` folds a profile into flat runstore counters
-  — ``perf.profile.<component>`` (self microseconds) and
-  ``perf.profile.<component>.calls`` — so every runstore row carries a
-  compact per-component breakdown next to ``perf.events_per_sec``.
-* :func:`attribute` ranks the per-component deltas between two counter
-  mappings (live profiles or stored runstore rows) — the table
-  ``compare-runs`` prints when a throughput budget fails.
-* :func:`diff_profiles` is the full-resolution version over two
-  profile files: per-component and per-scope deltas, for
-  ``repro profile diff``.
+* :func:`attribute` ranks the per-component self-time deltas between
+  two profiles, worst first.
+* :func:`diff_profiles` adds the per-scope deltas — the table
+  ``repro profile diff`` prints, ending with the top regressed
+  component.
 
 Components are scope-name prefixes (``engine``, ``enactor``, ``grid``,
 ``broker``, ``cache``, ``bus``, ...) — coarse on purpose: the question a
-gate failure asks is "which subsystem do I profile next", not "which
+slowdown asks is "which subsystem do I profile next", not "which
 line".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Tuple
 
 from repro.observability.profiling.profiler import Profile
 
 __all__ = [
-    "PROFILE_PREFIX",
-    "profile_counters",
-    "components_from_counters",
     "ComponentDelta",
     "attribute",
     "ScopeDelta",
     "ProfileDiff",
     "diff_profiles",
-    "format_attribution",
     "format_profile_report",
     "format_profile_diff",
 ]
-
-#: runstore counter namespace for the per-component breakdown
-PROFILE_PREFIX = "perf.profile."
-
-
-def profile_counters(profile: Profile) -> Dict[str, float]:
-    """Flatten a profile into runstore counters.
-
-    ``perf.profile.<component>`` carries the component's self time in
-    microseconds; ``perf.profile.<component>.calls`` its completed
-    scope count.  Component names contain no dots, so the two are
-    unambiguous to parse back.
-    """
-    counters: Dict[str, float] = {}
-    for component, row in profile.by_component().items():
-        counters[f"{PROFILE_PREFIX}{component}"] = round(row["self"] * 1e6, 1)
-        counters[f"{PROFILE_PREFIX}{component}.calls"] = float(row["calls"])
-    return counters
-
-
-def components_from_counters(
-    counters: Mapping[str, float],
-) -> Dict[str, Dict[str, float]]:
-    """Parse ``perf.profile.*`` counters back to per-component rows."""
-    table: Dict[str, Dict[str, float]] = {}
-    for key, value in counters.items():
-        if not key.startswith(PROFILE_PREFIX):
-            continue
-        rest = key[len(PROFILE_PREFIX):]
-        if rest.endswith(".calls"):
-            component, field = rest[: -len(".calls")], "calls"
-        elif "." not in rest:
-            component, field = rest, "self_us"
-        else:
-            continue  # unknown sub-key; ignore rather than misattribute
-        table.setdefault(component, {"self_us": 0.0, "calls": 0.0})[field] = float(
-            value
-        )
-    return {name: table[name] for name in sorted(table)}
 
 
 @dataclass(frozen=True)
@@ -102,34 +54,22 @@ class ComponentDelta:
             return self.delta_us / self.baseline_us
         return self.delta_us / 1e6
 
-    def describe(self) -> str:
-        return (
-            f"{self.component}: {self.baseline_us:.0f}us -> "
-            f"{self.candidate_us:.0f}us  ({self.delta_us:+.0f}us, "
-            f"{self.ratio:+.0%}; calls {self.baseline_calls:.0f} -> "
-            f"{self.candidate_calls:.0f})"
-        )
 
-
-def attribute(
-    baseline: Mapping[str, float], candidate: Mapping[str, float]
-) -> List[ComponentDelta]:
+def attribute(baseline: Profile, candidate: Profile) -> List[ComponentDelta]:
     """Rank components by absolute self-time growth, worst first.
 
-    Inputs are counter mappings containing ``perf.profile.*`` keys —
-    runstore rows or :func:`profile_counters` output.  Components seen
-    on only one side count from/to zero.  Empty when neither side
-    carries a profile breakdown.
+    Components seen in only one profile count from/to zero.  Empty when
+    neither profile accounted anything.
     """
-    left = components_from_counters(baseline)
-    right = components_from_counters(candidate)
+    left, right = baseline.by_component(), candidate.by_component()
+    none = {"self": 0.0, "calls": 0}
     deltas = [
         ComponentDelta(
             component=name,
-            baseline_us=left.get(name, {}).get("self_us", 0.0),
-            candidate_us=right.get(name, {}).get("self_us", 0.0),
-            baseline_calls=left.get(name, {}).get("calls", 0.0),
-            candidate_calls=right.get(name, {}).get("calls", 0.0),
+            baseline_us=left.get(name, none)["self"] * 1e6,
+            candidate_us=right.get(name, none)["self"] * 1e6,
+            baseline_calls=left.get(name, none)["calls"],
+            candidate_calls=right.get(name, none)["calls"],
         )
         for name in sorted(set(left) | set(right))
     ]
@@ -169,7 +109,7 @@ class ProfileDiff:
 
 def diff_profiles(baseline: Profile, candidate: Profile) -> ProfileDiff:
     """Full-resolution diff: components and scopes."""
-    components = attribute(profile_counters(baseline), profile_counters(candidate))
+    components = attribute(baseline, candidate)
     left = {path: node.self_time for path, node in baseline.walk()}
     right = {path: node.self_time for path, node in candidate.walk()}
     scopes = sorted(
@@ -188,21 +128,6 @@ def diff_profiles(baseline: Profile, candidate: Profile) -> ProfileDiff:
 
 
 # -- formatting ------------------------------------------------------------
-
-
-def format_attribution(deltas: List[ComponentDelta], limit: int = 5) -> List[str]:
-    """Printable lines naming the top regressed components.
-
-    Only components that actually grew appear; an empty list means the
-    slowdown is not visible in the component breakdown (or no
-    breakdown was recorded).
-    """
-    regressed = [d for d in deltas if d.delta_us > 0][:limit]
-    if not regressed:
-        return []
-    lines = ["top regressed components (perf.profile.*, self time):"]
-    lines.extend(f"  {delta.describe()}" for delta in regressed)
-    return lines
 
 
 def _table(headers: List[str], rows: List[List[str]]) -> List[str]:

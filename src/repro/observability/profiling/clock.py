@@ -1,9 +1,10 @@
 """The one time source every performance number routes through.
 
 ``wall_clock`` is a monotonic wall-time reading (``time.perf_counter``)
-behind one name, shared by the profiler, the service throughput
-counters (:meth:`repro.service.scheduler.EnactmentService.perf_counters`)
-and the benchmarks, so swapping the time source is one assignment.
+behind one name, shared by the profiler, the service's live throughput
+counters (:meth:`repro.service.scheduler.EnactmentService.perf_counters`,
+never written to a run summary) and the benchmarks, so swapping the
+time source is one assignment.
 
 Two identically seeded runs must produce *byte-identical* profile
 files, which no wall clock can deliver.  :class:`TickClock` is the

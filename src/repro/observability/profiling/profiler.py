@@ -318,7 +318,7 @@ class Profile:
 
         The component is the scope name's first dot-segment (``engine``,
         ``enactor``, ``grid``, ``broker``, ``cache``, ``bus``, ...) —
-        the granularity `compare-runs` attribution reasons about.
+        the granularity `profile diff` attribution reasons about.
         """
         table: Dict[str, Dict[str, float]] = {}
         for _path, node in self.walk():

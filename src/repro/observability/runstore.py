@@ -4,22 +4,21 @@ A workflow *platform* (as opposed to a mere enactor) remembers what it
 did: every enactment leaves a :class:`RunSummary` — policy, makespan,
 critical-path phase totals, drift, cache and job counters — in an
 append-only :class:`RunStore` (one JSON file per run, monotonically
-numbered).  :func:`compare` then answers the question the ROADMAP's
-"as fast as the hardware allows" goal is unfalsifiable without: *did
-this change make the system slower?*  Budgeted comparisons return
-structured :class:`Regression` records, and the CLI's ``compare-runs``
-exits non-zero when any budget is blown — a regression gate CI can run
-on every push.
-
-Summaries are deliberately small and schema-stable (plain dicts of
-floats): a baseline committed to the repository keeps comparing cleanly
-against candidates produced months later.
+numbered).  A seeded enactment reproduces exactly, so a summary is a
+golden: :func:`compare` names every key whose value differs between a
+baseline and a candidate (:class:`KeyChange`), and the CLI's
+``compare-runs`` exits non-zero on any change, an improvement included.
+An intended behaviour change is acknowledged by re-recording the
+baseline.  Summaries hold simulated quantities only; host cost (wall
+time, call counts that vary with the interpreter) belongs to the
+trajectory benchmark and to saved profiles.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import re
 import threading
@@ -37,8 +36,7 @@ __all__ = [
     "RunStoreError",
     "RunSummary",
     "RunStore",
-    "Budgets",
-    "Regression",
+    "KeyChange",
     "RunComparison",
     "summarize_run",
     "compare",
@@ -97,6 +95,10 @@ class RunSummary:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RunSummary":
         """Rebuild a summary from its :meth:`to_dict` form."""
+
+        def floats(key: str) -> Dict[str, float]:
+            return {str(k): float(v) for k, v in (payload.get(key) or {}).items()}  # type: ignore[union-attr]
+
         try:
             return cls(
                 workflow=str(payload["workflow"]),
@@ -105,29 +107,17 @@ class RunSummary:
                 run_id=str(payload.get("run_id", "")),
                 n_items=int(payload.get("n_items", 0)),  # type: ignore[arg-type]
                 seed=(None if payload.get("seed") is None else int(payload["seed"])),  # type: ignore[arg-type]
-                phase_totals={
-                    str(k): float(v)
-                    for k, v in (payload.get("phase_totals") or {}).items()  # type: ignore[union-attr]
-                },
+                phase_totals=floats("phase_totals"),
                 critical_path=tuple(
-                    str(p) for p in (payload.get("critical_path") or ())
+                    str(p) for p in (payload.get("critical_path") or ())  # type: ignore[union-attr]
                 ),
-                drift={
-                    str(k): float(v)
-                    for k, v in (payload.get("drift") or {}).items()  # type: ignore[union-attr]
-                },
-                cache={
-                    str(k): float(v)
-                    for k, v in (payload.get("cache") or {}).items()  # type: ignore[union-attr]
-                },
-                counters={
-                    str(k): float(v)
-                    for k, v in (payload.get("counters") or {}).items()  # type: ignore[union-attr]
-                },
+                drift=floats("drift"),
+                cache=floats("cache"),
+                counters=floats("counters"),
                 note=str(payload.get("note", "")),
                 created_at=str(payload.get("created_at", "")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise RunStoreError(f"malformed run summary: {exc}") from None
 
     @classmethod
@@ -143,6 +133,18 @@ class RunSummary:
         if not isinstance(payload, dict):
             raise RunStoreError(f"{os.fspath(path)!r} is not a run-summary document")
         return cls.from_dict(payload)
+
+
+#: the data-plane and chaos ledgers are part of the row schema: zero-filled,
+#: so a run that moved nothing or met no fault still carries every key
+LEDGER_KEYS = (
+    "bytes.total", "bytes.peer_moved", "bytes.enactor_moved",
+    "bytes.intermediate_saved_by_grouping", "bytes.repair",
+    "grid.transfer.failures", "grid.transfer.retries", "grid.transfer.outage_waits",
+    "grid.repair.transfers", "grid.replicas.lost", "grid.replicas.quarantined",
+    "grid.se.outage_windows", "monitor.alerts.se-outage",
+    "monitor.alerts.replica-corruption", "monitor.alerts.transfer-storm",
+)
 
 
 def summarize_run(
@@ -193,39 +195,13 @@ def summarize_run(
     cache: Dict[str, float] = {}
     if result.cache_stats is not None:
         total = result.cache_stats.total
-        cache = {
-            "hits": float(total.hits),
-            "misses": float(total.misses),
-            "coalesced": float(total.coalesced),
-            "hit_rate": float(total.hit_rate),
-        }
+        for name in ("hits", "misses", "coalesced", "hit_rate"):
+            cache[name] = float(getattr(total, name))
     counters: Dict[str, float] = {}
     if result.metrics is not None:
         counters = {k: float(v) for k, v in sorted(result.metrics.counters.items())}
-    # The data-plane ledger is part of the row schema: zero-fill it so
-    # every summary carries the enactor-bytes-moved yardstick even when
-    # a run moved nothing (or ran without instrumentation).
-    for bytes_key in (
-        "bytes.total",
-        "bytes.peer_moved",
-        "bytes.enactor_moved",
-        "bytes.intermediate_saved_by_grouping",
-        # chaos/durability ledger: always present so pre-chaos baselines
-        # and chaotic rows stay schema-comparable (a healthy run simply
-        # reports zeros)
-        "bytes.repair",
-        "grid.transfer.failures",
-        "grid.transfer.retries",
-        "grid.transfer.outage_waits",
-        "grid.repair.transfers",
-        "grid.replicas.lost",
-        "grid.replicas.quarantined",
-        "grid.se.outage_windows",
-        "monitor.alerts.se-outage",
-        "monitor.alerts.replica-corruption",
-        "monitor.alerts.transfer-storm",
-    ):
-        counters.setdefault(bytes_key, 0.0)
+    for key in LEDGER_KEYS:
+        counters.setdefault(key, 0.0)
     return RunSummary(
         workflow=result.workflow_name,
         policy=result.config.label,
@@ -364,123 +340,72 @@ class RunStore:
 
 # -- comparison ------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Budgets:
-    """How much worse a candidate may be before it counts as a regression.
-
-    Relative budgets are fractions (0.05 = +5% allowed); ``drift`` and
-    ``hit_rate`` are absolute deltas on quantities that are themselves
-    ratios.  ``alerts`` is the allowed absolute growth of the live
-    monitor's ``monitor.alerts.total`` counter — the default 0.0 means
-    any *new* health alert fails the gate.  ``throughput`` (off by
-    default: the ``perf.*`` counters are wall-clock measurements, too
-    noisy for an always-on gate) bounds the relative *loss* of
-    ``perf.events_per_sec`` and growth of ``perf.us_per_invocation``
-    when explicitly enabled via ``compare-runs --budget-throughput``.
-    ``bytes`` (also opt-in, via ``compare-runs --budget-bytes``) bounds
-    the relative *growth* of the data-plane counters ``bytes.total``
-    and ``bytes.enactor_moved`` — the enactor-bytes-moved gate that
-    catches a change quietly routing more data through the centralized
-    enactor, the cost a choreography mode would remove.  Unlike ``perf.*``, byte
-    counters are simulated and deterministic, so the budget can be 0.0.
-    Phases smaller than ``min_seconds`` in both runs are noise and
-    never compared.
-    """
-
-    makespan: float = 0.05
-    phase: float = 0.10
-    drift: float = 0.05
-    hit_rate: float = 0.05
-    jobs: float = 0.0
-    alerts: float = 0.0
-    throughput: Optional[float] = None
-    bytes: Optional[float] = None
-    min_seconds: float = 1.0
+#: which row and when, never what the run did: not compared
+PROVENANCE = ("run_id", "note", "created_at")
+#: floats this close are one value: last-bit libm/BLAS differences in
+#: the drift fit (a ``y_intercept`` of 6 reads 5.999999999999883)
+REL_TOL, ABS_TOL = 1e-9, 1e-12
 
 
 @dataclass(frozen=True)
-class Regression:
-    """One budget check that moved (regressed or improved)."""
+class KeyChange:
+    """One summary key whose value differs; ``None`` is a missing key."""
 
-    metric: str
-    baseline: float
-    candidate: float
-    budget: float
-    #: "relative" change is (cand-base)/base; "absolute" is cand-base
-    mode: str = "relative"
-
-    @property
-    def change(self) -> float:
-        """The measured change, in the budget's own units."""
-        if self.mode == "relative":
-            denominator = self.baseline if self.baseline > 0 else 1.0
-            return (self.candidate - self.baseline) / denominator
-        return self.candidate - self.baseline
-
-    def describe(self) -> str:
-        """One human line: metric, values, change vs budget."""
-        if self.mode == "relative":
-            change = f"{self.change:+.1%} (budget {self.budget:+.1%})"
-        else:
-            change = f"{self.change:+.3f} (budget {self.budget:+.3f})"
-        return (
-            f"{self.metric}: {self.baseline:.2f} -> {self.candidate:.2f}  {change}"
-        )
+    key: str
+    baseline: object
+    candidate: object
 
 
 @dataclass(frozen=True)
 class RunComparison:
-    """The structured outcome of one baseline-vs-candidate comparison."""
+    """The outcome of one baseline-vs-candidate comparison."""
 
     baseline: RunSummary
     candidate: RunSummary
-    budgets: Budgets
-    regressions: Tuple[Regression, ...] = ()
-    improvements: Tuple[Regression, ...] = ()
+    #: every compared key of the flattened summaries, sorted
     checked: Tuple[str, ...] = ()
-    #: one entry per checked metric, in check order — the full
-    #: before/after table, not just the budget violations
-    deltas: Tuple[Regression, ...] = ()
+    #: the keys whose values differ, sorted
+    changes: Tuple[KeyChange, ...] = ()
 
     @property
     def ok(self) -> bool:
-        """True when no budget was blown (the CI exit-0 condition)."""
-        return not self.regressions
+        """True when the candidate reproduces the baseline (CI exit 0)."""
+        return not self.changes
 
 
-def _check(
-    metric: str,
-    baseline: float,
-    candidate: float,
-    budget: float,
-    mode: str,
-    regressions: List[Regression],
-    improvements: List[Regression],
-    deltas: List[Regression],
-) -> None:
-    entry = Regression(
-        metric=metric, baseline=baseline, candidate=candidate, budget=budget, mode=mode
-    )
-    deltas.append(entry)
-    if entry.change > budget:
-        regressions.append(entry)
-    elif entry.change < -budget:
-        improvements.append(entry)
+def _flatten(summary: RunSummary) -> Dict[str, object]:
+    """The summary as one ``key -> value`` map, provenance left out.
 
-
-def compare(
-    baseline: RunSummary,
-    candidate: RunSummary,
-    budgets: Optional[Budgets] = None,
-) -> RunComparison:
-    """Budgeted comparison of two runs of the *same* configuration.
-
-    Raises :class:`RunStoreError` when workflow, policy or input size
-    differ — cross-configuration deltas are policy effects, not
-    regressions, and comparing them against budgets would mislead.
+    Mappings flatten one level (``phase_totals.execute``,
+    ``counters.bytes.total``); scalars and the critical path keep their
+    own key.
     """
-    budgets = budgets if budgets is not None else Budgets()
+    flat: Dict[str, object] = {}
+    for key, value in summary.to_dict().items():
+        if key in PROVENANCE:
+            continue
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", item) for sub, item in value.items())
+        else:
+            flat[key] = value
+    return flat
+
+
+def _same(left: object, right: object) -> bool:
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return math.isclose(left, right, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+    return left == right
+
+
+def compare(baseline: RunSummary, candidate: RunSummary) -> RunComparison:
+    """Diff two runs of the *same* configuration: the baseline is a golden.
+
+    Every key of the flattened summaries is compared, keys present on
+    one side only included; any difference is a change, an improvement
+    as much as a regression, because a seeded run reproduces exactly.
+    Raises :class:`RunStoreError` when workflow, policy or input size
+    differ: cross-configuration deltas are policy effects, not changes.
+    """
     for attribute in ("workflow", "policy"):
         left = getattr(baseline, attribute)
         right = getattr(candidate, attribute)
@@ -494,152 +419,11 @@ def compare(
             f"cannot compare across input sizes: baseline={baseline.n_items} "
             f"candidate={candidate.n_items} items"
         )
-
-    regressions: List[Regression] = []
-    improvements: List[Regression] = []
-    deltas: List[Regression] = []
-    checked: List[str] = ["makespan"]
-    _check(
-        "makespan",
-        baseline.makespan,
-        candidate.makespan,
-        budgets.makespan,
-        "relative",
-        regressions,
-        improvements,
-        deltas,
+    left_keys, right_keys = _flatten(baseline), _flatten(candidate)
+    checked = tuple(sorted(set(left_keys) | set(right_keys)))
+    changes = tuple(
+        KeyChange(key, left_keys.get(key), right_keys.get(key))
+        for key in checked
+        if not _same(left_keys.get(key), right_keys.get(key))
     )
-    for phase in sorted(set(baseline.phase_totals) | set(candidate.phase_totals)):
-        left = baseline.phase_totals.get(phase, 0.0)
-        right = candidate.phase_totals.get(phase, 0.0)
-        if max(left, right) < budgets.min_seconds:
-            continue
-        checked.append(f"phase.{phase}")
-        # denominator floored at min_seconds: a phase growing from ~0
-        # is judged on absolute growth, not an explosive percentage.
-        entry = Regression(
-            metric=f"phase.{phase}",
-            baseline=max(left, budgets.min_seconds),
-            candidate=right,
-            budget=budgets.phase,
-            mode="relative",
-        )
-        deltas.append(
-            Regression(f"phase.{phase}", left, right, budgets.phase, "relative")
-        )
-        if entry.change > budgets.phase:
-            regressions.append(
-                Regression(f"phase.{phase}", left, right, budgets.phase, "relative")
-            )
-        elif entry.change < -budgets.phase:
-            improvements.append(
-                Regression(f"phase.{phase}", left, right, budgets.phase, "relative")
-            )
-    if "relative_error" in baseline.drift and "relative_error" in candidate.drift:
-        checked.append("drift.relative_error")
-        _check(
-            "drift.relative_error",
-            baseline.drift["relative_error"],
-            candidate.drift["relative_error"],
-            budgets.drift,
-            "absolute",
-            regressions,
-            improvements,
-            deltas,
-        )
-    if "hit_rate" in baseline.cache and "hit_rate" in candidate.cache:
-        checked.append("cache.hit_rate")
-        # a *drop* in hit rate is the regression: negate the delta
-        entry = Regression(
-            "cache.hit_rate",
-            baseline.cache["hit_rate"],
-            candidate.cache["hit_rate"],
-            budgets.hit_rate,
-            "absolute",
-        )
-        deltas.append(entry)
-        if -entry.change > budgets.hit_rate:
-            regressions.append(entry)
-        elif entry.change > budgets.hit_rate:
-            improvements.append(entry)
-    jobs_key = "grid.jobs.submitted"
-    if jobs_key in baseline.counters or jobs_key in candidate.counters:
-        checked.append(f"counter.{jobs_key}")
-        _check(
-            f"counter.{jobs_key}",
-            baseline.counters.get(jobs_key, 0.0),
-            candidate.counters.get(jobs_key, 0.0),
-            budgets.jobs,
-            "relative",
-            regressions,
-            improvements,
-            deltas,
-        )
-    if budgets.throughput is not None:
-        eps_key = "perf.events_per_sec"
-        if eps_key in baseline.counters and eps_key in candidate.counters:
-            checked.append(f"counter.{eps_key}")
-            # a *drop* in events/sec is the regression: negate the delta
-            entry = Regression(
-                f"counter.{eps_key}",
-                baseline.counters[eps_key],
-                candidate.counters[eps_key],
-                budgets.throughput,
-                "relative",
-            )
-            deltas.append(entry)
-            if -entry.change > budgets.throughput:
-                regressions.append(entry)
-            elif entry.change > budgets.throughput:
-                improvements.append(entry)
-        upi_key = "perf.us_per_invocation"
-        if upi_key in baseline.counters and upi_key in candidate.counters:
-            checked.append(f"counter.{upi_key}")
-            _check(
-                f"counter.{upi_key}",
-                baseline.counters[upi_key],
-                candidate.counters[upi_key],
-                budgets.throughput,
-                "relative",
-                regressions,
-                improvements,
-                deltas,
-            )
-    if budgets.bytes is not None:
-        for bytes_key in ("bytes.total", "bytes.enactor_moved"):
-            if bytes_key in baseline.counters or bytes_key in candidate.counters:
-                checked.append(f"counter.{bytes_key}")
-                _check(
-                    f"counter.{bytes_key}",
-                    baseline.counters.get(bytes_key, 0.0),
-                    candidate.counters.get(bytes_key, 0.0),
-                    budgets.bytes,
-                    "relative",
-                    regressions,
-                    improvements,
-                    deltas,
-                )
-    alerts_key = "monitor.alerts.total"
-    if alerts_key in baseline.counters or alerts_key in candidate.counters:
-        checked.append(f"counter.{alerts_key}")
-        # absolute: alerts are small counts, and a baseline of zero must
-        # still fail the gate when the candidate starts alerting.
-        _check(
-            f"counter.{alerts_key}",
-            baseline.counters.get(alerts_key, 0.0),
-            candidate.counters.get(alerts_key, 0.0),
-            budgets.alerts,
-            "absolute",
-            regressions,
-            improvements,
-            deltas,
-        )
-    return RunComparison(
-        baseline=baseline,
-        candidate=candidate,
-        budgets=budgets,
-        regressions=tuple(regressions),
-        improvements=tuple(improvements),
-        checked=tuple(checked),
-        deltas=tuple(deltas),
-    )
+    return RunComparison(baseline, candidate, checked, changes)

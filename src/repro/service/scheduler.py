@@ -39,8 +39,9 @@ carry the full :class:`~repro.service.logic.AdmissionDecision` payload
 (fair-share scores, usage and provisional charges *at decision time*);
 quota blocks are audited on reason transitions only.  Cheap wall-clock
 profiling around :meth:`tick` feeds :meth:`perf_counters` — engine
-events/sec, µs per invocation, mean tick latency — which land in every
-run's runstore row.
+events/sec, µs per invocation, mean tick latency — which the service
+CLI's ``drain`` prints.  Runstore rows stay free of them: a row holds
+simulated quantities only, so it compares exactly.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.observability.alerts import Alert
 from repro.observability.ops.audit import AuditEvent
 from repro.observability.ops.rollup import ControlPlaneTelemetry
 from repro.observability.ops.slo import SLO, SLOTracker
-from repro.observability.profiling import Profiler, profile_counters, wall_clock
+from repro.observability.profiling import Profiler, wall_clock
 from repro.observability.runstore import RunStore, summarize_run
 from repro.service.logic import (
     FairShareLedger,
@@ -556,14 +557,6 @@ class EnactmentService:
                     seed=record.seed,
                     note=f"service tenant={record.tenant} run={run_id}",
                 )
-                summary.counters.update(self.perf_counters())
-                if self.profiler is not None:
-                    # Service-lifetime totals, like the other perf.*
-                    # counters: runs interleave on one engine, so
-                    # per-run attribution is not meaningful here.
-                    summary.counters.update(
-                        profile_counters(self.profiler.snapshot())
-                    )
                 self.runstore.append(summary)
         else:
             error = event.value
@@ -723,10 +716,10 @@ class EnactmentService:
         Sampled from cheap accumulators around :meth:`tick` — engine
         events processed per wall-clock second, wall-clock µs per
         completed invocation, and mean tick latency in ms.  These are
-        *profiling* numbers: nondeterministic by nature, merged into
-        every runstore row, and regression-gated only when
-        ``compare-runs --budget-throughput`` is given.  The engine's
-        deterministic lifetime counters (``engine.*``: events
+        *profiling* numbers, nondeterministic by nature: the service
+        CLI's ``drain`` prints them, runstore rows never carry them
+        (host cost is the trajectory benchmark's to gate).  The
+        engine's lifetime counters (``engine.*``: events
         scheduled/processed, peak heap size, cancelled events) ride
         along.
         """

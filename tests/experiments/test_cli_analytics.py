@@ -87,8 +87,8 @@ def test_compare_runs_flags_injected_regression(capsys, tmp_path):
         "compare-runs", "run-0001", "run-0002", "--store", str(store),
     ]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSIONS:" in out
-    assert "makespan" in out
+    assert "changed:" in out
+    assert "  makespan: " in out
 
 
 def test_compare_runs_unknown_ref_exits(tmp_path):

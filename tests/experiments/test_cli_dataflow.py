@@ -62,12 +62,14 @@ class TestBudgetBytes:
             assert key in counters
         assert counters["bytes.enactor_moved"] > 0
         assert counters["bytes.intermediate_saved_by_grouping"] > 0
+        # host cost stays out of a summary: every key is simulated
+        assert not [key for key in counters if key.startswith(("perf.", "engine."))]
 
     def test_identical_runs_pass_a_zero_byte_budget(self, capsys, recorded_run):
         store, baseline = recorded_run
         assert main([
             "compare-runs", "--store", str(store),
-            str(baseline), "latest", "--budget-bytes", "0.0",
+            str(baseline), "latest",
         ]) == 0
 
     def test_tampered_byte_total_trips_the_gate(self, capsys, recorded_run):
@@ -78,31 +80,7 @@ class TestBudgetBytes:
         tampered.write_text(json.dumps(payload))
         assert main([
             "compare-runs", "--store", str(store),
-            str(baseline), str(tampered), "--budget-bytes", "0.0",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "counter.bytes.total" in out
-
-    def test_enactor_bytes_regression_trips_the_gate(self, capsys, recorded_run):
-        store, baseline = recorded_run
-        payload = json.loads(baseline.read_text())
-        payload["counters"]["bytes.enactor_moved"] *= 2.0
-        tampered = baseline.parent / "tampered.json"
-        tampered.write_text(json.dumps(payload))
-        assert main([
-            "compare-runs", "--store", str(store),
-            str(baseline), str(tampered), "--budget-bytes", "0.1",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "counter.bytes.enactor_moved" in out
-
-    def test_gate_off_by_default(self, capsys, recorded_run):
-        store, baseline = recorded_run
-        payload = json.loads(baseline.read_text())
-        payload["counters"]["bytes.total"] *= 1.5
-        tampered = baseline.parent / "tampered.json"
-        tampered.write_text(json.dumps(payload))
-        assert main([
-            "compare-runs", "--store", str(store),
             str(baseline), str(tampered),
-        ]) == 0
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "counters.bytes.total: " in out

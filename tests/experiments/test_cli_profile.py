@@ -107,8 +107,7 @@ class TestProfileDiff:
         capsys.readouterr()
         assert main(["profile", "diff", str(base), str(slow)]) == 0
         out = capsys.readouterr().out
-        assert "top regressed component" in out
-        assert "enactor" in out
+        assert "\ntop regressed component: enactor (" in out
 
 
 class TestBronzeProfileFlag:
@@ -122,50 +121,3 @@ class TestBronzeProfileFlag:
         assert "makespan" in out  # standard report unchanged
         assert str(path) in out
         assert Profile.load(path).total_time > 0
-
-
-class TestCompareRunsAttribution:
-    def record_row(self, tmp_path, name):
-        store = tmp_path / "store"
-        out = tmp_path / name
-        assert main([
-            "record-run", *RUN, "--store", str(store), "--out", str(out),
-        ]) == 0
-        return out
-
-    def test_rows_carry_profile_counters(self, capsys, tmp_path):
-        row = self.record_row(tmp_path, "row.json")
-        counters = json.loads(row.read_text())["counters"]
-        assert counters["perf.profile.engine"] > 0
-        assert counters["perf.profile.engine.calls"] > 0
-
-    def test_identical_rows_pass_and_print_delta_table(self, capsys, tmp_path):
-        row = self.record_row(tmp_path, "row.json")
-        capsys.readouterr()
-        assert main([
-            "compare-runs", str(row), str(row), "--budget-throughput", "0.2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "baseline" in out and "candidate" in out and "budget" in out
-        assert "makespan" in out
-
-    def test_tampered_candidate_is_attributed(self, capsys, tmp_path):
-        # perf.events_per_sec is recorded by the long-running service,
-        # not the one-shot CLI row: inject it on both sides, then halve
-        # it and triple the enactor's profile share on the candidate.
-        row = self.record_row(tmp_path, "row.json")
-        document = json.loads(row.read_text())
-        base = tmp_path / "base.json"
-        document["counters"]["perf.events_per_sec"] = 1000.0
-        base.write_text(json.dumps(document), encoding="utf-8")
-        slow = tmp_path / "slow.json"
-        document["counters"]["perf.events_per_sec"] = 500.0
-        document["counters"]["perf.profile.enactor"] *= 3
-        slow.write_text(json.dumps(document), encoding="utf-8")
-        capsys.readouterr()
-        assert main([
-            "compare-runs", str(base), str(slow), "--budget-throughput", "0.2",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "top regressed components" in out
-        assert "enactor" in out

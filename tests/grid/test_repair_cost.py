@@ -13,10 +13,13 @@ import pytest
 from repro.apps.bronze_standard import BronzeStandardApplication
 from repro.core import OptimizationConfig
 from repro.grid.middleware import Grid
-from repro.grid.storage import ReplicaCatalog
+from repro.grid.overhead import OverheadModel
+from repro.grid.resources import ComputingElement, Site, WorkerNode
+from repro.grid.storage import LogicalFile, ReplicaCatalog, StorageElement
 from repro.grid.testbeds import chaotic_testbed
 from repro.sim.engine import Engine
 from repro.util.rng import RandomStreams
+from repro.util.units import MEBIBYTE
 
 
 def counted(monkeypatch, owner, name, calls, on_call=None):
@@ -90,3 +93,42 @@ def test_chaotic_cost_per_job_is_flat(monkeypatch, pairs):
     assert len(cycles) > 10
     for under, visits in cycles:
         assert visits == under
+
+
+def test_a_gfn_with_no_replica_left_is_not_visited(monkeypatch):
+    """Nothing can copy a GFN whose every replica is gone, so no cycle
+    asks for its health until a registration gives it a source again."""
+    engine = Engine()
+    ses = [StorageElement(f"se{i}", site=f"s{i}") for i in range(3)]
+    sites = [
+        Site(f"s{i}", [ComputingElement(engine, f"ce{i}", f"s{i}", [WorkerNode(f"w{i}")])], se)
+        for i, se in enumerate(ses)
+    ]
+    grid = Grid(
+        engine, RandomStreams(seed=5), sites=sites, overhead=OverheadModel.zero(),
+        repair_target=2, repair_interval=10.0,
+    )
+    catalog = grid.catalog
+    dead = LogicalFile("gfn://dead", size=MEBIBYTE)
+    alive = LogicalFile("gfn://alive", size=MEBIBYTE)
+    catalog.register(dead, ses[0])
+    catalog.mark_lost(dead.gfn, ses[0])
+    visits = []
+    original = ReplicaCatalog.healthy_replicas
+
+    def spy(self, gfn):
+        visits.append((engine.now, gfn))
+        return original(self, gfn)
+
+    monkeypatch.setattr(ReplicaCatalog, "healthy_replicas", spy)
+
+    def late_registrations():
+        catalog.register(alive, ses[0])
+        yield engine.timeout(200.0)
+        catalog.register(dead, ses[1])  # a source again: it rejoins
+
+    engine.process(late_registrations(), name="registrations")
+    engine.run(until=400.0)
+    assert [t for t, gfn in visits if gfn == alive.gfn]  # cycles did run
+    assert all(t >= 200.0 for t, gfn in visits if gfn == dead.gfn)
+    assert catalog.healthy_replica_count(dead.gfn) == 2

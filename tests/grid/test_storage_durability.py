@@ -121,12 +121,16 @@ class TestUnderReplicatedIndex:
         catalog.register(LogicalFile("gfn://new", size=1), a)
         assert catalog.under_replicated == {"gfn://new"}
         catalog.quarantine("gfn://old", b)
-        catalog.mark_lost("gfn://old", a)
         assert catalog.under_replicated == {"gfn://new", "gfn://old"}
         # joins in order; True marks a GFN's first registration
         assert catalog.drain_joins() == {"gfn://new": True, "gfn://old": False}
         assert catalog.drain_joins() == {}
+        # no healthy replica left: nothing to copy from, so out of the set
+        catalog.mark_lost("gfn://old", a)
+        assert catalog.under_replicated == {"gfn://new"}
         catalog.register(LogicalFile("gfn://old", size=1), b)  # re-add heals
+        assert catalog.under_replicated == {"gfn://new", "gfn://old"}
+        assert catalog.drain_joins() == {"gfn://old": False}
         catalog.register(LogicalFile("gfn://old", size=1), a)
         assert catalog.under_replicated == {"gfn://new"}
 

@@ -1,4 +1,4 @@
-"""Tests for profile counters, diffs, and regression attribution."""
+"""Tests for profile diffs and regression attribution."""
 
 import pytest
 
@@ -6,12 +6,9 @@ from repro.observability.profiling import (
     ManualClock,
     Profiler,
     attribute,
-    components_from_counters,
     diff_profiles,
-    format_attribution,
     format_profile_diff,
     format_profile_report,
-    profile_counters,
 )
 
 # scope names as the setprofile hook spells them
@@ -29,63 +26,29 @@ def build_profile(engine_us=100, enactor_us=50, label=None):
     return profiler.snapshot()
 
 
-class TestProfileCounters:
-    def test_counters_carry_self_micros_and_calls(self):
-        counters = profile_counters(build_profile())
-        assert counters["perf.profile.engine"] == pytest.approx(100.0)
-        assert counters["perf.profile.engine.calls"] == 1.0
-        assert counters["perf.profile.enactor"] == pytest.approx(50.0)
-
-    def test_components_from_counters_is_the_inverse(self):
-        counters = profile_counters(build_profile())
-        table = components_from_counters(counters)
-        assert table == {
-            "engine": {"self_us": 100.0, "calls": 1.0},
-            "enactor": {"self_us": 50.0, "calls": 1.0},
-        }
-
-    def test_non_profile_and_unknown_keys_ignored(self):
-        table = components_from_counters(
-            {
-                "perf.events_per_sec": 9.0,
-                "perf.profile.engine": 5.0,
-                "perf.profile.engine.bogus.key": 1.0,
-            }
-        )
-        assert table == {"engine": {"self_us": 5.0, "calls": 0.0}}
-
-
 class TestAttribute:
     def test_worst_regression_ranks_first(self):
-        base = profile_counters(build_profile(engine_us=100, enactor_us=50))
-        cand = profile_counters(build_profile(engine_us=120, enactor_us=200))
+        base = build_profile(engine_us=100, enactor_us=50)
+        cand = build_profile(engine_us=120, enactor_us=200)
         deltas = attribute(base, cand)
-        assert deltas[0].component == "enactor"
+        assert [d.component for d in deltas] == ["enactor", "engine"]
         assert deltas[0].delta_us == pytest.approx(150.0)
-        assert deltas[1].component == "engine"
+        assert deltas[0].ratio == pytest.approx(3.0)
+        assert (deltas[0].baseline_calls, deltas[0].candidate_calls) == (1, 1)
 
     def test_one_sided_components_count_from_zero(self):
-        deltas = attribute({}, {"perf.profile.cache": 30.0})
+        profiler = Profiler(clock=ManualClock())
+        with profiler.scope("cache.cache:ResultCache.lookup"):
+            profiler.clock.advance(30e-6)
+        deltas = attribute(Profiler(clock=ManualClock()).snapshot(), profiler.snapshot())
         assert len(deltas) == 1
+        assert deltas[0].component == "cache"
         assert deltas[0].baseline_us == 0.0
         assert deltas[0].candidate_us == pytest.approx(30.0)
 
     def test_empty_when_no_breakdown_on_either_side(self):
-        assert attribute({"perf.events_per_sec": 1.0}, {}) == []
-
-
-class TestFormatAttribution:
-    def test_names_the_regressed_component(self):
-        base = profile_counters(build_profile(engine_us=100, enactor_us=50))
-        cand = profile_counters(build_profile(engine_us=100, enactor_us=150))
-        lines = format_attribution(attribute(base, cand))
-        assert lines[0].startswith("top regressed components")
-        assert any("enactor" in line for line in lines[1:])
-        assert not any("engine:" in line for line in lines)
-
-    def test_empty_when_nothing_regressed(self):
-        counters = profile_counters(build_profile())
-        assert format_attribution(attribute(counters, counters)) == []
+        empty = Profiler(clock=ManualClock()).snapshot()
+        assert attribute(empty, empty) == []
 
 
 class TestDiffProfiles:

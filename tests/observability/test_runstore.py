@@ -1,4 +1,4 @@
-"""Tests for the run-history store and the budgeted comparison."""
+"""Tests for the run-history store and the exact comparison."""
 
 import json
 
@@ -6,9 +6,10 @@ import pytest
 
 from repro.apps.bronze_standard import BronzeStandardApplication
 from repro.core import OptimizationConfig
+from repro.experiments.__main__ import main
 from repro.observability import InstrumentationBus
 from repro.observability.runstore import (
-    Budgets,
+    KeyChange,
     RunStore,
     RunStoreError,
     RunSummary,
@@ -74,6 +75,11 @@ class TestStore:
         path.write_text("not json")
         with pytest.raises(RunStoreError, match="not JSON"):
             RunSummary.from_file(path)
+        document = make_summary().to_dict()
+        document["counters"] = [1.0]
+        path.write_text(json.dumps(document))
+        with pytest.raises(RunStoreError, match="malformed run summary"):
+            RunSummary.from_file(path)
 
 
 class TestCompare:
@@ -81,7 +87,7 @@ class TestCompare:
         comparison = compare(make_summary(), make_summary())
         assert comparison.ok
         assert "makespan" in comparison.checked
-        assert "phase.execute" in comparison.checked
+        assert "phase_totals.execute" in comparison.checked
 
     def test_inflated_candidate_is_flagged(self):
         candidate = make_summary(
@@ -89,14 +95,11 @@ class TestCompare:
         )
         comparison = compare(make_summary(), candidate)
         assert not comparison.ok
-        metrics = {entry.metric for entry in comparison.regressions}
-        assert {"makespan", "phase.execute", "phase.queue"} <= metrics
-
-    def test_improvement_is_not_a_regression(self):
-        candidate = make_summary(makespan=50.0)
-        comparison = compare(make_summary(), candidate)
-        assert comparison.ok
-        assert any(e.metric == "makespan" for e in comparison.improvements)
+        assert comparison.changes == (
+            KeyChange("makespan", 100.0, 150.0),
+            KeyChange("phase_totals.execute", 70.0, 105.0),
+            KeyChange("phase_totals.queue", 30.0, 45.0),
+        )
 
     def test_policy_mismatch_raises(self):
         with pytest.raises(RunStoreError, match="cannot compare across policy"):
@@ -109,29 +112,127 @@ class TestCompare:
     def test_hit_rate_drop_is_a_regression(self):
         candidate = make_summary(cache={"hit_rate": 0.5})
         comparison = compare(make_summary(), candidate)
-        assert any(
-            e.metric == "cache.hit_rate" for e in comparison.regressions
-        )
-
-    def test_tiny_phases_are_noise(self):
-        baseline = make_summary(phase_totals={"execute": 100.0, "stage_out": 0.01})
-        candidate = make_summary(phase_totals={"execute": 100.0, "stage_out": 0.09})
-        comparison = compare(baseline, candidate)  # 9x growth, but < 1s
-        assert comparison.ok
-
-    def test_budgets_are_tunable(self):
-        candidate = make_summary(makespan=120.0)
-        assert not compare(make_summary(), candidate).ok
-        relaxed = compare(make_summary(), candidate, Budgets(makespan=0.5))
-        assert relaxed.ok
+        assert comparison.changes == (KeyChange("cache.hit_rate", 0.9, 0.5),)
 
     def test_extra_jobs_over_budget(self):
-        candidate = make_summary(counters={"grid.jobs.submitted": 30.0})
+        candidate = make_summary(counters={"grid.jobs.submitted": 25.0})
         comparison = compare(make_summary(), candidate)
-        assert any(
-            e.metric == "counter.grid.jobs.submitted"
-            for e in comparison.regressions
-        )
+        assert [c.key for c in comparison.changes] == ["counters.grid.jobs.submitted"]
+
+    def test_provenance_is_not_compared(self):
+        candidate = make_summary(run_id="run-0009", note="other", created_at="later")
+        assert compare(make_summary(), candidate).ok
+
+    def test_float_tolerance_absorbs_only_last_bits(self):
+        drift = {"relative_error": 0.05, "y_intercept": 6.0}
+        noisy = make_summary(drift={"relative_error": 0.05, "y_intercept": 5.999999999999883})
+        assert compare(make_summary(drift=drift), noisy).ok
+        moved = make_summary(drift={"relative_error": 0.05, "y_intercept": 6.000001})
+        assert not compare(make_summary(drift=drift), moved).ok
+
+
+def full_document():
+    """A summary document carrying every counter a CI tamper step edits."""
+    return make_summary(
+        counters={
+            "grid.jobs.submitted": 24.0,
+            "bytes.total": 1.0e8,
+            "bytes.enactor_moved": 4.0e6,
+            "bytes.repair": 0.0,
+            "monitor.alerts.total": 0.0,
+            "monitor.alerts.se-outage": 0.0,
+        }
+    ).to_dict()
+
+
+def scale(section, factor, *keys):
+    def tamper(doc):
+        for key in keys:
+            doc[section][key] *= factor
+    return tamper
+
+
+def inflate_run(doc):
+    doc["makespan"] *= 1.5
+    doc["phase_totals"] = {k: v * 1.5 for k, v in doc["phase_totals"].items()}
+
+
+def new_alerts(doc):
+    doc["counters"]["monitor.alerts.total"] += 2.0
+    doc["counters"]["monitor.alerts.blackhole"] = 2.0
+
+
+def chaos(doc):
+    counters = doc["counters"]
+    counters["monitor.alerts.total"] += 3.0
+    counters["monitor.alerts.se-outage"] = 3.0
+    counters["bytes.total"] *= 1.3
+    counters["bytes.repair"] = counters["bytes.total"] * 0.3
+
+
+def faster(doc):
+    doc["makespan"] *= 0.9
+
+
+def extra_job(doc):
+    doc["counters"]["grid.jobs.submitted"] += 1.0
+
+
+def add_counter(doc):
+    doc["counters"]["grid.transfer.retries"] = 0.0
+
+
+#: every tamper a CI step or a test applies, and the keys it must name
+TAMPERS = {
+    "makespan-and-phases-x1.5": (
+        inflate_run, ["makespan", "phase_totals.execute", "phase_totals.queue"]
+    ),
+    "two-new-alerts": (
+        new_alerts, ["counters.monitor.alerts.total", "counters.monitor.alerts.blackhole"]
+    ),
+    "bytes-x1.2": (
+        scale("counters", 1.2, "bytes.total", "bytes.enactor_moved"),
+        ["counters.bytes.total", "counters.bytes.enactor_moved"],
+    ),
+    "chaos-counters": (
+        chaos,
+        [
+            "counters.monitor.alerts.total",
+            "counters.monitor.alerts.se-outage",
+            "counters.bytes.total",
+            "counters.bytes.repair",
+        ],
+    ),
+    "hit-rate-drop": (scale("cache", 0.5, "hit_rate"), ["cache.hit_rate"]),
+    "one-extra-job": (extra_job, ["counters.grid.jobs.submitted"]),
+    "makespan-x0.9": (faster, ["makespan"]),
+    "key-on-one-side": (add_counter, ["counters.grid.transfer.retries"]),
+}
+
+
+class TestCompareRunsCli:
+    def compare_files(self, tmp_path, baseline, candidate):
+        paths = []
+        for name, doc in (("baseline.json", baseline), ("candidate.json", candidate)):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        return main(["compare-runs", *paths, "--store", str(tmp_path / "store")])
+
+    def test_identical_summaries_exit_zero(self, capsys, tmp_path):
+        assert self.compare_files(tmp_path, full_document(), full_document()) == 0
+        assert "verdict: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_tamper_is_named(self, capsys, tmp_path, name):
+        tamper, keys = TAMPERS[name]
+        candidate = full_document()
+        tamper(candidate)
+        assert self.compare_files(tmp_path, full_document(), candidate) == 1
+        out = capsys.readouterr().out
+        for key in keys:
+            assert f"  {key}: " in out
+        assert f"verdict: {len(keys)} key(s) changed" in out
 
 
 class TestSummarizeRun:
@@ -178,62 +279,3 @@ class TestSummarizeRun:
             "monitor.alerts.transfer-storm",
         ):
             assert summary.counters[key] == 0.0
-
-
-class TestThroughputGate:
-    def perf_summary(self, events_per_sec=10_000.0, us_per_invocation=50.0):
-        return make_summary(
-            counters={
-                "grid.jobs.submitted": 24.0,
-                "perf.events_per_sec": events_per_sec,
-                "perf.us_per_invocation": us_per_invocation,
-            }
-        )
-
-    def test_gate_is_off_by_default(self):
-        slow = self.perf_summary(events_per_sec=10.0, us_per_invocation=5000.0)
-        comparison = compare(self.perf_summary(), slow)
-        assert comparison.ok
-        assert not any("perf." in metric for metric in comparison.checked)
-
-    def test_events_per_sec_drop_trips_the_gate(self):
-        slow = self.perf_summary(events_per_sec=5_000.0)
-        comparison = compare(self.perf_summary(), slow, Budgets(throughput=0.2))
-        assert not comparison.ok
-        assert any(
-            e.metric == "counter.perf.events_per_sec"
-            for e in comparison.regressions
-        )
-
-    def test_events_per_sec_gain_counts_as_improvement(self):
-        fast = self.perf_summary(events_per_sec=20_000.0)
-        comparison = compare(self.perf_summary(), fast, Budgets(throughput=0.2))
-        assert comparison.ok
-        assert any(
-            e.metric == "counter.perf.events_per_sec"
-            for e in comparison.improvements
-        )
-
-    def test_us_per_invocation_growth_trips_the_gate(self):
-        slow = self.perf_summary(us_per_invocation=100.0)
-        comparison = compare(self.perf_summary(), slow, Budgets(throughput=0.2))
-        assert not comparison.ok
-        assert any(
-            e.metric == "counter.perf.us_per_invocation"
-            for e in comparison.regressions
-        )
-
-    def test_within_budget_passes(self):
-        close = self.perf_summary(
-            events_per_sec=9_500.0, us_per_invocation=52.0
-        )
-        comparison = compare(self.perf_summary(), close, Budgets(throughput=0.2))
-        assert comparison.ok
-        assert "counter.perf.events_per_sec" in comparison.checked
-        assert "counter.perf.us_per_invocation" in comparison.checked
-
-    def test_gate_skips_runs_without_perf_counters(self):
-        bare = make_summary()
-        comparison = compare(bare, bare, Budgets(throughput=0.2))
-        assert comparison.ok
-        assert not any("perf." in metric for metric in comparison.checked)

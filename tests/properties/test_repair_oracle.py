@@ -113,11 +113,12 @@ def build(scenario, reference):
 
 
 def brute_force_under(grid, target):
+    """GFNs that need a copy and still have a healthy replica to copy from."""
     catalog = grid.catalog
     return {
         gfn
         for gfn in catalog.gfns()
-        if sum(se.healthy(gfn) for se in catalog.replicas(gfn)) < target
+        if 0 < sum(se.healthy(gfn) for se in catalog.replicas(gfn)) < target
     }
 
 

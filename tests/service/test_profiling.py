@@ -1,4 +1,4 @@
-"""Service-level profiler integration: the tick seam, fold, and engine counters."""
+"""Service-level profiler integration: the tick seam, clean rows, engine counters."""
 
 import sys
 
@@ -57,7 +57,8 @@ class TestServiceProfiler:
             sys.setprofile(previous)
         assert "call" in seen
 
-    def test_runstore_rows_fold_in_profile_counters(self, tmp_path):
+    def test_profiled_rows_carry_no_perf_counters(self, tmp_path):
+        # interpreter-dependent call counts stay in the profile itself
         runstore = RunStore(tmp_path / "runstore")
         drain_one(
             make_service(
@@ -65,8 +66,7 @@ class TestServiceProfiler:
             )
         )
         (summary,) = runstore.runs()
-        assert summary.counters["perf.profile.engine"] > 0
-        assert summary.counters["perf.profile.engine.calls"] > 0
+        assert not [k for k in summary.counters if k.startswith(("perf.", "engine."))]
 
     def test_unprofiled_rows_have_no_profile_counters(self, tmp_path):
         runstore = RunStore(tmp_path / "runstore")

@@ -177,8 +177,13 @@ DELETED = {
     "repro.observability.metrics": ["MetricsSnapshot.gauge_peak", "HistogramSnapshot.minimum",
                                     "HistogramSnapshot.maximum"],
     "repro.observability.monitor": ["ServiceProgress.pending", "ServiceProgress.fraction"],
+    "repro.observability.profiling.attribution": ["PROFILE_PREFIX", "profile_counters",
+                                                  "components_from_counters",
+                                                  "format_attribution",
+                                                  "ComponentDelta.describe"],
     "repro.observability.profiling.churn": ["(module) MemoryTracker"],
     "repro.observability.profiling.profiler": ["Profiler.reset"],
+    "repro.observability.runstore": ["Budgets", "Regression", "_check"],
     "repro.observability.timeline": ["ce_utilization", "ce_queue_depth"],
     "repro.service.api": ["SubmitRequest", "TenantStatus", "ServiceStatus", "TelemetryStatus",
                           "telemetry_status"],
