@@ -121,3 +121,38 @@ class TestBronzeProfileFlag:
         assert "makespan" in out  # standard report unchanged
         assert str(path) in out
         assert Profile.load(path).total_time > 0
+
+
+class TestCompareRunsAttribution:
+    """compare-runs attributes a change to the keys that moved; host
+    cost lives in profile files, attributed by ``profile diff``."""
+
+    def record_row(self, tmp_path, name):
+        out = tmp_path / name
+        assert main([
+            "record-run", *RUN, "--store", str(tmp_path / "store"),
+            "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_rows_leave_counters_to_profiles(self, capsys, tmp_path):
+        row = self.record_row(tmp_path, "row.json")
+        counters = json.loads(row.read_text())["counters"]
+        assert [key for key in counters if key.startswith("perf.")] == []
+        components = Profile.load(record_profile(tmp_path)).by_component()
+        assert components["engine"]["self"] > 0
+        assert components["engine"]["calls"] > 0
+
+    def test_tampered_candidate_is_attributed(self, capsys, tmp_path):
+        row = self.record_row(tmp_path, "row.json")
+        document = json.loads(row.read_text())
+        document["phase_totals"]["execute"] *= 3
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "compare-runs", str(row), str(slow), "--store", str(tmp_path / "store"),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "\nchanged:\n  phase_totals.execute: " in out
+        assert "verdict: 1 key(s) changed" in out

@@ -51,6 +51,25 @@ class TestAttribute:
         assert attribute(empty, empty) == []
 
 
+class TestFormatAttribution:
+    def test_names_the_regressed_component(self):
+        base = build_profile(engine_us=100, enactor_us=50)
+        cand = build_profile(engine_us=100, enactor_us=150)
+        lines = format_profile_diff(diff_profiles(base, cand)).splitlines()
+        rows = lines[lines.index("") + 3:]
+        assert rows[0].split()[:5] == ["enactor", "50", "150", "+100", "+200%"]
+        assert rows[1].split()[:4] == ["engine", "100", "100", "+0"]
+        moves = lines[lines.index("biggest scope moves (self time):") + 1:]
+        assert moves == [f"  {STEP};{INVOKE}: 50us -> 150us (+100us)"]
+
+    def test_empty_when_nothing_regressed(self):
+        profile = build_profile()
+        text = format_profile_diff(diff_profiles(profile, profile))
+        assert "biggest scope moves" not in text
+        rows = text.splitlines()[5:]
+        assert [row.split()[3] for row in rows] == ["+0", "+0"]
+
+
 class TestDiffProfiles:
     def test_components_and_scopes(self):
         base = build_profile(engine_us=100, enactor_us=50, label="base")
