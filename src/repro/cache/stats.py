@@ -12,7 +12,7 @@ across runs, so per-run numbers are a snapshot delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
 
 __all__ = ["ServiceCacheStats", "CacheStats", "CacheStatsSnapshot"]
@@ -102,34 +102,61 @@ class CacheStatsSnapshot:
         return CacheStatsSnapshot(per_service=delta)
 
 
-class CacheStats:
-    """Mutable accumulator the cache records into."""
+class _ServiceCounts:
+    """One service's live counters (mutable; frozen by :meth:`freeze`)."""
+
+    __slots__ = ("hits", "misses", "coalesced", "stores", "bytes_stored")
 
     def __init__(self) -> None:
-        self._per_service: Dict[str, ServiceCacheStats] = {}
+        self.hits = self.misses = self.coalesced = self.stores = self.bytes_stored = 0
 
-    def _bump(self, service: str, **deltas: int) -> None:
-        current = self._per_service.get(service, ServiceCacheStats())
-        self._per_service[service] = replace(
-            current, **{k: getattr(current, k) + v for k, v in deltas.items()}
+    def freeze(self) -> ServiceCacheStats:
+        return ServiceCacheStats(
+            hits=self.hits,
+            misses=self.misses,
+            coalesced=self.coalesced,
+            stores=self.stores,
+            bytes_stored=self.bytes_stored,
         )
+
+
+class CacheStats:
+    """Mutable accumulator the cache records into.
+
+    Counters are bumped in place; only :meth:`snapshot` builds the
+    frozen :class:`ServiceCacheStats` rows, so a hit costs an integer
+    add rather than a new dataclass.
+    """
+
+    def __init__(self) -> None:
+        self._per_service: Dict[str, _ServiceCounts] = {}
+
+    def _counts(self, service: str) -> _ServiceCounts:
+        counts = self._per_service.get(service)
+        if counts is None:
+            counts = self._per_service[service] = _ServiceCounts()
+        return counts
 
     def record_hit(self, service: str) -> None:
         """A store lookup returned a usable entry."""
-        self._bump(service, hits=1)
+        self._counts(service).hits += 1
 
     def record_miss(self, service: str) -> None:
         """No entry; the invocation will execute (and then store)."""
-        self._bump(service, misses=1)
+        self._counts(service).misses += 1
 
     def record_coalesced(self, service: str) -> None:
         """De-duplicated against an identical in-flight invocation."""
-        self._bump(service, coalesced=1)
+        self._counts(service).coalesced += 1
 
     def record_store(self, service: str, size_bytes: int) -> None:
         """A freshly computed result entered the store."""
-        self._bump(service, stores=1, bytes_stored=size_bytes)
+        counts = self._counts(service)
+        counts.stores += 1
+        counts.bytes_stored += size_bytes
 
     def snapshot(self) -> CacheStatsSnapshot:
         """Frozen copy of the counters right now."""
-        return CacheStatsSnapshot(per_service=dict(self._per_service))
+        return CacheStatsSnapshot(
+            per_service={name: counts.freeze() for name, counts in self._per_service.items()}
+        )

@@ -54,7 +54,7 @@ from repro.core.trace import ExecutionTrace, TraceEvent
 from repro.grid.job import JobFailedError
 from repro.grid.middleware import Grid
 from repro.observability.bus import InstrumentationBus
-from repro.observability.metrics import MetricsSnapshot
+from repro.observability.metrics import BoundMetrics, MetricHandles, MetricsSnapshot
 from repro.observability.spans import Span
 from repro.services.base import GridData, ServiceError
 from repro.sim.engine import Engine, Event
@@ -157,6 +157,22 @@ class _ProcessorState:
         self.collected: List[GridData] = []
         self.collected_histories: List[HistoryTree] = []
         self.tracks_draining = True
+
+
+class _EnactorMetrics(BoundMetrics):
+    """The enactor's metric handles on one bus, each bound on first use."""
+
+    __slots__ = ("invocations", "lookups")
+
+    def __init__(self, bus: InstrumentationBus) -> None:
+        super().__init__(bus.metrics)
+        group, counter = self.group, self.counter
+        #: invocation kind -> the total and the per-kind counter
+        self.invocations = MetricHandles(
+            lambda kind: group["enactor.invocations", f"enactor.invocations.{kind}"]
+        )
+        #: cache lookup status -> its counter
+        self.lookups = MetricHandles(lambda status: counter[f"cache.lookups.{status}"])
 
 
 class MoteurEnactor:
@@ -274,6 +290,8 @@ class MoteurEnactor:
         self._run_span: Optional[Span] = None
         self._trace_id = ""
         self._metrics_baseline: Optional[MetricsSnapshot] = None
+        #: the bus's metric handles, bound at each enactment's start
+        self._metrics: Optional[_EnactorMetrics] = None
         self._report = FailureReport()
         self._replay: Dict[str, CacheEntry] = {}
         self._replayed_count = 0
@@ -343,8 +361,8 @@ class MoteurEnactor:
                 )
         self._report.cancelled_reason = reason
         self._report.cancelled_jobs = released
-        if self.instrumentation is not None:
-            self.instrumentation.metrics.counter("enactor.cancellations").inc()
+        if self._metrics is not None:
+            self._metrics.counter["enactor.cancellations"].inc()
         self._close_run_span(status="cancelled", reason=reason)
         self._close_journal()
         self._failed = True
@@ -410,6 +428,7 @@ class MoteurEnactor:
         self._replayed_count = 0
         self._progress = 0
         bus = self.instrumentation
+        self._metrics = _EnactorMetrics(bus) if bus is not None else None
         if bus is not None:
             self._metrics_baseline = bus.metrics.snapshot()
             self._trace_id = bus.next_trace_id(self.workflow.name)
@@ -526,15 +545,13 @@ class MoteurEnactor:
         """
         if fanout == 0:
             return
-        bus = self.instrumentation
-        if bus is None:
+        metrics = self._metrics
+        if metrics is None:
             return
         file = token.data.file
         if file is None:
             return
-        moved = file.size * fanout
-        bus.metrics.counter("bytes.enactor_moved").inc(moved)
-        bus.metrics.counter("bytes.total").inc(moved)
+        metrics.group["bytes.enactor_moved", "bytes.total"].inc(file.size * fanout)
 
     def _accept(self, name: str, port: str, token: DataToken) -> None:
         state = self._states[name]
@@ -563,8 +580,8 @@ class MoteurEnactor:
     def _note_in_flight(self, delta: int) -> None:
         """Track the in-flight invocation gauge (peak = real concurrency)."""
         self._in_flight += delta
-        if self.instrumentation is not None:
-            self.instrumentation.metrics.gauge("enactor.in_flight").set(self._in_flight)
+        if self._metrics is not None:
+            self._metrics.gauge["enactor.in_flight"].set(self._in_flight)
 
     def _record_cache_lookup(self, processor: str, start: float, status: str) -> None:
         """Span + counter for one cache consultation (hit/miss/coalesced).
@@ -575,7 +592,7 @@ class MoteurEnactor:
         bus = self.instrumentation
         if bus is None:
             return
-        bus.metrics.counter(f"cache.lookups.{status}").inc()
+        self._metrics.lookups[status].inc()
         bus.record(
             "cache.lookup",
             "cache",
@@ -604,8 +621,7 @@ class MoteurEnactor:
         bus = self.instrumentation
         if bus is None:
             return
-        bus.metrics.counter("enactor.invocations").inc()
-        bus.metrics.counter(f"enactor.invocations.{kind}").inc()
+        self._metrics.invocations[kind].inc()
         bus.record(
             "invocation",
             "enactor",
@@ -810,10 +826,8 @@ class MoteurEnactor:
                     )
                 return None
             start = engine.now
-            if self.instrumentation is not None:
-                self.instrumentation.metrics.histogram("enactor.gate_wait").observe(
-                    start - gate_requested
-                )
+            if self._metrics is not None:
+                self._metrics.histogram["enactor.gate_wait"].observe(start - gate_requested)
             try:
                 if barrier:
                     inputs = {

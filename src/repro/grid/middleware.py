@@ -51,6 +51,7 @@ from repro.grid.storage import (
 )
 from repro.grid.transfer import NetworkModel
 from repro.observability.bus import InstrumentationBus
+from repro.observability.metrics import BoundMetrics, MetricHandles
 from repro.observability.spans import Span
 from repro.sim.engine import Engine, Event
 from repro.util.rng import RandomStreams
@@ -122,8 +123,42 @@ class SubmissionHandle:
         return f"<SubmissionHandle job={self.record.name!r} state={self.record.state.value}>"
 
 
+class _GridMetrics(BoundMetrics):
+    """The grid's metric handles on one bus, each bound on first use."""
+
+    __slots__ = ("ledger",)
+
+    def __init__(self, bus: InstrumentationBus) -> None:
+        super().__init__(bus.metrics)
+        group = self.group
+        #: (purpose, src, dst) -> the byte counters one transfer feeds
+        self.ledger = MetricHandles(
+            lambda key: group[
+                "grid.network.bytes",
+                "bytes.peer_moved",
+                "bytes.total",
+                f"bytes.{key[0].replace('-', '_')}",
+                f"bytes.link.{key[1]}.{key[2]}",
+            ]
+        )
+
+
+class _Instrumentation:
+    """The ``Grid.instrumentation`` slot: assigning a bus (at construction
+    or later, as an enactor sharing its bus does) binds the grid's
+    metric handles to it.  There is no ``__get__``, so reading the
+    attribute stays a plain instance-dict read: a grid without a bus
+    pays nothing for the binding."""
+
+    def __set__(self, grid: "Grid", bus: Optional[InstrumentationBus]) -> None:
+        grid.__dict__["instrumentation"] = bus
+        grid.metrics = _GridMetrics(bus) if bus is not None else None
+
+
 class Grid:
     """Façade over the whole simulated infrastructure."""
+
+    instrumentation = _Instrumentation()
 
     def __init__(
         self,
@@ -205,10 +240,15 @@ class Grid:
         #: every record ever submitted through this façade, submission order
         self.records: List[JobRecord] = []
         self._in_flight = 0
-        #: instrumentation bus; also set by an enactor that shares one
+        #: instrumentation bus; also set by an enactor that shares one.
+        #: Assigning it binds ``metrics``, the grid's handles on that
+        #: bus's registry (None without a bus).
         self.instrumentation = instrumentation
         #: job_id -> currently open job.attempt span (CE staging parents here)
         self._attempt_spans: Dict[int, Span] = {}
+        #: job_id -> tenant/run tags of an in-flight job, computed once
+        #: at submission (only while a bus is attached)
+        self._tenancy: Dict[int, Dict[str, str]] = {}
         #: published attribution for the transfer currently being timed
         #: (see TransferContext); None outside stage-in/out evaluations
         self.transfer_context: Optional[TransferContext] = None
@@ -369,9 +409,8 @@ class Grid:
         return self.entity_down(se.name, se.site, when)
 
     def _counter(self, name: str, value: float = 1) -> None:
-        bus = self.instrumentation
-        if bus is not None:
-            bus.metrics.counter(name).inc(value)
+        if self.metrics is not None:
+            self.metrics.counter[name].inc(value)
 
     def _chaos_span(self, name: str, start: float, **attributes) -> None:
         bus = self.instrumentation
@@ -684,13 +723,10 @@ class Grid:
 
     # -- instrumentation hooks ---------------------------------------------
     def _observe_transfer(self, src: str, dst: str, size: float, seconds: float) -> None:
-        bus = self.instrumentation
-        if bus is None:
+        metrics = self.metrics
+        if metrics is None:
             return
-        counter = bus.metrics.counter
-        counter("grid.network.transfers").inc()
-        counter("grid.network.bytes").inc(size)
-        bus.metrics.histogram("grid.network.transfer_seconds").observe(seconds)
+        metrics.counter["grid.network.transfers"].inc()
         # Data-plane byte ledger: everything the middleware moves
         # site-to-site is "peer moved" (it never passes through the
         # enactor host), split by purpose and by directed link so every
@@ -699,16 +735,12 @@ class Grid:
         # bytes.intermediate / bytes.cache_refill.
         context = self.transfer_context
         purpose = context.purpose if context is not None else "stage-in"
-        counter("bytes.peer_moved").inc(size)
-        counter("bytes.total").inc(size)
-        counter(f"bytes.{purpose.replace('-', '_')}").inc(size)
-        counter(f"bytes.link.{src}.{dst}").inc(size)
+        metrics.ledger[purpose, src, dst].inc(size)
+        metrics.histogram["grid.network.transfer_seconds"].observe(seconds)
 
     def _observe_register(self, file: LogicalFile, element: StorageElement) -> None:
-        bus = self.instrumentation
-        if bus is None:
-            return
-        bus.metrics.counter("grid.catalog.registrations").inc()
+        if self.metrics is not None:
+            self.metrics.counter["grid.catalog.registrations"].inc()
 
     # -- load-dependent overheads ------------------------------------------
     def load_factor(self) -> float:
@@ -749,10 +781,11 @@ class Grid:
         job_span: Optional[Span] = None
         bus = self.instrumentation
         if bus is not None:
-            bus.metrics.counter("grid.jobs.submitted").inc()
+            self.metrics.counter["grid.jobs.submitted"].inc()
             # Multi-tenant runs tag their jobs so spans stay attributable
             # even when several enactments share this grid (the single
             # bus.run_span slot cannot distinguish them).
+            tenancy = self._tenancy[record.job_id] = self.tenancy(record)
             job_span = bus.begin(
                 "grid.job",
                 "grid",
@@ -760,7 +793,7 @@ class Grid:
                 parent=bus.run_span,
                 job_id=record.job_id,
                 job_name=description.name,
-                **self.tenancy(record),
+                **tenancy,
             )
         self.engine.process(
             self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
@@ -794,10 +827,8 @@ class Grid:
             if ce is None:
                 return
             cancelled = ce.cancel_queued(reason=f"{alert.kind} alert on {ce.name}")
-            if cancelled and self.instrumentation is not None:
-                self.instrumentation.metrics.counter(
-                    "grid.jobs.proactive_resubmissions"
-                ).inc(len(cancelled))
+            if cancelled:
+                self._counter("grid.jobs.proactive_resubmissions", len(cancelled))
 
         return react
 
@@ -817,7 +848,7 @@ class Grid:
         fault_rng = self.streams.get("faults")
         self._in_flight += 1
         if bus is not None:
-            bus.metrics.gauge("grid.in_flight").set(self._in_flight)
+            self.metrics.gauge["grid.in_flight"].set(self._in_flight)
         try:
             yield from self._attempts(record, completion, rng, fault_rng, job_span)
         except Exception as exc:
@@ -834,7 +865,8 @@ class Grid:
         finally:
             self._in_flight -= 1
             if bus is not None:
-                bus.metrics.gauge("grid.in_flight").set(self._in_flight)
+                self.metrics.gauge["grid.in_flight"].set(self._in_flight)
+                self._tenancy.pop(record.job_id, None)
             self._attempt_spans.pop(record.job_id, None)
 
     #: cancellations a single job may absorb without spending fault
@@ -846,20 +878,20 @@ class Grid:
         """What retry budgets account a job under (service tag, else owner)."""
         return str(record.description.tags.get("service", record.description.owner))
 
-    @staticmethod
-    def tenancy(record: JobRecord) -> Dict[str, str]:
+    def tenancy(self, record: JobRecord) -> Dict[str, str]:
         """Tenant/run attribution for a job's spans.
 
         Phase spans close in completion order, often *before* their
         parent ``grid.job`` span — so per-tenant telemetry replaying
         the stream cannot join through the parent.  Every span carries
-        the tags directly instead.
+        the tags directly instead.  An in-flight job's tags are the ones
+        :meth:`submit` computed (once per job, not once per span).
         """
-        return {
-            key: record.description.tags[key]
-            for key in ("tenant", "run")
-            if key in record.description.tags
-        }
+        tenancy = self._tenancy.get(record.job_id)
+        if tenancy is None:
+            tags = record.description.tags
+            tenancy = {key: tags[key] for key in ("tenant", "run") if key in tags}
+        return tenancy
 
     def _retry_pause(self, record: JobRecord, failures: int, backoff_rng, job_span):
         """Backoff pause between attempts, instrumented; generator helper."""
@@ -870,7 +902,7 @@ class Grid:
         started = self.engine.now
         yield self.engine.timeout(delay)
         if bus is not None:
-            bus.metrics.histogram("grid.retry.backoff_seconds").observe(delay)
+            self.metrics.histogram["grid.retry.backoff_seconds"].observe(delay)
             bus.record(
                 "job.backoff",
                 "grid",
@@ -892,6 +924,7 @@ class Grid:
     ):
         engine = self.engine
         bus = self.instrumentation
+        tenancy = self.tenancy(record) if bus is not None else {}
         policy = self.retry_policy
         budget = self.retry_budget
         service_tag = self._service_tag(record)
@@ -917,7 +950,7 @@ class Grid:
                     tries, record.computing_element, last_error, engine.now, kind="deadline"
                 )
                 if bus is not None:
-                    bus.metrics.counter("grid.jobs.deadline_exceeded").inc()
+                    self.metrics.counter["grid.jobs.deadline_exceeded"].inc()
                 break
             tries += 1
             record.attempts = tries
@@ -932,7 +965,7 @@ class Grid:
                     parent=job_span,
                     job_id=record.job_id,
                     attempt=tries,
-                    **self.tenancy(record),
+                    **tenancy,
                 )
                 self._attempt_spans[record.job_id] = attempt_span
             sample = self.overhead.sample(rng).under_load(self._overhead_scale())
@@ -954,7 +987,7 @@ class Grid:
                     job_id=record.job_id,
                     attempt=tries,
                     ce=chosen.name,
-                    **self.tenancy(record),
+                    **tenancy,
                 )
 
             if self.faults.attempt_fails(fault_rng, ce=chosen.name):
@@ -966,7 +999,7 @@ class Grid:
                 last_error = f"attempt {tries} failed on {chosen.name}"
                 record.record_failure(tries, chosen.name, last_error, engine.now, kind="fault")
                 if bus is not None:
-                    bus.metrics.counter("grid.jobs.retries").inc()
+                    self.metrics.counter["grid.jobs.retries"].inc()
                     bus.record(
                         "job.fault",
                         "grid",
@@ -978,7 +1011,7 @@ class Grid:
                         attempt=tries,
                         ce=chosen.name,
                         job_name=record.description.name,
-                        **self.tenancy(record),
+                        **tenancy,
                     )
                     if attempt_span is not None:
                         bus.end(attempt_span, engine.now, status="error", error=last_error)
@@ -991,7 +1024,7 @@ class Grid:
                         tries, chosen.name, last_error, engine.now, kind="budget"
                     )
                     if bus is not None:
-                        bus.metrics.counter("grid.jobs.budget_denied").inc()
+                        self.metrics.counter["grid.jobs.budget_denied"].inc()
                     break
                 yield from self._retry_pause(record, fault_attempts, backoff_rng, job_span)
                 continue
@@ -1013,7 +1046,7 @@ class Grid:
                     tries, chosen.name, str(exc), engine.now, kind="cancelled"
                 )
                 if bus is not None:
-                    bus.metrics.counter("grid.jobs.cancellations").inc()
+                    self.metrics.counter["grid.jobs.cancellations"].inc()
                     bus.record(
                         "job.cancel",
                         "grid",
@@ -1060,7 +1093,7 @@ class Grid:
                 )
                 record.record_failure(tries, chosen.name, last_error, engine.now, kind="timeout")
                 if bus is not None:
-                    bus.metrics.counter("grid.jobs.timeouts").inc()
+                    self.metrics.counter["grid.jobs.timeouts"].inc()
                     bus.record(
                         "job.timeout",
                         "grid",
@@ -1084,7 +1117,7 @@ class Grid:
                         tries, chosen.name, last_error, engine.now, kind="budget"
                     )
                     if bus is not None:
-                        bus.metrics.counter("grid.jobs.budget_denied").inc()
+                        self.metrics.counter["grid.jobs.budget_denied"].inc()
                     break
                 yield from self._retry_pause(record, fault_attempts, backoff_rng, job_span)
                 continue
@@ -1098,7 +1131,7 @@ class Grid:
             # must evaluate the payload again.)
             record.description = replace(record.description, payload=None)
             if bus is not None:
-                self._record_success(record, attempt_span, matched_at, chosen.name)
+                self._record_success(record, attempt_span, matched_at, chosen.name, tenancy)
                 if job_span is not None and job_span.open:
                     bus.end(job_span, engine.now, ce=chosen.name, attempts=tries)
             completion.succeed(record)
@@ -1113,7 +1146,7 @@ class Grid:
             cause = f"{cause} [{history}]"
         error = JobFailedError(record, cause)
         if bus is not None:
-            bus.metrics.counter("grid.jobs.failed").inc()
+            self.metrics.counter["grid.jobs.failed"].inc()
             if job_span is not None and job_span.open:
                 bus.end(job_span, engine.now, status="error", error=str(error))
         completion.fail(error)
@@ -1124,6 +1157,7 @@ class Grid:
         attempt_span: Optional[Span],
         matched_at: float,
         ce_name: str,
+        tenancy: Dict[str, str],
     ) -> None:
         """Phase spans + histograms for a successfully completed attempt.
 
@@ -1144,7 +1178,7 @@ class Grid:
                 "attempt": record.attempts,
                 "ce": ce_name,
                 "job_name": record.description.name,
-                **self.tenancy(record),
+                **tenancy,
             }
             bus.record(
                 "job.schedule", "grid", matched_at, queued_at, parent=attempt_span, **common
@@ -1158,14 +1192,15 @@ class Grid:
         if attempt_span is not None and attempt_span.open:
             bus.end(attempt_span, done_at, ce=ce_name)
             self._attempt_spans.pop(record.job_id, None)
-        bus.metrics.counter("grid.jobs.completed").inc()
+        histogram = self.metrics.histogram
+        self.metrics.counter["grid.jobs.completed"].inc()
         for metric, value in (
             ("grid.job.overhead", record.overhead),
             ("grid.job.queue_wait", record.queue_wait),
             ("grid.job.makespan", record.makespan),
         ):
             if value is not None:
-                bus.metrics.histogram(metric).observe(value)
+                histogram[metric].observe(value)
 
     # -- reporting ------------------------------------------------------------
     def completed_records(self) -> List[JobRecord]:

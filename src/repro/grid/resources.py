@@ -278,7 +278,7 @@ class ComputingElement:
                 yield engine.timeout(stage_in)
             record.stage_in_time = stage_in
             if bus is not None and record.description.input_files:
-                bus.metrics.counter("grid.transfer.bytes_in").inc(stage_in_bytes)
+                grid.metrics.counter["grid.transfer.bytes_in"].inc(stage_in_bytes)
                 bus.record(
                     "job.stage_in",
                     "grid",
@@ -322,7 +322,7 @@ class ComputingElement:
                 for produced in record.description.output_files:
                     grid.register_output(produced, self.site)
             if bus is not None and record.description.output_files:
-                bus.metrics.counter("grid.transfer.bytes_out").inc(stage_out_bytes)
+                grid.metrics.counter["grid.transfer.bytes_out"].inc(stage_out_bytes)
                 bus.record(
                     "job.stage_out",
                     "grid",

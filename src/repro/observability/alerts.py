@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.observability.bus import InstrumentationBus, JsonlLineWriter
 from repro.observability.jsonl import records_from_jsonl, records_to_jsonl
+from repro.observability.metrics import BoundMetrics, MetricHandles
 
 __all__ = [
     "ALERT_KINDS",
@@ -49,6 +50,7 @@ __all__ = [
     "AlertError",
     "AlertRules",
     "JsonlAlertWriter",
+    "alert_counters",
     "alert_sort_key",
     "alerts_to_jsonl",
     "alerts_from_jsonl",
@@ -145,25 +147,37 @@ def alerts_from_jsonl(text: "str | Iterable[str]") -> List[Alert]:
     return records_from_jsonl(text, Alert.from_dict, AlertError, "an alert record")
 
 
+def alert_counters(bus: InstrumentationBus) -> MetricHandles:
+    """``kind -> CounterGroup`` of ``monitor.alerts.total`` and
+    ``monitor.alerts.<kind>`` on *bus*: what an alert emitter binds once
+    per bus and hands to :func:`publish_alert`."""
+    group = BoundMetrics(bus.metrics).group
+    return MetricHandles(lambda kind: group["monitor.alerts.total", f"monitor.alerts.{kind}"])
+
+
 def publish_alert(
     alert: Alert,
     sinks: Iterable[Callable[[Alert], None]],
     bus: Optional[InstrumentationBus] = None,
+    counters: Optional[MetricHandles] = None,
 ) -> Alert:
     """Deliver one built alert: every emitter (the run monitor, the SLO
     tracker) raises its alerts through here.
 
     Each sink is called in order; with a *bus* the alert is also counted
-    in ``monitor.alerts.total`` and ``monitor.alerts.<kind>`` and
-    recorded as an instant ``alert.<kind>`` span (category ``alert``)
-    under the current run span, which is how it reaches JSONL/Chrome
-    traces and the run summaries that ``compare-runs`` gates.
+    in ``monitor.alerts.total`` and ``monitor.alerts.<kind>`` (through
+    *counters*, the emitter's :func:`alert_counters` for that bus, bound
+    here when not given) and recorded as an instant ``alert.<kind>``
+    span (category ``alert``) under the current run span, which is how
+    it reaches JSONL/Chrome traces and the run summaries that
+    ``compare-runs`` gates.
     """
     for sink in sinks:
         sink(alert)
     if bus is not None:
-        bus.metrics.counter("monitor.alerts.total").inc()
-        bus.metrics.counter(f"monitor.alerts.{alert.kind}").inc()
+        if counters is None:
+            counters = alert_counters(bus)
+        counters[alert.kind].inc()
         bus.record(
             f"alert.{alert.kind}",
             "alert",

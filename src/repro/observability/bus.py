@@ -15,6 +15,14 @@ the attached :class:`Subscriber` s:
 The bus also owns the run's :class:`~repro.observability.metrics.MetricsRegistry`
 so a single object wires a whole stack, and it allocates span ids from
 a deterministic sequence — simulated systems must stay replayable.
+
+A span costs only what its readers use.  :meth:`InstrumentationBus.record`
+(phase spans, instant events: most of a run's spans) builds the finished
+span once, around the caller's keyword dict, and the bus calls only the
+hooks a subscriber actually overrides — an :class:`InMemoryCollector`
+is never told a span opened.  Emitters bind their metric handles once
+per bus (:class:`~repro.observability.metrics.BoundMetrics`) instead of
+looking a metric up by a formatted name on every observation.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar, Union
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.spans import Span, span_sort_key
+from repro.observability.spans import Span, SpanError, span_sort_key
 
 _Self = TypeVar("_Self")
 
@@ -73,6 +81,10 @@ class InstrumentationBus:
     warm-re-execution studies compare cold and warm traces — and the
     per-run metrics protocol (:meth:`MetricsRegistry.snapshot` +
     ``since``) keeps the numbers separable.
+
+    Notification goes through hooks bound from :attr:`subscribers`
+    (overridden ``on_start`` / ``on_end`` methods only), rebound on the
+    first span after that list changes.
     """
 
     def __init__(self, subscribers: Optional[List[Subscriber]] = None) -> None:
@@ -84,6 +96,10 @@ class InstrumentationBus:
         self.run_span: Optional[Span] = None
         self._sequence = 0
         self._run_sequence = 0
+        #: the subscriber list the hooks below were bound from
+        self._hooked: List[Subscriber] = []
+        self._on_start: List[Callable[[Span], None]] = []
+        self._on_end: List[Callable[[Span], None]] = []
 
     # -- wiring ----------------------------------------------------------
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
@@ -94,6 +110,23 @@ class InstrumentationBus:
     def collector(self) -> "InMemoryCollector":
         """Attach and return a fresh in-memory collector."""
         return self.subscribe(InMemoryCollector())  # type: ignore[return-value]
+
+    def _bind_hooks(self) -> None:
+        """Bind each subscriber's notification methods, skipping the
+        :class:`Subscriber` no-op defaults (a collector that only reads
+        closed spans costs nothing when a span opens).  Rebound whenever
+        :attr:`subscribers` no longer equals (``==``, identity for
+        subscribers without ``__eq__``) the list bound last, so callers
+        may edit that list in place."""
+        self._hooked = list(self.subscribers)
+
+        def bound(name: str) -> List[Callable[[Span], None]]:
+            default = getattr(Subscriber, name)
+            hooks = (getattr(subscriber, name) for subscriber in self._hooked)
+            return [hook for hook in hooks if getattr(hook, "__func__", None) is not default]
+
+        self._on_start = bound("on_start")
+        self._on_end = bound("on_end")
 
     # -- span lifecycle --------------------------------------------------
     def next_span_id(self, hint: str = "s") -> str:
@@ -128,17 +161,21 @@ class InstrumentationBus:
             parent_id=parent.span_id if parent is not None else None,
             start=start,
             status=status,
-            attributes=dict(attributes),
+            attributes=attributes,
         )
-        for subscriber in self.subscribers:
-            subscriber.on_start(span)
+        if self.subscribers != self._hooked:
+            self._bind_hooks()
+        for hook in self._on_start:
+            hook(span)
         return span
 
     def end(self, span: Span, end: float, status: Optional[str] = None, **attributes: Any) -> Span:
         """Close *span* and notify subscribers."""
         span.close(end, status=status, **attributes)
-        for subscriber in self.subscribers:
-            subscriber.on_end(span)
+        if self.subscribers != self._hooked:
+            self._bind_hooks()
+        for hook in self._on_end:
+            hook(span)
         return span
 
     def record(
@@ -153,18 +190,35 @@ class InstrumentationBus:
         status: str = "ok",
         **attributes: Any,
     ) -> Span:
-        """Emit an already-finished span (phase spans, instant events)."""
-        span = self.begin(
-            name,
-            category,
-            start,
-            parent=parent,
-            trace_id=trace_id,
-            span_id=span_id,
-            status=status,
-            **attributes,
-        )
-        return self.end(span, end)
+        """Emit an already-finished span (phase spans, instant events).
+
+        The span is built once, already closed, around the call's own
+        keyword dict; subscribers then see it opened and closed back to
+        back, exactly as :meth:`Subscriber.replay` feeds a recorded
+        stream.
+        """
+        if span_id is None:
+            self._sequence += 1
+            span_id = f"s{self._sequence}"
+        if end < start:
+            raise SpanError(f"span {span_id!r} ends at {end} before it starts at {start}")
+        if parent is not None:
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
+        else:
+            parent_id = None
+            if trace_id is None:
+                trace_id = ""
+        # positional: Span's field order (keywords cost twice the call)
+        span = Span(name, category, span_id, trace_id, start, parent_id, end, status, attributes)
+        if self.subscribers != self._hooked:
+            self._bind_hooks()
+        for hook in self._on_start:
+            hook(span)
+        for hook in self._on_end:
+            hook(span)
+        return span
 
 
 class InMemoryCollector(Subscriber):

@@ -132,15 +132,11 @@ class DataFlowCollector(Subscriber):
         site = element.site
         self.site_replicas[site] = self.site_replicas.get(site, 0) + 1
         self.site_occupancy[site] = self.site_occupancy.get(site, 0) + int(file.size)
-        grid = self._grid
-        bus = grid.instrumentation if grid is not None else None
-        if bus is not None:
-            bus.metrics.gauge(f"grid.storage.replicas.{site}").set(
-                self.site_replicas[site]
-            )
-            bus.metrics.gauge(f"grid.storage.occupancy.{site}").set(
-                self.site_occupancy[site]
-            )
+        metrics = self._grid.metrics if self._grid is not None else None
+        if metrics is not None:
+            gauge = metrics.gauge
+            gauge[f"grid.storage.replicas.{site}"].set(self.site_replicas[site])
+            gauge[f"grid.storage.occupancy.{site}"].set(self.site_occupancy[site])
 
     # -- span subscriber (cross-check tally) -------------------------------
     def on_end(self, span: Span) -> None:

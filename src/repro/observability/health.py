@@ -306,7 +306,7 @@ class FleetHealth:
         #: service fleet-wide), so heterogeneous services do not read as
         #: pathology
         self._fleet_grouped: Dict[Tuple[str, str], RollingSample] = {}
-        #: per-CE duration windows, keyed by (ce, phase span name)
+        #: per-CE queue/run duration windows, keyed by (ce, phase span name)
         self._per_ce: Dict[Tuple[str, str], RollingSample] = {}
         #: per-CE time-to-failure windows
         self._ttf: Dict[str, RollingSample] = {}
@@ -319,8 +319,9 @@ class FleetHealth:
 
     # -- updates ---------------------------------------------------------
     def _touch(self, ce: str) -> None:
-        self._completed.setdefault(ce, 0)
-        self._faults.setdefault(ce, 0)
+        if ce not in self._completed:  # the two tables share their keys
+            self._completed[ce] = 0
+            self._faults[ce] = 0
 
     def _sample(self, table: Dict, key) -> RollingSample:
         sample = table.get(key)
@@ -364,9 +365,10 @@ class FleetHealth:
                 self._sample(self._fleet, phase).add(duration)
             else:
                 reference.add(duration)
-        self._sample(self._per_ce, (ce, phase)).add(duration)
-        if phase == "job.run":
-            self._completed[ce] += 1
+            # per-CE windows only for the medians health_of reports
+            self._sample(self._per_ce, (ce, phase)).add(duration)
+            if phase == "job.run":
+                self._completed[ce] += 1
         return is_straggler
 
     def observe_fault(self, ce: str, time_to_failure: float) -> None:
@@ -396,6 +398,39 @@ class FleetHealth:
         if sample is None or len(sample) == 0:
             return 0.0
         return sample.median()
+
+    def can_flag(self, ce: str, *, straggler: bool, blackhole: bool) -> bool:
+        """Could :meth:`health_of` raise a flag on *ce* right now?
+
+        Checks the counter half of each flag's condition — enough
+        observations (completions for a straggler, attempts for a
+        blackhole) and a rate at or above its threshold — with the same
+        arithmetic :meth:`health_of` uses, without building a
+        :class:`CEHealth`.  ``straggler`` / ``blackhole`` say which flags
+        to consider (False for one the caller has already acted on).
+        True is necessary, not sufficient: a blackhole must also fail
+        fast, which only :meth:`health_of` decides.
+        """
+        if ce not in self._completed:
+            return False
+        thresholds = self.thresholds
+        completed = self._completed[ce]
+        if (
+            straggler
+            and completed >= thresholds.min_samples
+            and len(self._straggler_jobs.get(ce, ())) / completed
+            >= thresholds.ce_straggler_fraction
+        ):
+            return True
+        if blackhole:
+            faults = self._faults[ce]
+            attempts = completed + faults
+            if (
+                attempts >= thresholds.min_samples
+                and faults / attempts >= thresholds.blackhole_fault_rate
+            ):
+                return True
+        return False
 
     def health_of(self, ce: str) -> CEHealth:
         """The current :class:`CEHealth` summary of *ce*."""

@@ -17,23 +17,31 @@ the cache stats use).
 Thread safety: the enactment service runs a background scheduler
 thread while API threads submit and cancel, and several concurrent
 enactors share one registry — so every mutation (``inc`` / ``set`` /
-``add`` / ``observe``), create-on-first-use lookup, and ``snapshot()``
-is guarded by a lock.  Metrics created through a registry share the
+``add`` / ``observe``), every metric creation, and ``snapshot()`` is
+guarded by a lock.  Metrics created through a registry share the
 registry's lock (a snapshot is then a consistent cut); standalone
-metrics get their own.
+metrics get their own.  Looking up a metric that already exists takes
+no lock, and the hot emitters (the grid's byte ledger and job metrics,
+the enactor's invocation and cache-lookup counters, alert counters) do
+not look up at all: each binds its handles once per bus
+(:class:`BoundMetrics`, :class:`MetricHandles`), and counters that
+always move together share one lock acquisition (:class:`CounterGroup`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 __all__ = [
+    "BoundMetrics",
     "Counter",
+    "CounterGroup",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
+    "MetricHandles",
     "MetricsRegistry",
     "MetricsSnapshot",
 ]
@@ -55,6 +63,36 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         with self._lock:
             self.value += amount
+
+
+class CounterGroup:
+    """Counters that always move together, bumped under one lock.
+
+    The grid's byte ledger adds every transfer's size to five counters
+    at once (``grid.network.bytes``, ``bytes.peer_moved``,
+    ``bytes.total``, the purpose and the link); a group takes the
+    shared registry lock once for all of them instead of once each.
+    Every member must share one lock, as counters of one registry do.
+    """
+
+    __slots__ = ("counters", "_lock")
+
+    def __init__(self, counters: Tuple[Counter, ...]) -> None:
+        if not counters:
+            raise ValueError("a counter group needs at least one counter")
+        lock = counters[0]._lock
+        if any(counter._lock is not lock for counter in counters):
+            raise ValueError("grouped counters must share one lock")
+        self.counters = tuple(counters)
+        self._lock = lock
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add *amount* to every member (must be >= 0)."""
+        if amount < 0:
+            raise ValueError(f"counter group cannot decrease (got {amount})")
+        with self._lock:
+            for counter in self.counters:
+                counter.value += amount
 
 
 class Gauge:
@@ -208,13 +246,64 @@ class MetricsSnapshot:
         return iter(self.names())
 
 
+class MetricHandles(dict):
+    """Metric handles bound on first use, then read as a plain dict.
+
+    ``handles[key]`` calls *bind(key)* once per key — typically a
+    registry lookup behind a formatted name, or a :class:`CounterGroup`
+    — and caches the result, so an emitter that observes the same
+    metric thousands of times pays the name formatting and the registry
+    lookup once.  Nothing is created before its first use, so
+    binding adds no zero-valued metric to a snapshot.
+    """
+
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind: Callable[[Hashable], Any]) -> None:
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, key: Hashable) -> Any:
+        handle = self[key] = self._bind(key)
+        return handle
+
+
+class BoundMetrics:
+    """One emitter's handles into one registry, by metric name.
+
+    ``bound.counter[name]`` is the registry's counter called *name*,
+    looked up on its first use and a plain dict read after that; the
+    same holds for ``gauge`` and ``histogram``, and ``group[names]``
+    binds a :class:`CounterGroup` over a tuple of counter names.  An
+    emitter builds one per bus, plus a :class:`MetricHandles` per
+    label-keyed family (``kind -> group``) so the per-observation name
+    formatting happens once per label.
+    """
+
+    __slots__ = ("registry", "counter", "gauge", "histogram", "group")
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        self.registry = registry
+        self.counter = MetricHandles(registry.counter)
+        self.gauge = MetricHandles(registry.gauge)
+        self.histogram = MetricHandles(registry.histogram)
+        counter = self.counter
+        self.group = MetricHandles(
+            lambda names: CounterGroup(tuple(counter[name] for name in names))
+        )
+
+
 class MetricsRegistry:
     """Create-on-first-use registry of named metrics.
 
     All metrics created through a registry share one re-entrant lock,
-    so lookups, mutations and :meth:`snapshot` are mutually exclusive —
-    a snapshot is a *consistent cut* even while a scheduler thread and
-    N enactors keep incrementing.
+    so creations, mutations and :meth:`snapshot` are mutually exclusive
+    — a snapshot is a *consistent cut* even while a scheduler thread
+    and N enactors keep incrementing.  Reading a metric that already
+    exists takes no lock (a dict read is atomic, and a metric is never
+    replaced once created); emitters on a hot path go one step further
+    and keep their handles in :class:`MetricHandles`, bound once per
+    bus.
     """
 
     def __init__(self) -> None:
@@ -223,29 +312,33 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
+    def _create(self, table: Dict[str, Any], kind: type, name: str) -> Any:
+        with self._lock:
+            metric = table.get(name)
+            if metric is None:
+                metric = table[name] = kind(name, lock=self._lock)
+            return metric
+
     def counter(self, name: str) -> Counter:
         """The counter called *name* (created on first use)."""
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = Counter(name, lock=self._lock)
-            return metric
+        metric = self._counters.get(name)
+        if metric is None:
+            metric = self._create(self._counters, Counter, name)
+        return metric
 
     def gauge(self, name: str) -> Gauge:
         """The gauge called *name* (created on first use)."""
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name, lock=self._lock)
-            return metric
+        metric = self._gauges.get(name)
+        if metric is None:
+            metric = self._create(self._gauges, Gauge, name)
+        return metric
 
     def histogram(self, name: str) -> Histogram:
         """The histogram called *name* (created on first use)."""
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram(name, lock=self._lock)
-            return metric
+        metric = self._histograms.get(name)
+        if metric is None:
+            metric = self._create(self._histograms, Histogram, name)
+        return metric
 
     def snapshot(self) -> MetricsSnapshot:
         """Frozen view of everything, right now (a consistent cut)."""

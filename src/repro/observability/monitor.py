@@ -35,6 +35,15 @@ order — into a fresh monitor via the shared
 reproduces the exact same health table and alert list.  That is what
 makes the monitor's findings auditable after the fact.
 
+**The health gate.**  Every phase and fault close may raise a CE-scope
+flag, but a flag can only turn true once the CE's counters reach
+``min_samples`` and a rate reaches its threshold.  The monitor asks
+:meth:`FleetHealth.can_flag <repro.observability.health.FleetHealth.can_flag>`
+first and rebuilds the full :class:`~repro.observability.health.CEHealth`
+only when a not-yet-alerted flag could flip, which leaves the alerts
+exactly those of a check on every close
+(``tests/properties/test_health_gate_oracle.py``).
+
 The monitor is also a **health provider** for the feedback loop: the
 :class:`~repro.grid.broker.ResourceBroker` consults
 :meth:`penalty` / :meth:`blacklisted` so least-loaded ranking demotes
@@ -47,7 +56,13 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
-from repro.observability.alerts import Alert, AlertRules, alert_sort_key, publish_alert
+from repro.observability.alerts import (
+    Alert,
+    AlertRules,
+    alert_counters,
+    alert_sort_key,
+    publish_alert,
+)
 from repro.observability.bus import InstrumentationBus, Subscriber
 from repro.observability.health import FleetHealth, CEHealth
 from repro.observability.spans import ITEM_KINDS, Span
@@ -98,8 +113,9 @@ class ServiceProgress:
         return self.total_seconds / self.completed if self.completed else 0.0
 
 
-#: phase spans routed into FleetHealth (stage phases refine per-CE
-#: medians; queue/run additionally feed straggler detection)
+#: phase spans routed into FleetHealth: queue/run feed the straggler
+#: windows and per-CE medians; every phase marks its CE as seen (the
+#: health table's order) and re-checks the CE's flags
 _HEALTH_PHASES = ("job.queue", "job.run", "job.stage_in", "job.stage_out")
 
 
@@ -168,6 +184,7 @@ class RunMonitor(Subscriber, HealthProvider):
         self.rules = rules if rules is not None else AlertRules()
         self.policy = policy
         self.bus = bus
+        self._alert_counters = alert_counters(bus) if bus is not None else None
         self.alert_sinks: List[Callable[[Alert], None]] = list(alert_sinks or [])
         self.on_progress = on_progress
         self.progress_every = max(1, progress_every)
@@ -398,7 +415,20 @@ class RunMonitor(Subscriber, HealthProvider):
             )
 
     def _check_ce(self, ce: str, now: float) -> None:
-        """Raise CE-scope alerts on a health-flag transition (once each)."""
+        """Raise CE-scope alerts on a health-flag transition (once each).
+
+        Runs on every phase and fault close, so the full health summary
+        is rebuilt only when :meth:`FleetHealth.can_flag` says the CE's
+        counters could turn a not-yet-alerted flag true; otherwise no
+        flag can transition and there is nothing to raise.
+        """
+        alerted = self._alerted
+        if not self.fleet.can_flag(
+            ce,
+            straggler=ce not in alerted["straggler"],
+            blackhole=ce not in alerted["blackhole"],
+        ):
+            return
         health = self.fleet.health_of(ce)
         if health.is_blackhole and ce not in self._alerted["blackhole"]:
             self._alerted["blackhole"].add(ce)
@@ -589,7 +619,7 @@ class RunMonitor(Subscriber, HealthProvider):
             attributes=attributes,
         )
         self.alerts.append(alert)
-        return publish_alert(alert, self.alert_sinks, self.bus)
+        return publish_alert(alert, self.alert_sinks, self.bus, self._alert_counters)
 
     # -- health provider (the broker feedback hook) ----------------------
     #: added to a CE's load estimate per point of lost health score

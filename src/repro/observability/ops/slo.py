@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.observability.alerts import Alert, publish_alert
+from repro.observability.alerts import Alert, alert_counters, publish_alert
 from repro.observability.bus import InstrumentationBus
 from repro.observability.ops.rollup import ControlPlaneTelemetry, TenantRollup
 
@@ -186,6 +186,7 @@ class SLOTracker:
         self.slos: List[SLO] = list(default_slos() if slos is None else slos)
         self.telemetry = telemetry if telemetry is not None else ControlPlaneTelemetry()
         self.bus = bus
+        self._alert_counters = alert_counters(bus) if bus is not None else None
         self.alert_sinks: List[Callable[[Alert], None]] = list(alert_sinks or [])
         #: every slo-burn alert raised, emission order
         self.alerts: List[Alert] = []
@@ -281,7 +282,7 @@ class SLOTracker:
             attributes=status.to_dict(),
         )
         self.alerts.append(alert)
-        return publish_alert(alert, self.alert_sinks, self.bus)
+        return publish_alert(alert, self.alert_sinks, self.bus, self._alert_counters)
 
     def _threshold(self, slo_name: str) -> float:
         for slo in self.slos:

@@ -50,11 +50,13 @@ class SpanError(ValueError):
     """Raised for malformed span operations (double end, bad times...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work, with trace/parent correlation ids.
 
     ``end`` is ``None`` while the span is open; :meth:`close` sets it.
+    Slotted: a run keeps every span it emits, so the per-instance dict
+    is memory the collector would hold for nothing.
     ``status`` is ``"ok"`` on the happy path; instrumented code uses
     ``"error"`` for failures and domain statuses such as ``"hit"`` /
     ``"miss"`` / ``"coalesced"`` for cache lookups.

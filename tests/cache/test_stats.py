@@ -42,6 +42,25 @@ class TestCacheStats:
         assert before.per_service["S"].hits == 1
         assert stats.snapshot().per_service["S"].hits == 2
 
+    def test_snapshot_ignores_every_later_bump(self):
+        """The live counters are mutable; a snapshot must share none of them."""
+        stats = CacheStats()
+        stats.record_miss("S")
+        stats.record_store("S", 64)
+        before = stats.snapshot()
+        copy = dict(before.per_service)
+        stats.record_hit("S")
+        stats.record_miss("S")
+        stats.record_coalesced("S")
+        stats.record_store("S", 32)
+        stats.record_hit("T")
+        assert before.per_service == copy == {
+            "S": ServiceCacheStats(misses=1, stores=1, bytes_stored=64)
+        }
+        assert stats.snapshot().per_service["S"] == ServiceCacheStats(
+            hits=1, misses=2, coalesced=1, stores=2, bytes_stored=96
+        )
+
 
 class TestSnapshotAlgebra:
     def test_total_sums_services(self):

@@ -64,6 +64,22 @@ class TestSubmission:
         engine.run(until=handle.completion)
         assert [r.name for r in grid.completed_records()] == ["done"]
 
+    def test_assigning_a_bus_rebinds_the_metric_handles(self, engine, streams):
+        from repro.observability.bus import InstrumentationBus
+
+        grid = simple_grid(engine, streams)
+        assert grid.instrumentation is None and grid.metrics is None
+        first, second = InstrumentationBus(), InstrumentationBus()
+        grid.instrumentation = first
+        engine.run(until=grid.submit(JobDescription(name="a")).completion)
+        grid.instrumentation = second
+        engine.run(until=grid.submit(JobDescription(name="b")).completion)
+        assert grid.instrumentation is second and grid.metrics.registry is second.metrics
+        for bus in (first, second):
+            assert bus.metrics.counter("grid.jobs.completed").value == 1
+        grid.instrumentation = None
+        assert grid.metrics is None
+
 
 class TestStaging:
     def test_stage_in_time_charged(self, engine, streams):

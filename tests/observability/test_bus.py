@@ -3,14 +3,18 @@
 import io
 import json
 
+import pytest
+
 from repro.observability.bus import (
     ChromeTraceExporter,
+    InMemoryCollector,
     InstrumentationBus,
     JsonlExporter,
+    Subscriber,
     chrome_trace_json,
 )
 from repro.observability.logbridge import cli_logger
-from repro.observability.spans import spans_from_jsonl
+from repro.observability.spans import SpanError, spans_from_jsonl
 
 
 class TestBus:
@@ -43,6 +47,49 @@ class TestBus:
         child = bus.begin("grid.job", "grid", 1.0, parent=parent)
         assert child.parent_id == parent.span_id
         assert child.trace_id == "run-1:wf"
+
+    def test_record_builds_the_span_once_around_its_keywords(self):
+        bus = InstrumentationBus()
+        parent = bus.begin("run", "enactor", 0.0, trace_id="run-1:wf")
+        span = bus.record("job.run", "grid", 1.0, 4.0, parent=parent, status="error", ce="c")
+        assert (span.span_id, span.parent_id, span.trace_id) == ("s2", "s1", "run-1:wf")
+        assert (span.status, span.attributes) == ("error", {"ce": "c"})
+        with pytest.raises(SpanError):
+            bus.record("job.run", "grid", 4.0, 1.0)
+
+    def test_record_announces_the_span_as_replay_does(self):
+        seen = []
+
+        class Recorder(Subscriber):
+            def on_start(self, span):
+                seen.append(("start", span.span_id, span.end))
+
+            def on_end(self, span):
+                seen.append(("end", span.span_id, span.end))
+
+        bus = InstrumentationBus([Recorder()])
+        bus.record("job.queue", "grid", 2.0, 5.0)
+        assert seen == [("start", "s1", 5.0), ("end", "s1", 5.0)]
+
+    def test_default_hooks_are_not_bound(self):
+        bus = InstrumentationBus()
+        bus.collector()
+        bus.subscribe(Subscriber())
+        bus.record("a", "grid", 0.0, 1.0)
+        assert bus._on_start == []
+        assert len(bus._on_end) == 1
+
+    def test_subscriber_list_may_be_edited_in_place(self):
+        bus = InstrumentationBus()
+        first = bus.collector()
+        bus.record("a", "grid", 0.0, 1.0)
+        second = InMemoryCollector()
+        bus.subscribers[0] = second
+        bus.record("b", "grid", 1.0, 2.0)
+        bus.subscribers.remove(second)
+        bus.record("c", "grid", 2.0, 3.0)
+        assert [s.name for s in first.spans] == ["a"]
+        assert [s.name for s in second.spans] == ["b"]
 
 
 class TestInMemoryCollector:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import (
+    BoundMetrics,
+    CounterGroup,
+    MetricHandles,
+    MetricsRegistry,
+    MetricsSnapshot,
+)
 
 
 class TestInstruments:
@@ -45,6 +51,50 @@ class TestInstruments:
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
+
+
+class TestHandles:
+    def test_handles_bind_once_per_key(self):
+        registry = MetricsRegistry()
+        names = []
+
+        def bind(kind):
+            names.append(kind)
+            return registry.counter(f"enactor.invocations.{kind}")
+
+        handles = MetricHandles(bind)
+        handles["cached"].inc()
+        handles["cached"].inc()
+        assert names == ["cached"]
+        assert registry.snapshot().counters == {"enactor.invocations.cached": 2.0}
+
+    def test_bound_metrics_create_nothing_before_first_use(self):
+        registry = MetricsRegistry()
+        bound = BoundMetrics(registry)
+        assert registry.snapshot() == MetricsSnapshot()
+        bound.counter["a"].inc(2)
+        bound.gauge["g"].set(3)
+        bound.histogram["h"].observe(4)
+        assert bound.counter["a"] is registry.counter("a")
+        snap = registry.snapshot()
+        assert (snap.counter("a"), snap.gauge("g"), snap.histogram("h").values) == (
+            2.0, 3.0, (4.0,),
+        )
+
+    def test_counter_group_moves_every_member(self):
+        registry = MetricsRegistry()
+        group = BoundMetrics(registry).group["bytes.total", "bytes.stage_in"]
+        group.inc(5)
+        group.inc(2.5)
+        assert registry.snapshot().counters == {"bytes.total": 7.5, "bytes.stage_in": 7.5}
+        with pytest.raises(ValueError):
+            group.inc(-1)
+
+    def test_counter_group_needs_one_lock(self):
+        with pytest.raises(ValueError):
+            CounterGroup((MetricsRegistry().counter("a"), MetricsRegistry().counter("b")))
+        with pytest.raises(ValueError):
+            CounterGroup(())
 
 
 class TestSnapshotDelta:

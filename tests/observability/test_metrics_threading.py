@@ -7,9 +7,10 @@ tests hammer one registry from many threads and demand *exact* totals
 — any lost update fails deterministically.
 """
 
+import sys
 import threading
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import BoundMetrics, MetricsRegistry
 
 THREADS = 8
 ITERATIONS = 2_000
@@ -114,3 +115,44 @@ class TestThreadedGaugesAndHistograms:
             for worker in workers:
                 worker.join()
         assert registry.counter("writes").value >= 0
+
+
+class TestThreadedHandles:
+    def test_groups_and_fresh_names_under_concurrent_snapshots(self):
+        """Lock-free reads, creation under the lock, one lock per group:
+        no lost update, and a snapshot never sees a table mid-insert."""
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(THREADS + 1)
+        names = 50
+
+        def work(index):
+            bound = BoundMetrics(registry)  # each emitter binds its own
+            barrier.wait()
+            for i in range(ITERATIONS):
+                bound.group["bytes.total", f"bytes.link.{i % names}"].inc(2)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(THREADS)]
+            for worker in workers:
+                worker.start()
+            barrier.wait()
+            while any(worker.is_alive() for worker in workers):
+                # a group moves under the registry lock, so every
+                # snapshot (a consistent cut) sees it moved whole
+                snap = registry.snapshot()
+                assert snap.counter("bytes.total") == sum(
+                    value for name, value in snap.counters.items() if name != "bytes.total"
+                )
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        counters = registry.snapshot().counters
+        assert counters["bytes.total"] == 2 * THREADS * ITERATIONS
+        assert all(
+            counters[f"bytes.link.{i}"] == 2 * THREADS * ITERATIONS / names
+            for i in range(names)
+        )

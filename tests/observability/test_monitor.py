@@ -227,6 +227,45 @@ class TestReplayInvariant:
         assert live.flagged_ces() == ["site01-ce", "site02-ce"]
         assert live.alert_counts()["blackhole"] == 1
 
+    def test_observed_shape_replay_matches_live(self):
+        # the trajectory benchmark's observed shape (SP+DP+JG, collector,
+        # monitor and data-flow collector on one bus) on the faulty testbed
+        from repro.apps.bronze_standard import BronzeStandardApplication
+        from repro.core import OptimizationConfig
+        from repro.grid.testbeds import faulty_testbed
+        from repro.observability.dataflow import DataFlowCollector
+        from repro.sim.engine import Engine
+        from repro.util.rng import RandomStreams
+
+        engine = Engine()
+        streams = RandomStreams(seed=42)
+        grid = faulty_testbed(engine, streams)
+        bus, collector, live = attach_monitor(expected_items=40, policy="SP+DP")
+        dataflow = bus.subscribe(DataFlowCollector().attach(grid))
+        result = BronzeStandardApplication(engine, grid, streams).enact(
+            OptimizationConfig.sp_dp_jg().with_best_effort(),
+            n_pairs=40,
+            instrumentation=bus,
+        )
+
+        fresh = RunMonitor(expected_items=40, policy="SP+DP").replay(collector.spans)
+        assert live.alerts and fresh.alerts == live.alerts
+        assert fresh.fleet.table() == live.fleet.table()
+        # the span tally agrees with the grid's byte ledger
+        counters = result.metrics.counters
+        staged_in = sum(
+            counters.get(f"bytes.{purpose}", 0.0)
+            for purpose in ("stage_in", "intermediate", "cache_refill")
+        )
+        assert dataflow.phase_bytes == {
+            "stage_in": staged_in,
+            "stage_out": counters["bytes.stage_out"],
+        }
+        assert dataflow.phase_bytes == {
+            "stage_in": counters["grid.transfer.bytes_in"],
+            "stage_out": counters["grid.transfer.bytes_out"],
+        }
+
 
 class TestHealthProvider:
     def test_defaults_are_healthy(self):
