@@ -4,7 +4,8 @@ The paper reads its measurements through aggregate grid behaviour: the
 total running time ("9 days and 8 hours" for the full experiment), the
 overhead regime, and where each optimization's gain physically comes
 from.  This module computes those views from the
-:class:`~repro.grid.job.JobRecord` s a run leaves behind:
+job ledger a run leaves behind (:class:`~repro.grid.job.JobLedger`,
+or any records, which are read as one), reading its columns:
 
 * :func:`job_statistics` — per-run totals: wall time consumed on the
   grid, compute vs transfer vs overhead split, attempt counts,
@@ -14,13 +15,12 @@ from.  This module computes those views from the
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.grid.job import JobRecord, JobState
+from repro.grid.job import JobLedger, JobRecord, JobState
 
 __all__ = [
     "JobStatistics",
@@ -73,29 +73,37 @@ class PhaseBreakdown:
         )
 
 
-def _completed(records: Iterable[JobRecord]) -> List[JobRecord]:
-    return [r for r in records if r.state is JobState.DONE]
-
-
 def job_statistics(records: Iterable[JobRecord]) -> JobStatistics:
     """Aggregate completed-job statistics (see class docstring)."""
-    done = _completed(records)
+    ledger = JobLedger.of(records)
+    done = ledger.rows(JobState.DONE)
     if not done:
         return JobStatistics(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    overheads = np.array([r.overhead for r in done], dtype=float)
+    stage_in = ledger.column("stage_in_time", done)
+    stage_out = ledger.column("stage_out_time", done)
+    execution = ledger.column("execution_time", done)
+    overheads = np.array(ledger.overheads(done), dtype=float)
     return JobStatistics(
         jobs=len(done),
-        total_attempts=sum(r.attempts for r in done),
-        total_grid_time=float(sum(r.makespan for r in done)),
-        total_execution_time=float(sum(r.execution_time for r in done)),
-        total_transfer_time=float(
-            sum(r.stage_in_time + r.stage_out_time for r in done)
-        ),
+        total_attempts=sum(ledger.column("attempts", done)),
+        total_grid_time=float(sum(ledger.makespans(done))),
+        total_execution_time=float(sum(execution)),
+        total_transfer_time=float(sum(a + b for a, b in zip(stage_in, stage_out))),
         total_overhead=float(overheads.sum()),
         mean_overhead=float(overheads.mean()),
         std_overhead=float(overheads.std(ddof=1)) if len(done) > 1 else 0.0,
         max_overhead=float(overheads.max()),
     )
+
+
+#: the states whose last entries bound the phases, in lifecycle order
+_PHASE_STATES = (
+    JobState.SUBMITTED,
+    JobState.MATCHED,
+    JobState.QUEUED,
+    JobState.RUNNING,
+    JobState.DONE,
+)
 
 
 def overhead_breakdown(records: Iterable[JobRecord]) -> Optional[PhaseBreakdown]:
@@ -104,25 +112,20 @@ def overhead_breakdown(records: Iterable[JobRecord]) -> Optional[PhaseBreakdown]
     Phases use the *last* entry of each state so resubmitted jobs
     report their successful attempt.
     """
-    done = _completed(records)
-    phases: Dict[str, List[float]] = defaultdict(list)
-    for record in done:
-        submitted = record.last(JobState.SUBMITTED)
-        matched = record.last(JobState.MATCHED)
-        queued = record.last(JobState.QUEUED)
-        running = record.last(JobState.RUNNING)
-        finished = record.last(JobState.DONE)
-        if None in (submitted, matched, queued, running, finished):
+    ledger = JobLedger.of(records)
+    phases: List[List[float]] = [[], [], [], []]
+    for row in ledger.rows(JobState.DONE):
+        times = [ledger.time_of(row, state, last=True) for state in _PHASE_STATES]
+        if None in times:
             continue
-        phases["s2m"].append(matched - submitted)
-        phases["m2q"].append(queued - matched)
-        phases["q2r"].append(running - queued)
-        phases["r2d"].append(finished - running)
-    if not phases:
+        for phase, (begin, end) in zip(phases, zip(times, times[1:])):
+            phase.append(end - begin)
+    if not phases[0]:
         return None
+    s2m, m2q, q2r, r2d = (float(np.mean(phase)) for phase in phases)
     return PhaseBreakdown(
-        submission_to_matched=float(np.mean(phases["s2m"])),
-        matched_to_queued=float(np.mean(phases["m2q"])),
-        queued_to_running=float(np.mean(phases["q2r"])),
-        running_to_done=float(np.mean(phases["r2d"])),
+        submission_to_matched=s2m,
+        matched_to_queued=m2q,
+        queued_to_running=q2r,
+        running_to_done=r2d,
     )

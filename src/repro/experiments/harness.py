@@ -21,6 +21,7 @@ import numpy as np
 from repro.apps.bronze_standard import BronzeStandardApplication
 from repro.core.config import OptimizationConfig
 from repro.experiments.calibration import PAPER_SIZES, make_experiment_grid
+from repro.grid.job import JobState
 from repro.grid.middleware import Grid
 from repro.model.metrics import ConfigurationFit, fit_configuration
 from repro.sim.engine import Engine
@@ -102,15 +103,16 @@ def run_configuration(
     app = BronzeStandardApplication(engine, grid, streams)
     result = app.enact(config, n_pairs=n_pairs, method_to_test=method_to_test)
 
-    completed = grid.completed_records()
-    overheads = [r.overhead for r in completed if r.overhead is not None]
+    jobs = grid.records
+    completed = jobs.rows(JobState.DONE)
+    overheads = [value for value in jobs.overheads(completed) if value is not None]
     rotation = result.output_values("accuracy_rotation")
     translation = result.output_values("accuracy_translation")
     return ExperimentRow(
         config_label=config.label,
         n_pairs=n_pairs,
         makespan=result.makespan,
-        jobs_submitted=len(grid.records),
+        jobs_submitted=len(jobs),
         jobs_completed=len(completed),
         invocations=result.invocation_count,
         mean_overhead=float(np.mean(overheads)) if overheads else 0.0,

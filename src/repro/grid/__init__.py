@@ -24,7 +24,7 @@ service parallelism and job grouping pay off — maps directly onto the
 """
 
 from repro.grid.faults import DurabilityFaultModel, FaultModel, OutageSchedule
-from repro.grid.job import JobDescription, JobRecord, JobState
+from repro.grid.job import JobDescription, JobLedger, JobRecord, JobRow, JobState
 from repro.grid.middleware import Grid, SubmissionHandle, TransferFailedError
 from repro.grid.overhead import OverheadModel
 from repro.grid.storage import (
@@ -44,6 +44,8 @@ from repro.grid.testbeds import (
 __all__ = [
     "JobDescription",
     "JobRecord",
+    "JobLedger",
+    "JobRow",
     "JobState",
     "Grid",
     "SubmissionHandle",

@@ -20,7 +20,9 @@ The job lifecycle implemented by :meth:`Grid._run_job`, per attempt::
     --stage-in + execute + stage-out--> done on CE
     --completion notification--> DONE
 
-All timestamps land in the job's :class:`~repro.grid.job.JobRecord`,
+Every state entry lands in the job's :class:`~repro.grid.job.JobRecord`
+while it is in flight; when the job ends, :attr:`Grid.records` (a
+:class:`~repro.grid.job.JobLedger`) keeps it as one row of numbers,
 which the experiment harness mines for overhead/makespan statistics.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.grid.broker import ResourceBroker
@@ -37,6 +39,7 @@ from repro.grid.job import (
     JobCancelledError,
     JobDescription,
     JobFailedError,
+    JobLedger,
     JobRecord,
     JobState,
 )
@@ -237,8 +240,10 @@ class Grid:
             self.computing_elements,
             concurrency=broker_concurrency,
         )
-        #: every record ever submitted through this façade, submission order
-        self.records: List[JobRecord] = []
+        #: every job ever submitted through this façade, in submission
+        #: order: the live record while a job is in flight, a read-only
+        #: row once it ended (see JobLedger)
+        self.records = JobLedger()
         self._in_flight = 0
         #: instrumentation bus; also set by an enactor that shares one.
         #: Assigning it binds ``metrics``, the grid's handles on that
@@ -776,7 +781,7 @@ class Grid:
                     f"job {description.name!r} references unregistered input {gfn!r}"
                 )
         record = JobRecord(description)
-        self.records.append(record)
+        row = self.records.append(record)
         completion = self.engine.event(name=f"job:{description.name}")
         job_span: Optional[Span] = None
         bus = self.instrumentation
@@ -796,7 +801,7 @@ class Grid:
                 **tenancy,
             )
         self.engine.process(
-            self._run_job(record, completion, job_span), name=f"job:{record.job_id}"
+            self._run_job(record, row, completion, job_span), name=f"job:{record.job_id}"
         )
         return SubmissionHandle(record, completion)
 
@@ -841,7 +846,9 @@ class Grid:
         """
         return self._attempt_spans.get(job_id)
 
-    def _run_job(self, record: JobRecord, completion: Event, job_span: Optional[Span] = None):
+    def _run_job(
+        self, record: JobRecord, row: int, completion: Event, job_span: Optional[Span] = None
+    ):
         engine = self.engine
         bus = self.instrumentation
         rng = self.streams.get("overhead")
@@ -868,6 +875,9 @@ class Grid:
                 self.metrics.gauge["grid.in_flight"].set(self._in_flight)
                 self._tenancy.pop(record.job_id, None)
             self._attempt_spans.pop(record.job_id, None)
+        # Terminal: the ledger keeps the job's numbers, not the record.
+        # (Not in the finally: a run abandoned mid-job is not an ending.)
+        self.records.retire(row)
 
     #: cancellations a single job may absorb without spending fault
     #: attempts; beyond this, each further cancellation consumes one
@@ -1125,11 +1135,6 @@ class Grid:
                 yield engine.timeout(sample.completion_notification)
             record.enter(JobState.DONE, engine.now)
             record.failure_reason = None
-            # The payload has produced the result: drop the closure and
-            # the input values it captured.  (Not on the CE: an attempt
-            # abandoned by a timeout may still run there, and the retry
-            # must evaluate the payload again.)
-            record.description = replace(record.description, payload=None)
             if bus is not None:
                 self._record_success(record, attempt_span, matched_at, chosen.name, tenancy)
                 if job_span is not None and job_span.open:
@@ -1203,9 +1208,9 @@ class Grid:
                 histogram[metric].observe(value)
 
     # -- reporting ------------------------------------------------------------
-    def completed_records(self) -> List[JobRecord]:
-        """Records of jobs that reached DONE."""
-        return [r for r in self.records if r.state is JobState.DONE]
+    def completed_records(self) -> JobLedger:
+        """The jobs that reached DONE, as a ledger of their rows."""
+        return self.records.select(self.records.rows(JobState.DONE))
 
     def __repr__(self) -> str:
         return (

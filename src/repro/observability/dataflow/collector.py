@@ -35,7 +35,7 @@ TRANSFER_PURPOSES = ("stage-in", "stage-out", "intermediate", "cache-refill", "r
 UNATTRIBUTED = "(unattributed)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
     """One observed data-plane transfer, fully attributed."""
 
@@ -88,7 +88,6 @@ class DataFlowCollector(Subscriber):
     def attach(self, grid) -> "DataFlowCollector":
         """Observe *grid*: network transfers, registrations, spans."""
         self._grid = grid
-        self._clock = lambda: grid.engine.now
         grid.network.add_observer(self._on_network_transfer)
         grid.catalog.add_observer(self._on_register)
         if grid.instrumentation is not None:
@@ -106,26 +105,19 @@ class DataFlowCollector(Subscriber):
     def _on_network_transfer(
         self, src: str, dst: str, size: float, seconds: float
     ) -> None:
-        context = self._grid.transfer_context if self._grid is not None else None
-        if context is None:
-            record = TransferRecord(
-                time=self._clock(), src=src, dst=dst, gfn="",
-                bytes=int(size), seconds=seconds,
-            )
+        grid = self._grid
+        if grid is None:
+            record = TransferRecord(self._clock(), src, dst, "", int(size), seconds)
         else:
-            record = TransferRecord(
-                time=self._clock(),
-                src=src,
-                dst=dst,
-                gfn=context.gfn,
-                bytes=int(size),
-                seconds=seconds,
-                purpose=context.purpose,
-                job_id=context.job_id,
-                service=context.service,
-                tenant=context.tenant,
-                run=context.run,
-            )
+            context = grid.transfer_context
+            if context is None:
+                record = TransferRecord(grid.engine.now, src, dst, "", int(size), seconds)
+            else:
+                record = TransferRecord(
+                    grid.engine.now, src, dst, context.gfn, int(size), seconds,
+                    context.purpose, context.job_id, context.service,
+                    context.tenant, context.run,
+                )
         self.records.append(record)
 
     def _on_register(self, file, element) -> None:

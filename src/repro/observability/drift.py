@@ -131,13 +131,17 @@ def time_matrix(
 
 
 def overhead_by_job_from_records(records: Iterable) -> Dict[int, float]:
-    """``job_id -> grid overhead seconds`` from middleware job records."""
-    out: Dict[int, float] = {}
-    for record in records:
-        overhead = getattr(record, "overhead", None)
-        if overhead is not None:
-            out[record.job_id] = float(overhead)
-    return out
+    """``job_id -> grid overhead seconds`` from middleware job records
+    (a grid's :class:`~repro.grid.job.JobLedger` or any records)."""
+    from repro.grid.job import JobLedger
+
+    ledger = JobLedger.of(records)
+    rows = range(len(ledger))
+    return {
+        job_id: float(overhead)
+        for job_id, overhead in zip(ledger.column("job_id", rows), ledger.overheads(rows))
+        if overhead is not None
+    }
 
 
 #: job phase spans counted as grid overhead (everything before RUNNING,

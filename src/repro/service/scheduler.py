@@ -529,12 +529,9 @@ class EnactmentService:
         record.finished_at = now
         # Only jobs submitted since the launch can be this run's, so a
         # harvest scans them and not the whole history of the grid.
-        job_records = [
-            r
-            for r in self.grid.records[active.first_job:]
-            if r.description.tags.get("run") == run_id
-        ]
-        jobs = len(job_records)
+        ledger = self.grid.records
+        job_rows = ledger.rows(start=active.first_job, tag=("run", run_id))
+        jobs = len(job_rows)
         if event.ok:
             result = event.value
             record = record.advance(RunState.DONE)
@@ -551,7 +548,9 @@ class EnactmentService:
             if self.runstore is not None:
                 summary = summarize_run(
                     result,
-                    records=[r for r in job_records if r.state is JobState.DONE],
+                    records=ledger.select(
+                        [row for row in job_rows if ledger.state_of(row) is JobState.DONE]
+                    ),
                     processors=list(BRONZE_CRITICAL_PATH),
                     n_items=record.n_items,
                     seed=record.seed,

@@ -71,11 +71,16 @@ class GridData:
 
 @dataclass(slots=True)
 class InvocationRecord:
-    """One service invocation, for tracing and assertions."""
+    """One service invocation, for tracing and assertions.
+
+    ``inputs`` is None once the invocation completed: its values live
+    on as their producers' ``outputs``, and a finished run keeps no
+    second mapping of them.
+    """
 
     invocation_id: int
     service: str
-    inputs: Dict[str, GridData]
+    inputs: Optional[Dict[str, GridData]]
     submitted_at: float
     completed_at: Optional[float] = None
     outputs: Optional[Dict[str, GridData]] = None
@@ -158,6 +163,7 @@ class Service:
             outputs = yield from self._execute(record, data)
         except Exception as exc:
             record.completed_at = self.engine.now
+            record.inputs = None
             record.error = str(exc)
             wrapper = ServiceError(f"{self.name}: {exc}")
             # Keep the cause chain: the enactor's failure containment
@@ -166,14 +172,14 @@ class Service:
             result.fail(wrapper)
             return
         bad = set(outputs) ^ set(self.output_ports)
+        record.completed_at = self.engine.now
+        record.inputs = None
         if bad:
-            record.completed_at = self.engine.now
             record.error = f"wrong output ports {sorted(outputs)}"
             result.fail(ServiceError(f"{self.name}: produced ports {sorted(outputs)}, "
                                      f"declared {sorted(self.output_ports)}"))
             return
         wrapped = {key: GridData.of(val) for key, val in outputs.items()}
-        record.completed_at = self.engine.now
         record.outputs = wrapped
         result.succeed(wrapped)
 

@@ -35,6 +35,26 @@ def cluster_grid(engine, streams):
 
 
 @pytest.fixture
+def submitted():
+    """``watch(grid)``: the list every description *grid* is submitted
+    from then on is appended to.  A finished job's ledger row keeps no
+    description, so tests of what was submitted read it here."""
+
+    def watch(grid):
+        descriptions = []
+        submit = grid.submit
+
+        def recording(description):
+            descriptions.append(description)
+            return submit(description)
+
+        grid.submit = recording
+        return descriptions
+
+    return watch
+
+
+@pytest.fixture
 def egee_grid(engine, streams):
     """Small EGEE-like grid (no background load for determinism)."""
     return egee_like_testbed(

@@ -12,9 +12,14 @@ from repro.grid.job import JobDescription, JobRecord, JobState
 def completed_record(
     name="j", service=None, submit=0.0, match=10.0, queue=20.0, run=100.0,
     done=200.0, execution=80.0, stage_in=5.0, stage_out=5.0, attempts=1,
+    earlier=(),
 ):
+    """A DONE record; *earlier* ``(state, time)`` entries precede its
+    final attempt."""
     tags = {"service": service} if service else {}
     record = JobRecord(JobDescription(name=name, tags=tags))
+    for state, at in earlier:
+        record.enter(state, at)
     record.enter(JobState.SUBMITTED, submit)
     record.enter(JobState.MATCHED, match)
     record.enter(JobState.QUEUED, queue)
@@ -67,9 +72,8 @@ class TestOverheadBreakdown:
         assert breakdown.total == 200.0
 
     def test_uses_final_attempt(self):
-        record = completed_record()
         # a failed first attempt left earlier timestamps behind
-        record.timestamps[JobState.SUBMITTED].insert(0, -500.0)
+        record = completed_record(earlier=[(JobState.SUBMITTED, -500.0)])
         breakdown = overhead_breakdown([record])
         assert breakdown.submission_to_matched == 10.0
 

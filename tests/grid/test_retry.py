@@ -11,6 +11,7 @@ from repro.grid.resources import ComputingElement, Site, WorkerNode
 from repro.grid.retry import RetryBudget, RetryPolicy
 from repro.grid.storage import StorageElement
 from repro.observability import InstrumentationBus
+from repro.util.distributions import Distribution
 from repro.util.rng import RandomStreams
 
 
@@ -198,6 +199,30 @@ class TestMiddlewareEnforcement:
         assert "timed out" in str(error)
         assert engine.now == pytest.approx(100.0)  # two 50s timeouts back-to-back
         assert bus.metrics.counter("grid.jobs.timeouts").value == 2
+
+    def test_abandoned_attempt_does_not_rewrite_the_finished_job(self, engine, streams):
+        # Attempt 1 runs 200 s and is abandoned at the 50 s timeout; the
+        # retry runs 10 s and finishes first.  The abandoned attempt keeps
+        # its slot to the end and then writes its own execution time: the
+        # job's numbers must stay those of the attempt that finished.
+        class Durations(Distribution):
+            def __init__(self, *seconds):
+                self.seconds = iter(seconds)
+
+            def sample(self, rng):
+                return next(self.seconds)
+
+        faults = FaultModel.from_values(probability=0.0, max_attempts=2)
+        policy = RetryPolicy(attempt_timeout=50.0)
+        grid = make_grid(engine, streams, faults=faults, policy=policy, slots=2)
+        handle = grid.submit(JobDescription(name="j", compute_time=Durations(200.0, 10.0)))
+        engine.run(until=handle.completion)
+        engine.run()  # the abandoned attempt runs out its 200 s
+        (job,) = grid.records
+        assert job.state is JobState.DONE and job.attempts == 2
+        assert job.makespan == pytest.approx(60.0)
+        assert job.execution_time == pytest.approx(10.0)
+        assert job.overhead == pytest.approx(50.0)
 
     def test_attempt_timeout_leaves_fast_jobs_alone(self, engine, streams):
         policy = RetryPolicy(attempt_timeout=50.0)

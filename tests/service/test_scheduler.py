@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid.job import JobState
+from repro.grid.job import JobLedger, JobState
 from repro.grid.testbeds import cluster_testbed
 from repro.service import (
     EnactmentService,
@@ -237,18 +237,22 @@ class TestBackgroundWorker:
         assert service.status(first.run_id).result["grid_jobs"] == 6
 
 
-class _CountingRecords(list):
-    """``grid.records`` that counts the job records handed to a reader."""
+class _CountingLedger(JobLedger):
+    """``grid.records`` that counts the job rows a reader scans or is handed."""
 
     handed = 0
 
+    def rows(self, state=None, *, start=0, tag=None):
+        self.handed += len(self) - start
+        return super().rows(state, start=start, tag=tag)
+
     def __iter__(self):
-        for record in list.__iter__(self):
+        for record in super().__iter__():
             self.handed += 1
             yield record
 
     def __getitem__(self, index):
-        items = list.__getitem__(self, index)
+        items = super().__getitem__(index)
         self.handed += len(items) if isinstance(index, slice) else 1
         return items
 
@@ -262,7 +266,8 @@ class TestHarvestCost:
         # first job reads the run's 6 whatever ran before it.
         service = make_service(max_runs=1)
         service.add_tenant(TenantSpec(name="a"))
-        records = service.grid.records = _CountingRecords(service.grid.records)
+        assert len(service.grid.records) == 0
+        records = service.grid.records = _CountingLedger()
         harvest = service._harvest
         per_harvest = []
 

@@ -74,14 +74,15 @@ class TestBatchExecution:
         assert len(grid.records) == 1  # one job for three invocations
         # one overhead (100) + summed compute (30)
         assert engine.now == pytest.approx(130.0)
-        assert grid.records[0].description.tags["members"] == 3
+        assert grid.records[0].tags["members"] == 3
 
-    def test_command_lines_chained(self, engine, streams):
+    def test_command_lines_chained(self, engine, streams, submitted):
         grid = overhead_grid(engine, streams, overhead=0.0)
         batching = BatchingService(engine, wrapped(engine, grid), batch_size=2)
+        jobs = submitted(grid)
         events = [batching.invoke({"x": GridData(i)}) for i in range(2)]
         engine.run(until=engine.all_of(events))
-        line = grid.records[0].description.command_line
+        line = jobs[0].command_line
         assert line.count("tool -i") == 2 and " && " in line
 
     def test_each_member_gets_its_own_outputs(self, engine, streams):
@@ -133,16 +134,17 @@ class TestBatchExecution:
         assert rec1.job_ids == rec2.job_ids
         assert rec1.job_ids == (grid.records[0].job_id,)
 
-    def test_input_files_deduplicated_across_members(self, engine, streams):
+    def test_input_files_deduplicated_across_members(self, engine, streams, submitted):
         grid = overhead_grid(engine, streams, overhead=0.0)
         shared = LogicalFile("gfn://shared/input")
         grid.add_input_file(shared)
         batching = BatchingService(engine, wrapped(engine, grid), batch_size=2)
+        jobs = submitted(grid)
         events = [
             batching.invoke({"x": GridData(i, shared)}) for i in range(2)
         ]
         engine.run(until=engine.all_of(events))
-        staged = grid.records[0].description.input_files
+        staged = jobs[0].input_files
         assert staged.count(shared.gfn) == 1
 
 

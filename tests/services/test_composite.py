@@ -125,13 +125,14 @@ class TestExecution:
         assert len(grid.records) == 1
 
     def test_command_lines_joined_with_shell_sequencing(
-        self, engine, ideal_grid, staged_file
+        self, engine, ideal_grid, staged_file, submitted
     ):
         a = wrapper(engine, ideal_grid, "A")
         b = wrapper(engine, ideal_grid, "B")
         composite = CompositeService(engine, [a, b], internal_links={(1, "x"): (0, "y")})
+        jobs = submitted(ideal_grid)
         engine.run(until=composite.invoke({"x": GridData(0, staged_file)}))
-        line = ideal_grid.records[-1].description.command_line
+        line = jobs[-1].command_line
         assert " && " in line
         assert line.startswith("A -i gfn://in/item -o ./A.y.tmp && B -i ./A.y.tmp -o gfn://")
 
@@ -156,7 +157,7 @@ class TestExecution:
         b = wrapper(engine, ideal_grid, "B")
         composite = CompositeService(engine, [a, b], internal_links={(1, "x"): (0, "y")})
         engine.run(until=composite.invoke({"x": GridData(0, staged_file)}))
-        tags = ideal_grid.records[-1].description.tags
+        tags = ideal_grid.records[-1].tags
         assert tags["grouped"] is True and tags["stages"] == 2
 
     def test_compute_time_is_sum_of_stages(self, engine, ideal_grid, staged_file):

@@ -60,10 +60,11 @@ class TestWrapperExecution:
         assert service.input_ports == ("data", "level")
         assert service.output_ports == ("result",)
 
-    def test_command_line_composed_dynamically(self, engine, ideal_grid, input_file):
+    def test_command_line_composed_dynamically(self, engine, ideal_grid, input_file, submitted):
         service = GenericWrapperService(engine, ideal_grid, simple_descriptor())
+        jobs = submitted(ideal_grid)
         engine.run(until=service.invoke({"data": GridData("x", input_file), "level": 9}))
-        line = ideal_grid.records[-1].description.command_line
+        line = jobs[-1].command_line
         assert line.startswith("tool -i gfn://in/data0 -l 9 -o gfn://")
 
     def test_output_files_minted_and_registered(self, engine, ideal_grid, input_file):
@@ -79,14 +80,15 @@ class TestWrapperExecution:
         assert ideal_grid.catalog.knows(produced.gfn)
         assert ideal_grid.catalog.lookup(produced.gfn).size == 3 * MEBIBYTE
 
-    def test_sandboxes_published_once_and_staged(self, engine, ideal_grid, input_file):
+    def test_sandboxes_published_once_and_staged(self, engine, ideal_grid, input_file, submitted):
         service = GenericWrapperService(
             engine, ideal_grid, simple_descriptor(with_sandbox=True)
         )
+        jobs = submitted(ideal_grid)
         assert len(service.sandbox_gfns) == 1
         assert ideal_grid.catalog.knows(service.sandbox_gfns[0])
         engine.run(until=service.invoke({"data": GridData("x", input_file), "level": 1}))
-        staged = ideal_grid.records[-1].description.input_files
+        staged = jobs[-1].input_files
         assert service.sandbox_gfns[0] in staged
         assert input_file.gfn in staged
 
@@ -102,16 +104,17 @@ class TestWrapperExecution:
         with pytest.raises(ServiceError, match="missing"):
             service.invoke({"data": GridData("x")})
 
-    def test_value_only_input_needs_no_transfer(self, engine, ideal_grid):
+    def test_value_only_input_needs_no_transfer(self, engine, ideal_grid, submitted):
         service = GenericWrapperService(
             engine, ideal_grid, simple_descriptor(),
             program=lambda data, level: {"result": data},
         )
+        jobs = submitted(ideal_grid)
         outputs = engine.run(
             until=service.invoke({"data": GridData("inline"), "level": 0})
         )
         assert outputs["result"].value == "inline"
-        assert ideal_grid.records[-1].description.input_files == ()
+        assert jobs[-1].input_files == ()
 
     def test_program_return_must_be_mapping(self, engine, ideal_grid, input_file):
         service = GenericWrapperService(
@@ -133,7 +136,7 @@ class TestWrapperExecution:
         e1 = service.invoke({"data": GridData("a", input_file), "level": 1})
         e2 = service.invoke({"data": GridData("b", input_file), "level": 2})
         engine.run(until=engine.all_of([e1, e2]))
-        names = {r.description.name for r in ideal_grid.records}
+        names = {r.name for r in ideal_grid.records}
         assert len(names) == 2
 
     def test_job_ids_recorded_on_invocation(self, engine, ideal_grid, input_file):

@@ -56,7 +56,7 @@ def fingerprint(seed, pairs):
         "jobs": [
             (
                 r.job_id,
-                r.description.name,
+                r.name,
                 r.state.value,
                 r.computing_element,
                 r.worker_node,
