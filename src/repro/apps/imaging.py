@@ -137,8 +137,3 @@ class ImageDatabase:
             )
             time_point += 1
         return pairs
-
-    @staticmethod
-    def patients_of(pairs: List[ImagePair]) -> int:
-        """Number of distinct patients across *pairs*."""
-        return len({p.floating.patient for p in pairs})

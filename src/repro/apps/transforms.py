@@ -126,6 +126,8 @@ def _make(q: Sequence[float], t: Sequence[float]) -> "RigidTransform":
 class RigidTransform:
     """A rigid spatial transform: rotation (unit quaternion) + translation.
 
+    ``RigidTransform()`` is the identity.
+
     The quaternion uses the ``(x, y, z, w)`` convention and is kept
     normalized with a canonical sign (see :func:`_unit`), so equal
     rotations compare, hash and fingerprint equal.
@@ -155,11 +157,6 @@ class RigidTransform:
         return hash((*self.quaternion.tolist(), *self.translation.tolist()))
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        """The do-nothing transform."""
-        return cls()
-
     @classmethod
     def from_euler_deg(
         cls, angles_deg: Sequence[float], translation: Sequence[float]

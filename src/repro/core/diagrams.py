@@ -30,7 +30,7 @@ def infer_cell_width(trace: ExecutionTrace) -> float:
     For the constant-time workloads of Figures 4/5 every event has the
     same duration T, so the guess is exact.
     """
-    durations = [e.duration for e in trace.iter_events() if e.duration > 0]
+    durations = [e.duration for e in trace if e.duration > 0]
     if not durations:
         return 1.0
     return min(durations)

@@ -125,11 +125,6 @@ class HistoryTree:
             depths[id(node)] = 1 + max((depths[id(p)] for p in node.parents), default=-1)
         return depths[id(self)]
 
-    @property
-    def size(self) -> int:
-        """Total number of nodes in the tree (intermediate results + leaves)."""
-        return 1 + sum(parent.size for parent in self.parents)
-
     def label(self) -> str:
         """Paper-style item label: ``D0`` for single-item lineage, etc.
 
@@ -153,16 +148,6 @@ class HistoryTree:
                 return f"D{distinct[0]}"
             return "D" + "x".join(str(i) for i in distinct)
         return f"D({format_indices(all_indices)})"
-
-    def describe(self, indent: int = 0) -> str:
-        """Multi-line rendering of the full tree (debugging/reports)."""
-        pad = "  " * indent
-        if self.index is not None:
-            return f"{pad}{self.producer}[{self.index}]"
-        suffix = f" @iter{self.iteration}" if self.iteration else ""
-        lines = [f"{pad}{self.producer}{suffix}"]
-        lines.extend(parent.describe(indent + 1) for parent in self.parents)
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"<HistoryTree {self.label()} by {self.producer!r}>"

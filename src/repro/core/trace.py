@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.observability.timeline import busy_seconds, peak, step_function
+from repro.observability.timeline import peak, step_function
 
 __all__ = ["TraceEvent", "ExecutionTrace"]
 
@@ -55,7 +55,7 @@ class TraceEvent:
 class ExecutionTrace:
     """Ordered collection of trace events plus derived statistics.
 
-    Derived statistics (bounds, makespan, per-processor views) are
+    Derived statistics (time bounds, per-processor views) are
     memoized and invalidated on :meth:`add`, so reading them inside a
     loop costs O(1) after the first read instead of re-scanning — and
     re-copying — the whole event list every time.  Code that only needs
@@ -83,10 +83,6 @@ class ExecutionTrace:
         iterating the trace itself in hot paths)."""
         return list(self._events)
 
-    def iter_events(self) -> Iterator[TraceEvent]:
-        """Zero-copy iteration over the events in recording order."""
-        return iter(self._events)
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
@@ -104,14 +100,6 @@ class ExecutionTrace:
             else:
                 self._bounds = (None, None)
         return self._bounds
-
-    @property
-    def makespan(self) -> float:
-        """Last end minus first start (0 for an empty trace)."""
-        start, end = self._time_bounds()
-        if start is None or end is None:
-            return 0.0
-        return end - start
 
     @property
     def start_time(self) -> Optional[float]:
@@ -150,21 +138,10 @@ class ExecutionTrace:
             self._kind_counts = counts
         return dict(self._kind_counts)
 
-    # The interval sweeps live in repro.observability.timeline, shared
-    # with the span-based CE timelines.
-    def busy_time(self, processor: str) -> float:
-        """Union-of-intervals busy seconds for *processor* (overlapping
-        data-parallel invocations are not double-counted)."""
-        events = self._processor_index().get(processor, [])
-        return busy_seconds([(e.start, e.end) for e in events])
-
-    def concurrency_profile(self, processor: Optional[str] = None) -> List[Tuple[float, int]]:
-        """``(time, active_count)`` breakpoints of in-flight invocations:
-        DP-off must serialize a service, DP-on overlap; a zero-duration
-        event (cache hit) is a momentary burst."""
-        events = self._events if processor is None else self._processor_index().get(processor, [])
-        return step_function((e.start, e.end) for e in events)
-
     def max_concurrency(self, processor: Optional[str] = None) -> int:
-        """Peak simultaneous invocations (optionally for one processor)."""
-        return peak(self.concurrency_profile(processor))
+        """Peak simultaneous invocations (optionally for one processor):
+        DP-off must serialize a service, DP-on overlap; a zero-duration
+        event (cache hit) is a momentary burst.  The interval sweep lives
+        in repro.observability.timeline, shared with the CE timelines."""
+        events = self._events if processor is None else self._processor_index().get(processor, [])
+        return peak(step_function((e.start, e.end) for e in events))

@@ -248,6 +248,10 @@ class ComputingElement:
     def _run(self, entry: QueueEntry, slot_request: Event):
         record = entry.record
         engine = self.engine
+        # An attempt the timeout abandoned runs on (it keeps its slot and
+        # registers its outputs) but writes nothing more into the record,
+        # which by then belongs to the retry.
+        attempt = record.attempts
         worker = next(self._worker_cycle) if self._worker_cycle else None
         speed = worker.speed if worker else 1.0
         record.worker_node = worker.name if worker else f"{self.name}/elastic"
@@ -276,7 +280,8 @@ class ComputingElement:
                     stage_in_bytes += grid.catalog.lookup(gfn).size
             if stage_in > 0 and not (grid is not None and grid.chaos_enabled):
                 yield engine.timeout(stage_in)
-            record.stage_in_time = stage_in
+            if record.attempts == attempt:
+                record.stage_in_time = stage_in
             if bus is not None and record.description.input_files:
                 grid.metrics.counter["grid.transfer.bytes_in"].inc(stage_in_bytes)
                 bus.record(
@@ -297,7 +302,8 @@ class ComputingElement:
             duration = record.description.compute_distribution().sample(rng) / speed
             if duration > 0:
                 yield engine.timeout(duration)
-            record.execution_time = duration
+            if record.attempts == attempt:
+                record.execution_time = duration
 
             # Stage out: push and register produced files.
             stage_out = 0.0
@@ -317,7 +323,9 @@ class ComputingElement:
                     stage_out_bytes += produced.size
             if stage_out > 0 and not (grid is not None and grid.chaos_enabled):
                 yield engine.timeout(stage_out)
-            record.stage_out_time = stage_out
+            current = record.attempts == attempt
+            if current:
+                record.stage_out_time = stage_out
             if grid is not None and not grid.chaos_enabled:
                 for produced in record.description.output_files:
                     grid.register_output(produced, self.site)
@@ -337,7 +345,7 @@ class ComputingElement:
                 )
 
             # Evaluate the Python payload: real outputs for simulated work.
-            if record.description.payload is not None:
+            if current and record.description.payload is not None:
                 record.result = record.description.payload()
 
             self._completed += 1

@@ -55,6 +55,10 @@ MAD_SCALE = 1.4826
 #: scale when the MAD degenerates to zero
 MEAN_AD_SCALE = 1.2533
 
+#: observations each FleetHealth window keeps (fleet-wide, per group,
+#: per CE): long enough for robust statistics, bounded so memory stays flat
+WINDOW = 512
+
 
 def _median(sorted_values: List[float]) -> float:
     n = len(sorted_values)
@@ -292,13 +296,8 @@ class FleetHealth:
     #: phase spans whose durations feed straggler detection
     STRAGGLER_PHASES = ("job.queue", "job.run")
 
-    def __init__(
-        self,
-        thresholds: Optional[HealthThresholds] = None,
-        window: int = 512,
-    ) -> None:
+    def __init__(self, thresholds: Optional[HealthThresholds] = None) -> None:
         self.thresholds = thresholds if thresholds is not None else HealthThresholds()
-        self._window = window
         #: fleet-wide duration windows, keyed by phase span name
         self._fleet: Dict[str, RollingSample] = {}
         #: fleet windows keyed by (phase, job group) — straggler z-scores
@@ -326,7 +325,7 @@ class FleetHealth:
     def _sample(self, table: Dict, key) -> RollingSample:
         sample = table.get(key)
         if sample is None:
-            sample = table[key] = RollingSample(maxlen=self._window)
+            sample = table[key] = RollingSample(maxlen=WINDOW)
         return sample
 
     def observe_phase(

@@ -113,6 +113,9 @@ class ServiceProgress:
         return self.total_seconds / self.completed if self.completed else 0.0
 
 
+#: completed items between two progress lines
+PROGRESS_EVERY = 10
+
 #: phase spans routed into FleetHealth: queue/run feed the straggler
 #: windows and per-CE medians; every phase marks its CE as seen (the
 #: health table's order) and re-checks the CE's flags
@@ -167,7 +170,7 @@ class RunMonitor(Subscriber, HealthProvider):
         :class:`~repro.observability.alerts.JsonlAlertWriter`).
     on_progress:
         callable invoked with a rendered progress line every
-        ``progress_every`` completed items (and at run end).
+        :data:`PROGRESS_EVERY` completed items (and at run end).
     """
 
     def __init__(
@@ -175,11 +178,9 @@ class RunMonitor(Subscriber, HealthProvider):
         rules: Optional[AlertRules] = None,
         expected_items: Union[int, Dict[str, int], None] = None,
         policy: str = "NOP",
-        window: int = 512,
         bus: Optional[InstrumentationBus] = None,
         alert_sinks: Optional[List[Callable[[Alert], None]]] = None,
         on_progress: Optional[Callable[[str], None]] = None,
-        progress_every: int = 10,
     ) -> None:
         self.rules = rules if rules is not None else AlertRules()
         self.policy = policy
@@ -187,9 +188,8 @@ class RunMonitor(Subscriber, HealthProvider):
         self._alert_counters = alert_counters(bus) if bus is not None else None
         self.alert_sinks: List[Callable[[Alert], None]] = list(alert_sinks or [])
         self.on_progress = on_progress
-        self.progress_every = max(1, progress_every)
 
-        self.fleet = FleetHealth(self.rules.health_thresholds(), window=window)
+        self.fleet = FleetHealth(self.rules.health_thresholds())
         self.alerts: List[Alert] = []
 
         #: service name -> progress, first-seen order
@@ -594,7 +594,7 @@ class RunMonitor(Subscriber, HealthProvider):
         if self.on_progress is None:
             return
         done = self.completed_items()
-        if force or (done and done % self.progress_every == 0):
+        if force or (done and done % PROGRESS_EVERY == 0):
             self.on_progress(self.progress_line())
 
     # -- alert emission --------------------------------------------------

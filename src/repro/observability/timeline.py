@@ -14,8 +14,8 @@ renderer so the terminal can show both layers at once:
 
 The two interval sweeps here (:func:`step_function` and
 :func:`busy_seconds`) are the only copies in the tree:
-:class:`repro.core.trace.ExecutionTrace` calls them for its
-concurrency profile and busy time.  Zero-duration intervals are
+:class:`repro.core.trace.ExecutionTrace` calls ``step_function`` for
+its peak concurrency.  Zero-duration intervals are
 handled as bursts: a cache hit (an instantaneous span) still produces
 a visible ``(t, n+1)`` blip.
 """

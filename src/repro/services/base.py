@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.grid.storage import LogicalFile
 from repro.sim.engine import Engine, Event
@@ -118,8 +118,8 @@ class Service:
         self.name = name
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(output_ports)
-        #: every invocation ever made, in submission order
-        self.invocations: List[InvocationRecord] = []
+        #: invocations made so far (grouped job names count them)
+        self.calls = 0
 
     # -- contract -------------------------------------------------------
     def invoke(self, inputs: Mapping[str, Any]) -> Event:
@@ -127,8 +127,8 @@ class Service:
 
         Returns an event that succeeds with ``dict[port, GridData]`` or
         fails with :class:`ServiceError`.  Subclasses implement
-        :meth:`_execute`; this wrapper validates ports and maintains the
-        invocation log.
+        :meth:`_execute`; this wrapper validates ports and counts the
+        call.
         """
         event, _ = self.invoke_recorded(inputs)
         return event
@@ -153,7 +153,7 @@ class Service:
             inputs=data,
             submitted_at=self.engine.now,
         )
-        self.invocations.append(record)
+        self.calls += 1
         result = self.engine.event(name=f"invoke:{self.name}")
         self.engine.process(self._guarded(record, data, result), name=f"svc:{self.name}")
         return result, record

@@ -230,7 +230,7 @@ class CompositeService(Service):
         )
         payload = self._make_payload(per_stage_inputs)
         description = JobDescription(
-            name=f"{self.name}#{len(self.invocations)}",
+            name=f"{self.name}#{self.calls}",
             command_line=command_line,
             compute_time=SumOf([stage.compute_model for stage in self.stages]),
             input_files=tuple(staged),

@@ -9,7 +9,7 @@ do ontology reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.services.base import Service
 
@@ -50,10 +50,6 @@ class ServiceRegistry:
             return self._entries[name].service
         except KeyError:
             raise KeyError(f"no service named {name!r} in registry") from None
-
-    def names(self) -> List[str]:
-        """All registered names, sorted."""
-        return sorted(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

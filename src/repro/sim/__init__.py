@@ -20,7 +20,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "Engine",
@@ -31,5 +31,4 @@ __all__ = [
     "AnyOf",
     "SimulationError",
     "Resource",
-    "Store",
 ]

@@ -1,26 +1,21 @@
-"""Shared-resource primitives for the DES kernel.
+"""The shared-resource primitive of the DES kernel.
 
-``Resource``
-    A counting semaphore with FIFO granting — models worker-node slots,
-    per-service concurrency caps (data parallelism off = capacity 1),
-    and middleware entry points.
-``Store``
-    An unbounded FIFO of items with blocking ``get`` — models batch
-    queues and message channels between simulated processes.
-
-Both grant strictly in request order, which keeps the simulator
-deterministic and makes the pipeline-order assumptions of the paper's
-equation (3) hold (a service processes data sets in arrival order).
+``Resource`` is a counting semaphore with FIFO granting — it models
+worker-node slots, per-service concurrency caps (data parallelism off =
+capacity 1), and middleware entry points.  It grants strictly in request
+order, which keeps the simulator deterministic and makes the
+pipeline-order assumptions of the paper's equation (3) hold (a service
+processes data sets in arrival order).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Deque
 
 from repro.sim.engine import Engine, Event, SimulationError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -93,48 +88,3 @@ class Resource:
             f"<Resource {self.name!r} {self._in_use}/{self.capacity}"
             f" queued={len(self._waiting)}>"
         )
-
-
-class Store:
-    """Unbounded FIFO item store with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event that succeeds with
-    the oldest item; pending gets are served in request order.
-    """
-
-    def __init__(self, engine: Engine, name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def pending_gets(self) -> int:
-        """Number of get requests waiting for an item."""
-        return len(self._getters)
-
-    def put(self, item: Any) -> None:
-        """Deposit *item*, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event succeeding with the next item (FIFO)."""
-        evt = self.engine.event(name=f"get:{self.name}")
-        if self._items:
-            evt.succeed(self._items.popleft())
-        else:
-            self._getters.append(evt)
-        return evt
-
-    def peek_items(self) -> tuple:
-        """Snapshot of queued items, oldest first (for inspection/tests)."""
-        return tuple(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} items={len(self._items)} getters={len(self._getters)}>"

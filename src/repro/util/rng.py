@@ -17,7 +17,7 @@ documents for building independent generators.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class RandomStreams:
             seq = np.random.SeedSequence([self._seed, stable_hash64(name)])
             self._generators[name] = np.random.default_rng(seq)
         return self._generators[name]
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the stream names created so far."""
-        return iter(sorted(self._generators))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._generators)})"

@@ -19,7 +19,6 @@ processors) demand acyclicity of the relevant region.
 from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.datasets import DataItem, InputDataSet, dataset_from_xml, dataset_to_xml
 from repro.workflow.graph import Link, PortRef, Processor, ProcessorKind, Workflow, WorkflowError
-from repro.workflow.render import summarize, to_dot
 from repro.workflow.scufl import workflow_from_scufl, workflow_to_scufl
 from repro.workflow.validation import ValidationIssue, validate_workflow
 
@@ -39,6 +38,4 @@ __all__ = [
     "workflow_to_scufl",
     "validate_workflow",
     "ValidationIssue",
-    "to_dot",
-    "summarize",
 ]

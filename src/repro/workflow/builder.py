@@ -106,12 +106,6 @@ class WorkflowBuilder:
         self._workflow.add_link(source, target)
         return self
 
-    def coordinate(self, before: str, after: str) -> "WorkflowBuilder":
-        """Add a coordination (control) constraint between two processors."""
-        self._check_open()
-        self._workflow.add_coordination_constraint(before, after)
-        return self
-
     def build(self) -> Workflow:
         """Finalize and return the workflow (builder becomes unusable)."""
         self._check_open()

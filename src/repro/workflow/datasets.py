@@ -90,10 +90,6 @@ class InputDataSet:
         """Append *item* to the stream of *input_name*."""
         self._inputs.setdefault(input_name, []).append(item)
 
-    def add_file(self, input_name: str, gfn: str, size: float, value: object = None) -> None:
-        """Append a grid-file item."""
-        self.add(input_name, DataItem(value=value, gfn=gfn, size=size))
-
     def items(self, input_name: str) -> List[DataItem]:
         """The ordered items of one input (empty list if unknown)."""
         return list(self._inputs.get(input_name, []))
@@ -115,23 +111,6 @@ class InputDataSet:
                 if file is not None and file.gfn not in seen:
                     seen.add(file.gfn)
                     yield file
-
-    def restricted_to(self, count: int, input_names: Optional[Sequence[str]] = None) -> "InputDataSet":
-        """A copy keeping only the first *count* items of selected inputs.
-
-        Used by the experiment harness to sweep data-set sizes (12, 66,
-        126 image pairs) from one master data set.  Inputs not selected
-        keep all their items (e.g. scalar parameters).
-        """
-        if count < 0:
-            raise DataSetError(f"count must be >= 0, got {count}")
-        subset = InputDataSet(name=f"{self.name}[:{count}]")
-        targets = set(input_names) if input_names is not None else None
-        for input_name, items in self._inputs.items():
-            keep = items[:count] if (targets is None or input_name in targets) else items
-            for item in keep:
-                subset.add(input_name, item)
-        return subset
 
     def __len__(self) -> int:
         return sum(len(items) for items in self._inputs.values())

@@ -209,16 +209,6 @@ class Workflow:
             raise WorkflowError("a coordination constraint cannot be reflexive")
         self.coordination_constraints.append((before, after))
 
-    def replace_processor(self, name: str, processor: Processor) -> None:
-        """Swap the node registered under *name* (used by service binding)."""
-        if name not in self._processors:
-            raise WorkflowError(f"no processor named {name!r}")
-        if processor.name != name:
-            raise WorkflowError(
-                f"replacement must keep the name ({name!r} != {processor.name!r})"
-            )
-        self._processors[name] = processor
-
     def _check_endpoint(self, ref: PortRef, output: bool) -> None:
         processor = self._processors.get(ref.processor)
         if processor is None:

@@ -78,15 +78,15 @@ class TestBronzeStandardAssessment:
 
     def test_no_overlapping_pairs_rejected(self, rng):
         results = {
-            "a": [RegistrationResult("a", 0, RigidTransform.identity())],
-            "b": [RegistrationResult("b", 99, RigidTransform.identity())],
+            "a": [RegistrationResult("a", 0, RigidTransform())],
+            "b": [RegistrationResult("b", 99, RigidTransform())],
         }
         with pytest.raises(ValueError, match="overlapping"):
             bronze_standard_assessment(results, "a")
 
     def test_pairs_missing_from_others_skipped(self, rng):
         results = make_results(rng, 5, {"a": (0.1, 0.1), "b": (0.1, 0.1)})
-        results["a"].append(RegistrationResult("a", 999, RigidTransform.identity()))
+        results["a"].append(RegistrationResult("a", 999, RigidTransform()))
         report = bronze_standard_assessment(results, "a")
         assert report.n_pairs == 5
 

@@ -37,7 +37,7 @@ class TestImageDatabase:
         db = ImageDatabase(RandomStreams(1))
         for n_pairs, min_patients in ((12, 2), (66, 13), (126, 25)):
             pairs = db.generate_pairs(n_pairs, pairs_per_patient=5)
-            assert ImageDatabase.patients_of(pairs) >= min_patients
+            assert len({pair.floating.patient for pair in pairs}) >= min_patients
 
     def test_pairs_within_patient(self):
         pairs = ImageDatabase(RandomStreams(1)).generate_pairs(10)

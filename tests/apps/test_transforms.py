@@ -17,7 +17,7 @@ def rng():
 
 class TestConstruction:
     def test_identity(self):
-        identity = RigidTransform.identity()
+        identity = RigidTransform()
         point = np.array([1.0, 2.0, 3.0])
         assert np.allclose(identity.apply(point), point)
 
@@ -113,14 +113,14 @@ class TestEqualityAndHash:
 class TestAlgebra:
     def test_compose_with_identity(self, rng):
         transform = RigidTransform.random(rng)
-        identity = RigidTransform.identity()
+        identity = RigidTransform()
         assert transform.compose(identity).is_close(transform)
         assert identity.compose(transform).is_close(transform)
 
     def test_inverse_cancels(self, rng):
         transform = RigidTransform.random(rng)
-        assert transform.compose(transform.inverse()).is_close(RigidTransform.identity())
-        assert transform.inverse().compose(transform).is_close(RigidTransform.identity())
+        assert transform.compose(transform.inverse()).is_close(RigidTransform())
+        assert transform.inverse().compose(transform).is_close(RigidTransform())
 
     def test_compose_applies_right_first(self, rng):
         a = RigidTransform.random(rng)
@@ -170,7 +170,7 @@ class TestPerturb:
 
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(ValueError):
-            RigidTransform.identity().perturb(rng, -1.0, 0.0)
+            RigidTransform().perturb(rng, -1.0, 0.0)
 
 
 class TestMeanTransform:

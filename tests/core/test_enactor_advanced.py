@@ -161,9 +161,9 @@ class TestCoordinationConstraints:
             .connect("s:output", "double:x")
             .connect("double:y", "collect:x")
             .connect("collect:y", "out:input")
-            .coordinate("double", "collect")
             .build()
         )
+        workflow.add_coordination_constraint("double", "collect")
         result = MoteurEnactor(engine, workflow, OptimizationConfig.sp_dp()).run(
             {"s": [1, 2, 3]}
         )

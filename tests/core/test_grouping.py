@@ -113,8 +113,9 @@ class TestGroupFormation:
         builder.sink("out")
         builder.connect("in:output", "A:x").connect("A:y", "B:x").connect("B:y", "C:x")
         builder.connect("C:y", "out:input")
-        builder.coordinate("B", "C")
-        grouped, groups = group_workflow(builder.build(), engine)
+        workflow = builder.build()
+        workflow.add_coordination_constraint("B", "C")
+        grouped, groups = group_workflow(workflow, engine)
         assert [g.name for g in groups] == ["A+B"]
         assert grouped.coordination_constraints == [("A+B", "C")]
 

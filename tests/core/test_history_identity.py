@@ -97,8 +97,3 @@ class TestLabelRoundTrips:
         assert merged.label() == "D(0-11)"
         rebuilt = HistoryTree.derive("stats", parents)
         assert rebuilt.label() == merged.label()
-
-    def test_describe_and_label_agree_on_leaves(self):
-        leaf = HistoryTree.leaf("imgs", 4)
-        assert leaf.label() == "D4"
-        assert leaf.describe() == "imgs[4]"

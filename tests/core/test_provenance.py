@@ -10,7 +10,6 @@ class TestConstruction:
         leaf = HistoryTree.leaf("images", 3)
         assert leaf.lineage == {"images": frozenset({3})}
         assert leaf.depth == 0
-        assert leaf.size == 1
 
     def test_derive(self):
         a = HistoryTree.leaf("A", 0)
@@ -18,7 +17,6 @@ class TestConstruction:
         node = HistoryTree.derive("P", (a, b))
         assert node.lineage == {"A": frozenset({0}), "B": frozenset({1})}
         assert node.depth == 1
-        assert node.size == 3
 
     def test_leaf_with_parents_rejected(self):
         leaf = HistoryTree.leaf("A", 0)
@@ -133,11 +131,6 @@ class TestLabels:
         parents = tuple(HistoryTree.leaf("S", i) for i in range(12))
         node = HistoryTree.derive("MTT", parents)
         assert node.label() is node.label()
-
-    def test_describe_renders_tree(self):
-        node = HistoryTree.derive("P", (HistoryTree.leaf("S", 0),))
-        text = node.describe()
-        assert "P" in text and "S[0]" in text
 
 
 class TestFormatIndices:

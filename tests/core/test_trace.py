@@ -40,14 +40,14 @@ class TestTraceEvent:
 class TestExecutionTrace:
     def test_makespan(self):
         trace = make_trace([("P1", "D0", 5.0, 10.0), ("P2", "D0", 10.0, 22.0)])
-        assert trace.makespan == 17.0
+        assert trace.end_time - trace.start_time == 17.0
         assert trace.start_time == 5.0
         assert trace.end_time == 22.0
 
     def test_empty_trace(self):
         trace = ExecutionTrace()
-        assert trace.makespan == 0.0
         assert trace.start_time is None
+        assert trace.end_time is None
         assert len(trace) == 0
 
     def test_processors_first_appearance_order(self):
@@ -59,28 +59,6 @@ class TestExecutionTrace:
         labels = [e.label for e in trace.for_processor("P")]
         assert labels == ["D0", "D1"]
 
-    def test_busy_time_merges_overlaps(self):
-        trace = make_trace([("P", "D0", 0, 10), ("P", "D1", 5, 15), ("P", "D2", 20, 25)])
-        assert trace.busy_time("P") == 20.0  # [0,15] + [20,25]
-
-    def test_busy_time_empty(self):
-        assert ExecutionTrace().busy_time("P") == 0.0
-
-    def test_busy_time_out_of_order_events(self):
-        # the union sweep must not depend on insertion order: a late
-        # event starting before earlier ones used to be able to break
-        # the merge if intervals were swept unsorted
-        trace = make_trace(
-            [("P", "D2", 20, 25), ("P", "D1", 5, 15), ("P", "D0", 0, 10)]
-        )
-        assert trace.busy_time("P") == 20.0  # [0,15] + [20,25]
-
-    def test_busy_time_out_of_order_same_start(self):
-        trace = make_trace(
-            [("P", "b", 0, 2), ("P", "a", 0, 30), ("P", "c", 5, 10)]
-        )
-        assert trace.busy_time("P") == 30.0
-
     def test_max_concurrency(self):
         trace = make_trace(
             [("P", "D0", 0, 10), ("P", "D1", 2, 8), ("P", "D2", 3, 5), ("Q", "D0", 0, 100)]
@@ -89,26 +67,14 @@ class TestExecutionTrace:
         assert trace.max_concurrency() == 4
         assert trace.max_concurrency("Q") == 1
 
-    def test_concurrency_profile_steps(self):
-        trace = make_trace([("P", "D0", 0, 10), ("P", "D1", 5, 15)])
-        profile = dict(trace.concurrency_profile("P"))
-        assert profile[0] == 1
-        assert profile[5] == 2
-        assert profile[10] == 1
-        assert profile[15] == 0
-
     def test_concurrency_profile_zero_duration_burst(self):
         # An instantaneous event (cached invocation) must show up as a
-        # momentary +1 followed by a drop back at the same time.
+        # momentary +1 on top of the invocation it lands inside.
         trace = make_trace([("P", "D0", 0, 10), ("P", "D1", 5, 5)])
-        profile = trace.concurrency_profile("P")
-        assert (5, 2) in profile
-        assert profile.index((5, 2)) < profile.index((5, 1))
         assert trace.max_concurrency("P") == 2
 
     def test_concurrency_profile_only_zero_duration(self):
         trace = make_trace([("P", "D0", 3, 3)])
-        assert trace.concurrency_profile("P") == [(3, 1), (3, 0)]
         assert trace.max_concurrency("P") == 1
 
     def test_events_copy(self):

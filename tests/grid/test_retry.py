@@ -15,7 +15,9 @@ from repro.util.distributions import Distribution
 from repro.util.rng import RandomStreams
 
 
-def make_grid(engine, streams, faults=None, policy=None, budget=None, bus=None, slots=4):
+def make_grid(
+    engine, streams, faults=None, policy=None, budget=None, bus=None, slots=4, overhead=None
+):
     ce = ComputingElement(
         engine, "ce0", "s0", workers=[WorkerNode("w0", slots=slots)]
     )
@@ -23,7 +25,7 @@ def make_grid(engine, streams, faults=None, policy=None, budget=None, bus=None, 
         engine,
         streams,
         sites=[Site(name="s0", computing_elements=[ce], storage_element=StorageElement("se0", site="s0"))],
-        overhead=OverheadModel.zero(),
+        overhead=overhead or OverheadModel.zero(),
         faults=faults or FaultModel.none(),
         retry_policy=policy,
         retry_budget=budget,
@@ -223,6 +225,34 @@ class TestMiddlewareEnforcement:
         assert job.makespan == pytest.approx(60.0)
         assert job.execution_time == pytest.approx(10.0)
         assert job.overhead == pytest.approx(50.0)
+
+    def test_abandoned_attempt_finishing_before_done_does_not_rewrite_the_job(
+        self, engine, streams
+    ):
+        # Attempt 1 runs 70 s and is abandoned at the 50 s timeout; the
+        # retry runs 10 s (t = 50-60) and waits 30 s for its completion
+        # notification.  Attempt 1 ends at t = 70, inside that wait: its
+        # execution time must not land in the job the retry finishes.
+        class Durations(Distribution):
+            def __init__(self, *seconds):
+                self.seconds = iter(seconds)
+
+            def sample(self, rng):
+                return next(self.seconds)
+
+        faults = FaultModel.from_values(probability=0.0, max_attempts=2)
+        policy = RetryPolicy(attempt_timeout=50.0)
+        notify = OverheadModel.from_values(completion_notification=30.0)
+        grid = make_grid(
+            engine, streams, faults=faults, policy=policy, slots=2, overhead=notify
+        )
+        handle = grid.submit(JobDescription(name="j", compute_time=Durations(70.0, 10.0)))
+        engine.run(until=handle.completion)
+        (job,) = grid.records
+        assert job.state is JobState.DONE and job.attempts == 2
+        assert job.makespan == pytest.approx(90.0)
+        assert job.execution_time == pytest.approx(10.0)
+        assert job.overhead == pytest.approx(80.0)
 
     def test_attempt_timeout_leaves_fast_jobs_alone(self, engine, streams):
         policy = RetryPolicy(attempt_timeout=50.0)

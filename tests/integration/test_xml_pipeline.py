@@ -84,7 +84,9 @@ class TestReExecution:
         reloaded = dataset_from_xml(text)
         sizes = []
         for count in (2, 5, 10):
-            subset = reloaded.restricted_to(count)
+            subset = InputDataSet("subset")
+            for item in reloaded.items("numbers")[:count]:
+                subset.add("numbers", item)
             eng = Engine()
             reg = build_registry(eng)
             result = MoteurEnactor(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability.alerts import AlertRules
 from repro.observability.bus import InstrumentationBus
-from repro.observability.monitor import HealthProvider, RunMonitor
+from repro.observability.monitor import PROGRESS_EVERY, HealthProvider, RunMonitor
 
 
 def attach_monitor(**kwargs):
@@ -41,12 +41,13 @@ class TestProgress:
 
     def test_progress_line_and_ticks(self):
         lines = []
-        bus, _, monitor = attach_monitor(
-            expected_items=2, on_progress=lines.append, progress_every=1
-        )
-        bus.record("invocation", "enactor", 0.0, 4.0, processor="S", kind="invocation")
+        bus, _, monitor = attach_monitor(expected_items=20, on_progress=lines.append)
+        for item in range(PROGRESS_EVERY):
+            assert not lines
+            bus.record("invocation", "enactor", item, item + 4.0, processor="S",
+                       kind="invocation")
         assert len(lines) == 1
-        assert "progress 1/2 (50%)" in lines[0]
+        assert "progress 10/20 (50%)" in lines[0]
 
     def test_resumed_run_counts_replayed_work(self, tmp_path):
         # journal-replayed invocations are done items: a resumed run

@@ -30,7 +30,7 @@ from repro.services.wrapper import GenericWrapperService
 from repro.sim.engine import Engine
 from repro.util.rng import RandomStreams
 from repro.util.units import MEBIBYTE
-from repro.workflow.datasets import InputDataSet
+from repro.workflow.datasets import DataItem, InputDataSet
 from repro.workflow.patterns import chain_workflow
 
 POLICIES = [
@@ -111,7 +111,7 @@ def enact_with_data_loss(n_items, doomed, window_map, config):
         gfn = f"gfn://item-{i}"
         file = LogicalFile(gfn, size=1 * MEBIBYTE)
         grid.add_input_file(file, site_name=f"s{i % 2}")
-        dataset.add_file("input", gfn, 1 * MEBIBYTE, value=i)
+        dataset.add("input", DataItem(value=i, gfn=gfn, size=1 * MEBIBYTE))
     for i in doomed:
         for se in grid.catalog.replicas(f"gfn://item-{i}"):
             grid.catalog.mark_lost(f"gfn://item-{i}", se)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestClockProperties:
@@ -92,26 +92,3 @@ class TestResourceProperties:
         engine.run()
         assert engine.now >= sum(durations) / capacity - 1e-9
         assert engine.now >= max(durations) - 1e-9
-
-
-class TestStoreProperties:
-    @given(st.lists(st.integers(), min_size=0, max_size=30))
-    def test_fifo_preserves_sequence(self, items):
-        engine = Engine()
-        store = Store(engine)
-        received = []
-
-        def consumer(eng):
-            for _ in range(len(items)):
-                value = yield store.get()
-                received.append(value)
-
-        def producer(eng):
-            for item in items:
-                yield eng.timeout(1.0)
-                store.put(item)
-
-        engine.process(consumer(engine))
-        engine.process(producer(engine))
-        engine.run()
-        assert received == items

@@ -18,7 +18,7 @@ class TestGroupProperties:
 
     @given(transforms)
     def test_inverse_cancels(self, t):
-        identity = RigidTransform.identity()
+        identity = RigidTransform()
         assert t.compose(t.inverse()).is_close(identity, 1e-6, 1e-6)
 
     @given(transforms, transforms, transforms)

@@ -60,26 +60,29 @@ class TestServiceContract:
 
     def test_invocation_log(self, engine):
         service = LocalService(engine, "s", ("x",), ("y",), duration=2.0)
-        event = service.invoke({"x": 5})
+        event, record = service.invoke_recorded({"x": 5})
         engine.run(until=event)
-        assert len(service.invocations) == 1
-        record = service.invocations[0]
+        assert service.calls == 1
         assert record.service == "s"
         assert record.duration == 2.0
+        assert record.inputs is None
         assert record.outputs is not None
 
     def test_invocation_ids_unique_across_services(self, engine):
         s1 = LocalService(engine, "a", ("x",), ("y",))
         s2 = LocalService(engine, "b", ("x",), ("y",))
-        engine.run(until=s1.invoke({"x": 1}))
-        engine.run(until=s2.invoke({"x": 1}))
-        assert s1.invocations[0].invocation_id != s2.invocations[0].invocation_id
+        e1, r1 = s1.invoke_recorded({"x": 1})
+        e2, r2 = s2.invoke_recorded({"x": 1})
+        engine.run(until=e1)
+        engine.run(until=e2)
+        assert r1.invocation_id != r2.invocation_id
 
     def test_invoke_recorded_pairs_event_with_record(self, engine):
-        service = LocalService(engine, "s", ("x",), ("y",))
+        service = LocalService(engine, "s", ("x",), ("y",), function=lambda x: {"y": x + 1})
         event, record = service.invoke_recorded({"x": 1})
-        engine.run(until=event)
-        assert record is service.invocations[-1]
+        outputs = engine.run(until=event)
+        assert record.outputs is outputs
+        assert outputs["y"].value == 2
 
 
 class TestLocalService:

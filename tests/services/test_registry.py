@@ -34,9 +34,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already"):
             registry.register(LocalService(engine, "stats", ("x",), ("y",)))
 
-    def test_names_sorted(self, registry):
-        assert registry.names() == ["crestLines", "crestMatch", "stats"]
-
     def test_contains(self, registry):
         assert "crestLines" in registry
         assert "zzz" not in registry

@@ -1,9 +1,9 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 def run_workers(engine, resource, count, duration):
@@ -86,71 +86,3 @@ class TestResource:
             Resource(engine, 0)
         with pytest.raises(ValueError):
             Resource(engine, 1.5)
-
-
-class TestStore:
-    def test_put_then_get(self, engine):
-        store = Store(engine)
-        store.put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_blocks_until_put(self, engine):
-        store = Store(engine)
-        got = store.get()
-        assert not got.triggered
-        store.put(1)
-        assert got.triggered and got.value == 1
-
-    def test_fifo_item_order(self, engine):
-        store = Store(engine)
-        for i in range(5):
-            store.put(i)
-        values = [store.get().value for _ in range(5)]
-        assert values == [0, 1, 2, 3, 4]
-
-    def test_fifo_getter_order(self, engine):
-        store = Store(engine)
-        getters = [store.get() for _ in range(3)]
-        store.put("a")
-        store.put("b")
-        assert getters[0].value == "a"
-        assert getters[1].value == "b"
-        assert not getters[2].triggered
-
-    def test_len_and_pending(self, engine):
-        store = Store(engine)
-        assert len(store) == 0
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        store.get()
-        assert len(store) == 1
-        store.get()
-        store.get()
-        assert store.pending_gets == 1
-
-    def test_peek_items_snapshot(self, engine):
-        store = Store(engine)
-        store.put("a")
-        store.put("b")
-        assert store.peek_items() == ("a", "b")
-
-    def test_producer_consumer_timing(self, engine):
-        store = Store(engine)
-        seen = []
-
-        def consumer(eng):
-            for _ in range(3):
-                item = yield store.get()
-                seen.append((item, eng.now))
-
-        def producer(eng):
-            for i in range(3):
-                yield eng.timeout(2.0)
-                store.put(i)
-
-        engine.process(consumer(engine))
-        engine.process(producer(engine))
-        engine.run()
-        assert seen == [(0, 2.0), (1, 4.0), (2, 6.0)]

@@ -49,7 +49,7 @@ class TestSubpackageExports:
     @pytest.mark.parametrize(
         "module,names",
         [
-            ("repro.sim", ["Engine", "Event", "Timeout", "Process", "Resource", "Store"]),
+            ("repro.sim", ["Engine", "Event", "Timeout", "Process", "Resource"]),
             ("repro.grid", ["Grid", "JobDescription", "JobState", "LogicalFile",
                             "ideal_testbed", "cluster_testbed", "egee_like_testbed"]),
             ("repro.services", ["Service", "GridData", "GenericWrapperService",
@@ -57,7 +57,7 @@ class TestSubpackageExports:
                                 "descriptor_from_xml", "descriptor_to_xml"]),
             ("repro.workflow", ["Workflow", "WorkflowBuilder", "InputDataSet",
                                 "workflow_from_scufl", "workflow_to_scufl",
-                                "validate_workflow", "to_dot", "summarize"]),
+                                "validate_workflow"]),
             ("repro.core", ["MoteurEnactor", "OptimizationConfig", "HistoryTree",
                             "DataToken", "NO_DATA", "ExecutionTrace", "group_workflow"]),
             ("repro.model", ["makespan_sequential", "makespan_dp", "makespan_sp",

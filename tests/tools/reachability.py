@@ -12,9 +12,10 @@ The roots are what the program actually serves:
    This includes ``benchmarks/trajectory``'s own tests.
 2. The trajectory: ``run.py --workload all --smoke``, plain and with
    ``--trace 1``.
-3. Every ``run:`` block of ``.github/workflows/ci.yml`` outside the lint and
-   tier-1 jobs (``pip install`` lines skipped, ``/tmp/`` rewritten to a
-   private directory so store ids start from an empty store).
+3. Every ``run:`` block of ``.github/workflows/ci.yml`` outside the lint,
+   tier-1 and reachability jobs (the last one runs this script;
+   ``pip install`` lines skipped, ``/tmp/`` rewritten to a private directory
+   so store ids start from an empty store).
 4. Every fenced ``python -m repro.*`` command in README.md, run in order in
    a private directory, plus ``examples/*.py``.
 
@@ -35,6 +36,18 @@ slows every Python call and so breaks wall-clock overhead budgets.  An
 unreached def is *wired* when other code under ``src/`` loads its name and
 its class is live (a def of it reached, or the class named elsewhere);
 anything else needs a verdict in ``KEPT`` below, or deleting.
+
+Loads of a method name resolve by class where the receiver says which:
+
+* ``self.m`` / ``cls.m`` inside class ``C`` reaches ``m`` as defined in
+  ``C``, in a base of ``C`` (inherited) or in a subclass of ``C`` (an
+  override the call dispatches to);
+* ``C.m``, where ``C`` names a class under ``src/``, reaches ``m`` as
+  defined in ``C`` or in a base of ``C``;
+* ``x.m`` on any other receiver reaches every method named ``m``.
+
+Bases are matched by simple name, so two classes sharing a name share
+their hierarchies; both that and the last rule err on the side of wired.
 """
 from __future__ import annotations
 
@@ -58,40 +71,44 @@ LEDGER = ROOT / "REACHABILITY.md"
 
 # Unreached defs kept on purpose.  Keys are module -> qualname (a class name
 # covers its methods); values are the verdict.  A key naming no def is an error.
-PINNED = "kept: public API (pinned by tests/test_public_api.py)"
-PINNED_CLASS = "kept: public API (its class is pinned by tests/test_public_api.py)"
 ROUND_TRIP = ("kept: test seam/reference (one side of a codec pair: the round-trip tests "
               "check the other side against it)")
 OBSERVED = "kept: test seam/reference (the state query the tests assert through)"
 LIVE_REPLAY = "kept: test seam/reference (live == replay is checked against it)"
-HOOK_CALLEE = "kept: hook (called from Profiler._hook, which settrace cannot see)"
+HOOK_CALLEE = "kept: reached (called from Profiler._hook, which settrace cannot see)"
+GROUP_ALGEBRA = ("kept: test seam/reference (the group algebra over the quaternion kernels "
+                 "that perturb and the distance metrics run on; the property and "
+                 "rotation-library oracle tests check those kernels through it)")
 KEPT = {
-    "repro.apps.imaging": {
-        "ImageDatabase.patients_of": PINNED_CLASS,
-        "MedicalImage.compressed_bytes": OBSERVED,
-    },
+    "repro.apps.imaging": {"MedicalImage.compressed_bytes": OBSERVED},
     "repro.apps.transforms": {
-        "RigidTransform": PINNED_CLASS,
         "rotation_angle_deg": "kept: test seam/reference (measures registration error in tests)",
+        "RigidTransform.is_close": OBSERVED,
+        "RigidTransform.compose": GROUP_ALGEBRA,
+        "RigidTransform.inverse": GROUP_ALGEBRA,
+        "RigidTransform.apply": GROUP_ALGEBRA,
     },
     "repro.cache.store": {
         "InMemoryStore": "kept: test seam/reference (the in-process store the cache tests "
                          "substitute)",
         "entry_to_document": ROUND_TRIP,
     },
-    "repro.core.config": {"OptimizationConfig": PINNED_CLASS},
     "repro.core.iteration": {"IterationEngine.buffered": OBSERVED},
     "repro.core.failures": {"FailureReport.by_service": OBSERVED},
     "repro.core.provenance": {
-        "HistoryTree": PINNED_CLASS,
+        "HistoryTree.depth": OBSERVED,
         "compatible": "kept: test seam/reference (the dot-matcher oracle compares against it)",
     },
-    "repro.core.trace": {"ExecutionTrace": PINNED_CLASS},
+    "repro.core.trace": {"ExecutionTrace.count_by_kind": OBSERVED,
+                         "ExecutionTrace.max_concurrency": OBSERVED},
+    "repro.experiments.analysis": {"PhaseBreakdown.total": OBSERVED},
     "repro.experiments.harness": {"SweepResult.table1": OBSERVED},
-    "repro.grid.load": {"BackgroundLoad": "kept: calibration (a load knob a fit of the Table 1 "
-                                          "cells would sweep)"},
+    "repro.grid.load": {"BackgroundLoad": "kept: paper §5 (other users' load on the production "
+                                          "grid, a knob a fit of the Table 1 cells would "
+                                          "sweep)"},
     "repro.grid.overhead": {"OverheadModel.total_mean": "kept: test seam/reference (the "
-                                                         "testbed calibration tests check it)"},
+                                                         "testbed calibration tests check it)",
+                            "OverheadSample.total": OBSERVED},
     "repro.grid.retry": {"RetryBudget.remaining": OBSERVED},
     "repro.grid.storage": {"StorageElement": OBSERVED, "ReplicaCatalog": OBSERVED},
     "repro.model.speedup": {"constant_time_makespans": "kept: test seam/reference (closed-form "
@@ -114,31 +131,38 @@ KEPT = {
         "ManualClock": "kept: test seam/reference (the clock tests substitute)",
     },
     "repro.observability.profiling.profiler": {
-        "Profiler._hook": "kept: hook (runs inside the profile hook, which settrace cannot see)",
+        "Profiler._hook": "kept: reached (runs inside the profile hook, which settrace cannot "
+                          "see)",
         "Profiler.depth": OBSERVED,
+        "Profiler.scope": "kept: test seam/reference (the profiler tests open scopes by hand "
+                          "through it)",
         "Profiler.enter": HOOK_CALLEE,
         "Profiler.exit": HOOK_CALLEE,
         "_scope_name": HOOK_CALLEE,
     },
     "repro.observability.spans": {"spans_to_jsonl": ROUND_TRIP},
     "repro.service.scheduler": {"EnactmentService.audit": LIVE_REPLAY},
-    "repro.sim.engine": {"Engine": PINNED_CLASS},
-    "repro.sim.resources": {"Store": PINNED, "Resource": PINNED_CLASS},
+    "repro.services.base": {"InvocationRecord.duration": OBSERVED},
+    "repro.sim.engine": {"Engine.events_scheduled": OBSERVED},
+    "repro.sim.resources": {"Resource.in_use": OBSERVED, "Resource.queue_length": OBSERVED},
     "repro.taskbased.dag": {"StaticDag.edges": OBSERVED},
-    "repro.workflow.builder": {"WorkflowBuilder": PINNED_CLASS},
-    "repro.workflow.datasets": {"InputDataSet": PINNED_CLASS},
-    "repro.workflow.graph": {"Workflow": PINNED_CLASS},
+    "repro.workflow.analysis": {
+        "services_on_critical_path": "kept: paper §3.5 (n_W, the services on the critical path "
+                                     "in equations (1)-(4))",
+    },
+    "repro.workflow.datasets": {"InputDataSet.size": OBSERVED},
     "repro.workflow.patterns": {
         "figure2_workflow": "kept: test seam/reference (a canned workflow the tests build on)",
         "diamond_workflow": "kept: test seam/reference (a canned workflow the tests build on)",
     },
-    "repro.workflow.render": {"to_dot": PINNED, "summarize": PINNED},
 }
 
 # What the deletion batches removed (module -> names), kept as the record
 # the ledger prints; a name listed here must not be defined again.
 DELETED = {
     "repro.apps.accuracy": ["_group_by_pair"],
+    "repro.apps.imaging": ["ImageDatabase.patients_of"],
+    "repro.apps.transforms": ["RigidTransform.identity"],
     "repro.cache": ["ResultCache.key_for", "ResultCache.from_config",
                     "ResultCache._record_eviction"],
     "repro.cache.keys": ["fingerprint_value"],
@@ -152,8 +176,10 @@ DELETED = {
     "repro.core.journal": ["EnactmentJournal._ensure_open", "JournalEntry",
                            "JournalEntry.to_document", "JournalEntry.from_document",
                            "EnactmentJournal._write", "EnactmentJournal._documents"],
-    "repro.core.provenance": ["merged_lineage"],
+    "repro.core.provenance": ["merged_lineage", "HistoryTree.size", "HistoryTree.describe"],
     "repro.core.tokens": ["DataToken.payload_fingerprint"],
+    "repro.core.trace": ["ExecutionTrace.iter_events", "ExecutionTrace.makespan",
+                         "ExecutionTrace.busy_time", "ExecutionTrace.concurrency_profile"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
     "repro.grid.batch": ["ShortestJobFirstPolicy"],
@@ -197,16 +223,21 @@ DELETED = {
     "repro.services.gridrpc": ["(module) GridRpcClient"],
     "repro.services.invocation": ["(module) AsyncInvoker, SyncInvoker, gather"],
     "repro.services.registry": ["ServiceRegistry.unregister", "ServiceRegistry.find_by_ports",
-                                "ServiceRegistry.find_by_tag"],
+                                "ServiceRegistry.find_by_tag", "ServiceRegistry.names"],
     "repro.services.soap": ["(module) SoapBinding, build_envelope, parse_envelope"],
     "repro.sim.engine": ["Interrupt", "Process.interrupt", "Process.is_alive"],
+    "repro.sim.resources": ["Store"],
     "repro.taskbased.dag": ["StaticDag.roots"],
     "repro.util.distributions": ["Exponential", "Empirical", "Shifted"],
-    "repro.util.rng": ["RandomStreams.fork"],
+    "repro.util.rng": ["RandomStreams.fork", "RandomStreams.names"],
     "repro.util.stats": ["LinearFit.predict", "summarize", "Summary"],
     "repro.util.validation": ["(module) require_positive, require_non_negative, require_in, "
                               "require_type"],
     "repro.workflow.analysis": ["all_paths", "critical_path_length"],
+    "repro.workflow.builder": ["WorkflowBuilder.coordinate"],
+    "repro.workflow.datasets": ["InputDataSet.add_file", "InputDataSet.restricted_to"],
+    "repro.workflow.graph": ["Workflow.replace_processor"],
+    "repro.workflow.render": ["(module) to_dot, summarize"],
 }
 
 # README commands whose non-zero exit is the documented behaviour.
@@ -296,18 +327,70 @@ def collect_defs():
     return defs
 
 
-def references():
-    """(kind, name) -> "module:owner" sites that load it, outside imports and
-    ``__all__``; kind is "attr" for ``x.name`` and "name" for a bare name.
-    ("import", name) -> the modules that import *name* or import from it."""
+def class_hierarchy():
+    """Every class under src/repro as (module, nested class names) -> the
+    keys of its src/ bases and subclasses, each transitively closed.  A base
+    is resolved by its simple name, to every src/ class of that name."""
+    bases, by_name = {}, defaultdict(set)
+
+    def walk(node, module, classes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                key = (module, classes + (child.name,))
+                names = set()
+                for base in child.bases:
+                    base = base.value if isinstance(base, ast.Subscript) else base
+                    if isinstance(base, ast.Name):
+                        names.add(base.id)
+                    elif isinstance(base, ast.Attribute):
+                        names.add(base.attr)
+                bases[key] = names
+                by_name[child.name].add(key)
+                walk(child, module, key[1])
+            else:
+                walk(child, module, classes)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        walk(ast.parse(path.read_text()), module_name(path), ())
+    direct = {key: {b for name in names for b in by_name.get(name, ())}
+              for key, names in bases.items()}
+
+    def closure(step, key):
+        seen, todo = set(), [key]
+        while todo:
+            for nxt in step(todo.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    children = defaultdict(set)
+    for key, parents in direct.items():
+        for parent in parents:
+            children[parent].add(key)
+    up = {key: closure(direct.get, key) for key in direct}
+    down = {key: closure(lambda k: children.get(k, ()), key) for key in direct}
+    return up, down
+
+
+def references(class_names):
+    """Where src/ loads each name, outside imports and ``__all__``.
+
+    ("name", n) and ("attr", n) map to the "module:owner" sites of a bare
+    ``n`` and of ``x.n`` on any other receiver.  ("self", n) maps to
+    (site, class key) pairs for ``self.n`` / ``cls.n`` inside a class;
+    ("class", n) maps to (site, class name) pairs for ``C.n`` where ``C``
+    names a src/ class.  ("import", n) maps to the modules that import
+    *n* or import from it."""
     sites = defaultdict(set)
 
-    def walk(node, where, separator):
+    def walk(node, where, separator, owner):
+        module = where.split(":")[0]
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ImportFrom):
                 for alias in child.names:
-                    sites[("import", alias.name)].add(where.split(":")[0])
-                sites[("import", child.module)].add(where.split(":")[0])
+                    sites[("import", alias.name)].add(module)
+                sites[("import", child.module)].add(module)
                 continue
             if isinstance(child, ast.Import):
                 continue
@@ -315,23 +398,38 @@ def references():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in child.targets
             ):
                 continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, f"{where}{separator}{child.name}", ".")
+            if isinstance(child, ast.ClassDef):
+                classes = owner[1] if owner else ()
+                walk(child, f"{where}{separator}{child.name}", ".",
+                     (module, classes + (child.name,)))
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{where}{separator}{child.name}", ".", owner)
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 sites[("name", child.id)].add(where)
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                sites[("attr", child.attr)].add(where)
-            walk(child, where, separator)
+                receiver = child.value.id if isinstance(child.value, ast.Name) else None
+                if receiver in ("self", "cls") and owner is not None:
+                    sites[("self", child.attr)].add((where, owner))
+                elif receiver in class_names:
+                    sites[("class", child.attr)].add((where, receiver))
+                else:
+                    sites[("attr", child.attr)].add(where)
+            walk(child, where, separator, owner)
 
     for path in sorted(PACKAGE.rglob("*.py")):
-        walk(ast.parse(path.read_text()), module_name(path), ":")
+        walk(ast.parse(path.read_text()), module_name(path), ":", None)
     return sites
 
 
-def wired_by(entry: Def, sites, live_classes) -> str | None:
+def wired_by(entry: Def, sites, live_classes, up, down) -> str | None:
     """The first src/ site that references this def, else None.  Its classes
-    must be live too: some def of theirs reached, or named outside them."""
+    must be live too: some def of theirs reached, or named outside them.
+
+    A method of class K is referenced by ``self.m`` / ``cls.m`` inside K, a
+    base of K or a subclass of K; by ``C.m`` where C is K or a subclass of
+    K; and by ``x.m`` on any other receiver."""
     own = f"{entry.module}:{entry.qualname.replace('.<locals>', '')}"
     for depth, cls in enumerate(entry.classes, 1):
         if (entry.module, entry.classes[:depth]) in live_classes:
@@ -343,7 +441,14 @@ def wired_by(entry: Def, sites, live_classes) -> str | None:
     if name.startswith("__") and name.endswith("__"):
         return f"the data model of {entry.classes[-1]}" if entry.classes else None
     named = set(sites.get(("attr", name), ()))
-    if not entry.classes:
+    if entry.classes:
+        key = (entry.module, entry.classes)
+        below = down.get(key, set()) | {key}
+        related = below | up.get(key, set())
+        named |= {site for site, owner in sites.get(("self", name), ()) if owner in related}
+        below_names = {classes[-1] for _, classes in below}
+        named |= {site for site, cls in sites.get(("class", name), ()) if cls in below_names}
+    else:
         named |= sites.get(("name", name), set())
     # prefer a site in the same module, then one in a module importing the owner
     owner = entry.classes[0] if entry.classes else name
@@ -371,7 +476,8 @@ def verdict_for(entry: Def) -> str | None:
 
 
 def ci_blocks():
-    """(job, step name, script) for every ci.yml run: block outside lint/tests."""
+    """(job, step name, script) for every ci.yml run: block outside the lint,
+    tier-1 and reachability jobs."""
     lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text().splitlines()
     blocks, job, step = [], None, None
     i = 0
@@ -398,7 +504,7 @@ def ci_blocks():
                 i -= 1
                 margin = min(len(b) - len(b.lstrip()) for b in body if b.strip())
                 script = "\n".join(b[margin:] for b in body)
-            if job not in ("lint", "tests") and "pip install" not in script:
+            if job not in ("lint", "tests", "reachability") and "pip install" not in script:
                 blocks.append((job, step, script))
         i += 1
     return blocks
@@ -542,7 +648,8 @@ def reached_keys(records: Path):
 
 
 def build_ledger(defs, reached):
-    sites = references()
+    up, down = class_hierarchy()
+    sites = references({classes[-1] for _, classes in up})
     live_classes = {(d.module, d.classes[:depth]) for key, d in defs.items() if key in reached
                     for depth in range(1, len(d.classes) + 1)}
     problems = []
@@ -570,7 +677,7 @@ def build_ledger(defs, reached):
         name = entry.qualname
         if verdict is None:
             caller = (f"{entry.parent.qualname} (enclosing)" if entry.parent is not None
-                      else wired_by(entry, sites, live_classes))
+                      else wired_by(entry, sites, live_classes, up, down))
             if caller is None:
                 problems.append(f"unreached def {entry.module}:{entry.qualname} has no "
                                 "verdict and no caller in src/")
@@ -602,9 +709,10 @@ def build_ledger(defs, reached):
         "Unit tests are not a root.",
         "",
         "An unreached def is *wired* when other code under `src/` names it (the",
-        "first such site is shown after `←`); every other unreached def carries",
-        "a verdict from the recorder's `KEPT` table, or is deleted.  Defs nested",
-        "in an unreached def are counted, not listed.",
+        "first such site is shown after `←`; `self.m`, `cls.m` and `C.m` count",
+        "only for the class hierarchy they resolve to); every other unreached",
+        "def carries a verdict from the recorder's `KEPT` table, or is deleted.",
+        "Defs nested in an unreached def are counted, not listed.",
         "",
         f"**{total} defs, {hits} reached, {total - hits} unreached** "
         f"({unreached_lines} lines in the listed unreached defs).",

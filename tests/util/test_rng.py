@@ -53,11 +53,5 @@ class TestRandomStreams:
         with pytest.raises(TypeError):
             RandomStreams(seed="42")
 
-    def test_names_lists_created_streams(self):
-        streams = RandomStreams(seed=0)
-        streams.get("b")
-        streams.get("a")
-        assert list(streams.names()) == ["a", "b"]
-
     def test_seed_property(self):
         assert RandomStreams(seed=9).seed == 9

@@ -47,17 +47,6 @@ class TestBuilder:
         wf = WorkflowBuilder().abstract_service("P", ("x",), ("y",)).build()
         assert wf.processor("P").service_ref == "P"
 
-    def test_coordinate(self, engine):
-        svc = LocalService(engine, "svc", ("x",), ("y",))
-        wf = (
-            WorkflowBuilder()
-            .service("A", svc)
-            .service("B", LocalService(engine, "svc2", ("x",), ("y",)))
-            .coordinate("A", "B")
-            .build()
-        )
-        assert wf.coordination_constraints == [("A", "B")]
-
     def test_builder_single_use(self, engine):
         builder = WorkflowBuilder().source("s")
         builder.build()

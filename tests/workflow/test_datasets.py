@@ -62,25 +62,10 @@ class TestInputDataSet:
 
     def test_files_deduplicated(self):
         ds = InputDataSet("d")
-        ds.add_file("a", "gfn://same", 10)
-        ds.add_file("b", "gfn://same", 10)
-        ds.add_file("b", "gfn://other", 20)
+        ds.add("a", DataItem(gfn="gfn://same", size=10))
+        ds.add("b", DataItem(gfn="gfn://same", size=10))
+        ds.add("b", DataItem(gfn="gfn://other", size=20))
         assert sorted(f.gfn for f in ds.files()) == ["gfn://other", "gfn://same"]
-
-    def test_restricted_to(self):
-        ds = InputDataSet.from_values("d", imgs=[1, 2, 3, 4], scale=[8, 8, 8, 8])
-        subset = ds.restricted_to(2, input_names=["imgs"])
-        assert subset.size("imgs") == 2
-        assert subset.size("scale") == 4  # untouched: not selected
-
-    def test_restricted_to_all_inputs_by_default(self):
-        ds = InputDataSet.from_values("d", a=[1, 2, 3], b=[4, 5, 6])
-        subset = ds.restricted_to(1)
-        assert subset.size("a") == 1 and subset.size("b") == 1
-
-    def test_restricted_to_negative_rejected(self):
-        with pytest.raises(DataSetError):
-            InputDataSet("d").restricted_to(-1)
 
     def test_input_names_ordered(self):
         ds = InputDataSet("d")

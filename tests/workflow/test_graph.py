@@ -104,13 +104,6 @@ class TestWorkflowConstruction:
         with pytest.raises(WorkflowError, match="reflexive"):
             simple.add_coordination_constraint("P1", "P1")
 
-    def test_replace_processor_keeps_name(self, simple, engine):
-        service = LocalService(engine, "svc", ("x",), ("y",))
-        simple.replace_processor("P1", simple.processor("P1").with_service(service))
-        assert simple.processor("P1").service is service
-        with pytest.raises(WorkflowError, match="keep the name"):
-            simple.replace_processor("P1", Processor(name="other"))
-
 
 class TestWorkflowInspection:
     def test_sources_sinks_services(self, simple):

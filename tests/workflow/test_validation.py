@@ -90,8 +90,8 @@ class TestValidation:
             .sink("k")
             .connect("s:output", "A:x")
             .connect("A:y", "k:input")
-            .coordinate("A", "k")
             .build()
         )
+        wf.add_coordination_constraint("A", "k")
         warnings = severities(validate_workflow(wf), "warning")
         assert any("non-service" in w.message for w in warnings)
