@@ -120,10 +120,6 @@ class ResultCache:
         self.store.put(entry)
         self.stats.record_store(service, len(entry.outputs_text))
 
-    def clear(self) -> None:
-        """Drop every stored entry (stats are kept)."""
-        self.store.clear()
-
     def __len__(self) -> int:
         return len(self.store)
 

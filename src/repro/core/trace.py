@@ -33,6 +33,20 @@ class TraceEvent:
         if self.end < self.start:
             raise ValueError(f"event ends before it starts: {self}")
 
+    @classmethod
+    def from_span(cls, span) -> "TraceEvent":
+        """The event a finished ``invocation`` span records (live or read
+        back from a JSONL trace): the enactor's own fields, by name."""
+        attributes = span.attributes
+        return cls(
+            processor=str(attributes.get("processor", "?")),
+            label=str(attributes.get("label", "?")),
+            start=span.start,
+            end=span.end,
+            kind=str(attributes.get("kind", "invocation")),
+            job_ids=tuple(attributes.get("job_ids") or ()),
+        )
+
     @property
     def duration(self) -> float:
         """Wall-clock seconds of the invocation."""

@@ -1,90 +1,38 @@
 """Command-line entry point: reproduce the paper from a shell.
 
-Usage::
+``python -m repro.experiments --help`` lists the commands, and
+``python -m repro.experiments <command> --help`` their options.
 
-    python -m repro.experiments table1  [--sizes 12 66 126] [--seed 42]
-    python -m repro.experiments diagrams
-    python -m repro.experiments bronze  [--pairs 12] [--config SP+DP+JG]
-                                        [--trace run.jsonl]
-                                        [--chrome-trace run.trace.json]
-                                        [--monitor] [--alerts alerts.jsonl]
-                                        [--feedback] [--testbed faulty]
-                                        [--best-effort] [--strict]
-                                        [--journal run.wal] [--resume]
-                                        [--crash-after N]
-    python -m repro.experiments report-failures [--trace run.jsonl]
-                                        [--testbed faulty] [--strict]
-    python -m repro.experiments report-health [--trace run.jsonl]
-                                        [--testbed faulty]
-    python -m repro.experiments report-durability [--testbed chaotic]
-                                        [--no-repair] [--strict]
-    python -m repro.experiments report-trace run.jsonl [--policy SP+DP]
-    python -m repro.experiments report-critical-path [--config SP+DP]
-                                        [--trace run.jsonl]
-    python -m repro.experiments gantt   [--config SP+DP] [--width 100]
-    python -m repro.experiments report-dataflow [--config SP+DP+JG]
-                                        [--top 10] [--dot dataflow.dot]
-    python -m repro.experiments record-run --store runstore [--config SP+DP]
-                                        [--out baseline.json]
-    python -m repro.experiments compare-runs --store runstore run-0001 latest
-    python -m repro.experiments profile record --out profile.json
-                                        [--clock deterministic|wall]
-    python -m repro.experiments profile report profile.json
-    python -m repro.experiments profile diff baseline.json candidate.json
-    python -m repro.experiments profile flame profile.json --out profile.folded
-                                        [--format collapsed|speedscope]
+``table1`` runs the full sweep (Tables 1 and 2, the Section 5.2/5.3
+ratios, the paper comparison); ``diagrams`` regenerates Figures 4-6.
+Every other command that runs a Bronze Standard enactment builds it in
+one front half (engine, seeded streams, ``--testbed`` grid, application,
+``--config`` policy) and attaches what it reads.  ``bronze`` reports one
+run and is the one writer of its files: the span trace (JSONL, read back
+by ``report-trace`` and every ``--trace`` report), the Chrome trace, the
+alert log, the journal and the profile.  A simulated crash
+(``--crash-after``, exit 4) still writes and closes every one of them.
+``report-critical-path``, ``gantt``, ``report-health`` and
+``report-failures`` read a ``--trace`` file or a live run;
+``report-durability`` and ``report-dataflow`` attach their collectors to
+a live run; ``record-run`` appends a run summary to a store and
+``compare-runs`` diffs two summaries: a seeded run reproduces exactly,
+so any changed key, an improvement included, exits 1 (the CI gate).
 
-``table1`` runs the full sweep and prints Tables 1 and 2, the Section
-5.2/5.3 ratios and the paper comparison; ``diagrams`` regenerates the
-Figure 4/5/6 execution diagrams; ``bronze`` runs one Bronze Standard
-enactment and reports its outputs (``--trace`` exports the span stream
-as JSONL, ``--chrome-trace`` as Chrome trace-event JSON for Perfetto;
-``--monitor`` attaches the live run monitor for streaming progress/ETA
-lines, ``--alerts`` writes its alert log as JSONL, ``--feedback``
-closes the loop into the broker, and ``--testbed faulty`` runs on the
-fault-injected grid; ``--best-effort`` contains per-item failures into
-a dead-letter report instead of aborting — add ``--strict`` to exit 3
-on any loss; ``--journal`` keeps a crash-safe WAL, ``--resume`` replays
-it, and ``--crash-after N`` simulates an interrupt, exiting 4);
-``report-failures`` prints the dead-letter table either from a fresh
-best-effort run or from an exported trace; ``report-health`` prints per-CE health scores and
-the alert log, either from a fresh run or by replaying an exported
-trace; ``report-trace`` renders the phase breakdown and model-drift
-tables of a span stream exported by ``bronze --trace`` (the only JSONL
-trace writer; a record lacking any span field is rejected with its
-line number).
-
-The analytics commands work either on a live enactment (default: the
-Bronze Standard on the EGEE-like testbed) or on an exported JSONL trace
-(``--trace``): ``report-critical-path`` prints the observed gating
-chain with per-phase attribution and the diff against the static
-prediction; ``gantt`` renders per-processor and per-CE lanes as ASCII.
-``report-dataflow`` runs one instrumented enactment with the
-:class:`~repro.observability.dataflow.DataFlowCollector` attached and
-prints the data plane's ledger — top-talker links with ASCII bandwidth
-sparklines, per-service and per-purpose byte shares, per-site storage —
-and exports the site-to-site data-flow graph as DOT (``--dot``).
-``record-run`` appends one summary to a run store and ``compare-runs``
-diffs a candidate run against a baseline: a seeded run reproduces
-exactly, so every key that differs is printed with both values and any
-change, an improvement included, exits 1 — the CI gate.  An intended
-change is acknowledged by re-recording the baseline.
-
-The ``profile`` family drives the hot-path profiler
-(:mod:`repro.observability.profiling`): ``record`` runs one Bronze
-Standard enactment under the profiler's ``sys.setprofile`` hook
-(deterministic tick clock by default, so the file is byte-identical
-across same-seed runs), ``report`` renders a saved profile,
-``diff`` ranks per-component movement between two profiles and names
-the top regressed component (the one attribution path for a
-slowdown), and ``flame`` exports collapsed-stack or speedscope
-flamegraphs.
+The ``profile`` family reads what ``bronze --profile`` writes, on the
+profiler's deterministic tick clock, so same-seed files are
+byte-identical (``Profiler(clock=wall_clock)`` from Python measures real
+time): ``report`` renders one, ``diff`` ranks per-component movement
+between two and names the top regressed component, and ``flame``
+exports collapsed-stack or speedscope flamegraphs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.apps.bronze_standard import BRONZE_CRITICAL_PATH
 from repro.core import MoteurEnactor, OptimizationConfig
@@ -170,74 +118,51 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_testbed(args: argparse.Namespace, engine, streams):
-    """The grid the run-style subcommands execute on (``--testbed``)."""
-    from repro.grid.testbeds import chaotic_testbed, egee_like_testbed, faulty_testbed
+def _bronze_run(args: argparse.Namespace, best_effort: bool = False):
+    """The one Bronze Standard front half: ``(app, grid, config)``.
 
-    name = getattr(args, "testbed", "egee")
-    if name == "faulty":
-        max_attempts = getattr(args, "max_attempts", None)
-        if max_attempts is not None:
-            return faulty_testbed(engine, streams, max_attempts=max_attempts)
-        return faulty_testbed(engine, streams)
-    if name == "chaotic":
-        kwargs = {"repair": not getattr(args, "no_repair", False)}
-        max_attempts = getattr(args, "max_attempts", None)
-        if max_attempts is not None:
-            kwargs["max_attempts"] = max_attempts
-        return chaotic_testbed(engine, streams, **kwargs)
-    return egee_like_testbed(
-        engine, streams, n_sites=6, workers_per_ce=40, with_background_load=False
-    )
+    Builds the engine, the ``--seed`` streams, the ``--testbed`` grid,
+    the application and the ``--config`` policy (with contained
+    failures when *best_effort*).  The caller attaches its subscribers
+    or collectors, then calls ``app.enact``.
+    """
+    from repro.apps.bronze_standard import BronzeStandardApplication
+    from repro.grid.testbeds import chaotic_testbed, egee_like_testbed, faulty_testbed
+    from repro.sim.engine import Engine
+    from repro.util.rng import RandomStreams
+
+    engine = Engine()
+    streams = RandomStreams(seed=args.seed)
+    cap = {} if args.max_attempts is None else {"max_attempts": args.max_attempts}
+    if args.testbed == "faulty":
+        grid = faulty_testbed(engine, streams, **cap)
+    elif args.testbed == "chaotic":
+        grid = chaotic_testbed(engine, streams, repair=not args.no_repair, **cap)
+    else:
+        grid = egee_like_testbed(
+            engine, streams, n_sites=6, workers_per_ce=40, with_background_load=False
+        )
+    app = BronzeStandardApplication(engine, grid, streams)
+    config = _config_by_label(args.config)
+    return app, grid, config.with_best_effort() if best_effort else config
 
 
 def cmd_bronze(args: argparse.Namespace) -> int:
-    from repro.apps.bronze_standard import BronzeStandardApplication
-    from repro.experiments.analysis import job_statistics, overhead_breakdown
+    from repro.core.journal import SimulatedCrash
     from repro.observability import (
         ChromeTraceExporter,
         InstrumentationBus,
         JsonlAlertWriter,
         JsonlExporter,
         RunMonitor,
+        policy_key,
     )
-    from repro.observability.drift import policy_key
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
-    from repro.util.units import format_duration
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
-    if args.best_effort:
-        config = config.with_best_effort()
+    app, grid, config = _bronze_run(args, args.best_effort)
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal PATH")
 
-    monitoring = args.monitor or args.alerts or args.feedback
-    bus = None
-    jsonl = chrome = monitor = alert_writer = None
-    if args.trace or args.chrome_trace or monitoring:
-        bus = InstrumentationBus()
-        if args.trace:
-            jsonl = bus.subscribe(JsonlExporter(args.trace))
-        if args.chrome_trace:
-            chrome = bus.subscribe(ChromeTraceExporter())
-        if monitoring:
-            monitor = RunMonitor.attach(
-                bus,
-                expected_items=args.pairs,
-                policy=policy_key(config),
-                on_progress=out.info if args.monitor else None,
-            )
-            if args.alerts:
-                alert_writer = monitor.add_sink(JsonlAlertWriter(args.alerts))
-            if args.feedback:
-                grid.set_health_provider(monitor)
-                monitor.add_sink(grid.alert_reactor())
     profiler = None
     if args.profile:
         from repro.observability.profiling import Profiler, TickClock
@@ -247,26 +172,75 @@ def cmd_bronze(args: argparse.Namespace) -> int:
             label=f"bronze {config.label} pairs={args.pairs} "
             f"seed={args.seed} testbed={args.testbed}",
         )
-    from repro.core.journal import SimulatedCrash
+    monitoring = args.monitor or args.alerts or args.feedback
+    bus = jsonl = chrome = monitor = alert_writer = None
+    # Every writer is closed, and the Chrome trace written, on every exit
+    # path: a simulated crash keeps the run's files up to the crash.
+    with contextlib.ExitStack() as finish:
+        if args.trace or args.chrome_trace or monitoring:
+            bus = InstrumentationBus()
+            if args.trace:
+                jsonl = finish.enter_context(bus.subscribe(JsonlExporter(args.trace)))
+            if args.chrome_trace:
+                chrome = bus.subscribe(ChromeTraceExporter())
+                finish.callback(chrome.write, args.chrome_trace)
+            if monitoring:
+                monitor = RunMonitor.attach(
+                    bus,
+                    expected_items=args.pairs,
+                    policy=policy_key(config),
+                    on_progress=out.info if args.monitor else None,
+                )
+                if args.alerts:
+                    alert_writer = finish.enter_context(
+                        monitor.add_sink(JsonlAlertWriter(args.alerts))
+                    )
+                if args.feedback:
+                    grid.set_health_provider(monitor)
+                    monitor.add_sink(grid.alert_reactor())
+        try:
+            result = app.enact(
+                config,
+                n_pairs=args.pairs,
+                instrumentation=bus,
+                journal=args.journal,
+                resume=args.resume,
+                crash_after=args.crash_after,
+                profiler=profiler,
+            )
+        except SimulatedCrash as crash:
+            out.info(f"simulated crash after {crash.completed} invocations")
+            if args.journal:
+                out.info(f"journal: {args.journal} (resume with --resume)")
+            return 4
+        lost_something = _report_bronze(args, config, grid, result, monitor, bus)
 
-    try:
-        result = app.enact(
-            config,
-            n_pairs=args.pairs,
-            instrumentation=bus,
-            journal=args.journal,
-            resume=args.resume,
-            crash_after=args.crash_after,
-            profiler=profiler,
+    if alert_writer is not None:
+        out.info(f"alerts written: {args.alerts} ({alert_writer.lines_written} lines)")
+    if jsonl is not None:
+        out.info(f"trace written: {args.trace} ({jsonl.lines_written} spans)")
+    if chrome is not None:
+        out.info(f"chrome trace written: {args.chrome_trace} (load in Perfetto)")
+    if profiler is not None:
+        profile = profiler.snapshot()
+        path = profile.save(args.profile)
+        out.info(
+            f"profile written: {path} ({profile.total_time * 1e3:.3f}ms "
+            f"accounted, {profile.clock} clock; inspect with: "
+            f"python -m repro.experiments profile report {path})"
         )
-    except SimulatedCrash as crash:
-        out.info(f"simulated crash after {crash.completed} invocations")
-        if args.journal:
-            out.info(f"journal: {args.journal} (resume with --resume)")
-        if jsonl is not None:
-            jsonl.close()
-        return 4
+    if args.strict and lost_something:
+        out.info("exit 3: --strict and the best-effort run lost items")
+        return 3
+    return 0
 
+
+def _report_bronze(args, config, grid, result, monitor, bus) -> bool:
+    """Print one bronze run's outputs; True when the run lost an item."""
+    from repro.experiments.analysis import job_statistics, overhead_breakdown
+    from repro.util.units import format_duration
+
+    out = cli_logger()
     out.info(f"configuration: {config.label}, {args.pairs} image pairs")
     out.info(f"makespan: {format_duration(result.makespan)}")
     if result.replayed_count:
@@ -332,27 +306,7 @@ def cmd_bronze(args: argparse.Namespace) -> int:
                 f"resubmissions: "
                 f"{bus.metrics.counter('grid.jobs.proactive_resubmissions').value:.0f}"
             )
-    if alert_writer is not None:
-        alert_writer.close()
-        out.info(f"alerts written: {args.alerts} ({alert_writer.lines_written} lines)")
-    if jsonl is not None:
-        jsonl.close()
-        out.info(f"trace written: {args.trace} ({jsonl.lines_written} spans)")
-    if chrome is not None:
-        chrome.write(args.chrome_trace)
-        out.info(f"chrome trace written: {args.chrome_trace} (load in Perfetto)")
-    if profiler is not None:
-        profile = profiler.snapshot()
-        path = profile.save(args.profile)
-        out.info(
-            f"profile written: {path} ({profile.total_time * 1e3:.3f}ms "
-            f"accounted, {profile.clock} clock; inspect with: "
-            f"python -m repro.experiments profile report {path})"
-        )
-    if args.strict and lost_something:
-        out.info("exit 3: --strict and the best-effort run lost items")
-        return 3
-    return 0
+    return lost_something
 
 
 def cmd_report_failures(args: argparse.Namespace) -> int:
@@ -362,19 +316,10 @@ def cmd_report_failures(args: argparse.Namespace) -> int:
 
     out = cli_logger()
     if args.trace:
-        spans = _load_spans(args.trace)
-        rows = failure_rows_from_spans(spans)
+        rows = failure_rows_from_spans(_load_spans(args.trace))
         source = args.trace
     else:
-        from repro.apps.bronze_standard import BronzeStandardApplication
-        from repro.sim.engine import Engine
-        from repro.util.rng import RandomStreams
-
-        engine = Engine()
-        streams = RandomStreams(seed=args.seed)
-        grid = _make_testbed(args, engine, streams)
-        app = BronzeStandardApplication(engine, grid, streams)
-        config = _config_by_label(args.config).with_best_effort()
+        app, _grid, config = _bronze_run(args, best_effort=True)
         result = app.enact(config, n_pairs=args.pairs)
         assert result.failures is not None
         rows = result.failures.to_rows()
@@ -398,42 +343,30 @@ def cmd_report_failures(args: argparse.Namespace) -> int:
 
 def cmd_report_durability(args: argparse.Namespace) -> int:
     """Durability report for one best-effort run on the chaos testbed."""
-    from repro.apps.bronze_standard import BronzeStandardApplication
-    from repro.observability import InstrumentationBus, RunMonitor
+    from repro.observability import InstrumentationBus, RunMonitor, policy_key
     from repro.observability.dataflow import DataFlowCollector
-    from repro.observability.drift import policy_key
     from repro.observability.durability import (
         build_durability_report,
         format_durability_report,
     )
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config).with_best_effort()
+    app, grid, config = _bronze_run(args, best_effort=True)
     bus = InstrumentationBus()
     collector = DataFlowCollector().attach(grid)
-    monitor = RunMonitor.attach(
-        bus, expected_items=args.pairs, policy=policy_key(config)
-    )
+    monitor = RunMonitor.attach(bus, expected_items=args.pairs, policy=policy_key(config))
     result = app.enact(config, n_pairs=args.pairs, instrumentation=bus)
     report = build_durability_report(result, n_items=args.pairs)
     out.info(
         f"=== durability: {config.label}, {args.pairs} pairs, "
         f"testbed {args.testbed}, seed {args.seed}, "
-        f"repair {'off' if getattr(args, 'no_repair', False) else 'on'} ==="
+        f"repair {'off' if args.no_repair else 'on'} ==="
     )
     out.info(format_durability_report(report))
     repair_records = [r for r in collector.records if r.purpose == "repair"]
     if repair_records:
         repaired = sum(r.bytes for r in repair_records)
-        out.info(
-            f"repair traffic: {len(repair_records)} transfers, {repaired} bytes"
-        )
+        out.info(f"repair traffic: {len(repair_records)} transfers, {repaired} bytes")
     flagged = monitor.alert_counts()
     if flagged:
         listed = ", ".join(f"{k} x{v}" for k, v in sorted(flagged.items()))
@@ -454,33 +387,40 @@ def _load_spans(path: str):
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
 
 
-def _instrumented_bronze(args: argparse.Namespace):
-    """One instrumented Bronze Standard enactment (``--testbed`` grid).
+class _LiveRun(NamedTuple):
+    """One instrumented Bronze Standard enactment and what it left."""
 
-    The shared front half of the analytics subcommands: returns
-    ``(app, grid, result, spans, monitor)`` for the requested
-    configuration.  The attached :class:`RunMonitor` gives every
-    consumer live health state and puts the ``monitor.alerts.*``
-    counters into the run's metrics (and hence run-store summaries).
+    app: Any
+    grid: Any
+    result: Any
+    spans: List[Any]
+    monitor: Any
+
+
+def _instrumented_bronze(args: argparse.Namespace) -> _LiveRun:
+    """One instrumented enactment on the shared front half.
+
+    The attached :class:`RunMonitor` gives every consumer live health
+    state and puts the ``monitor.alerts.*`` counters into the run's
+    metrics (and hence run-store summaries).
     """
-    from repro.apps.bronze_standard import BronzeStandardApplication
-    from repro.observability import InstrumentationBus, RunMonitor
-    from repro.observability.drift import policy_key
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
+    from repro.observability import InstrumentationBus, RunMonitor, policy_key
 
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, grid, config = _bronze_run(args)
     bus = InstrumentationBus()
     collector = bus.collector()
-    monitor = RunMonitor.attach(
-        bus, expected_items=args.pairs, policy=policy_key(config)
-    )
+    monitor = RunMonitor.attach(bus, expected_items=args.pairs, policy=policy_key(config))
     result = app.enact(config, n_pairs=args.pairs, instrumentation=bus)
-    return app, grid, result, collector.spans, monitor
+    return _LiveRun(app, grid, result, collector.spans, monitor)
+
+
+def _spans(args: argparse.Namespace) -> Tuple[list, Optional[_LiveRun]]:
+    """The span stream a report reads: the ``--trace`` file (no live
+    run), or one live instrumented enactment (returned with its spans)."""
+    if args.trace:
+        return _load_spans(args.trace), None
+    live = _instrumented_bronze(args)
+    return live.spans, live
 
 
 def cmd_report_critical_path(args: argparse.Namespace) -> int:
@@ -495,20 +435,15 @@ def cmd_report_critical_path(args: argparse.Namespace) -> int:
     )
 
     out = cli_logger()
-    workflow = None
-    if args.trace:
-        spans = _load_spans(args.trace)
-    else:
-        app, _grid, _result, spans, _monitor = _instrumented_bronze(args)
-        workflow = app.workflow
+    spans, live = _spans(args)
     try:
         observed = observed_critical_path(spans)
     except CriticalPathError as exc:
         raise SystemExit(str(exc))
     out.info(format_critical_path(observed))
-    if workflow is not None:
+    if live is not None:
         out.info("\n=== vs static prediction ===")
-        out.info(format_critical_path_diff(diff_against_static(observed, workflow)))
+        out.info(format_critical_path_diff(diff_against_static(observed, live.app.workflow)))
     return 0
 
 
@@ -517,11 +452,8 @@ def cmd_gantt(args: argparse.Namespace) -> int:
     from repro.observability import render_gantt, utilization_table
 
     out = cli_logger()
-    if args.trace:
-        spans = _load_spans(args.trace)
-    else:
-        _app, _grid, _result, spans, _monitor = _instrumented_bronze(args)
-    out.info(render_gantt(spans, width=args.width, include_queue=not args.no_queue))
+    spans, _live = _spans(args)
+    out.info(render_gantt(spans, width=args.width))
     out.info("\n=== CE utilization ===")
     out.info(format_ce_utilization(utilization_table(spans)))
     return 0
@@ -529,20 +461,19 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 
 def cmd_report_health(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_alerts, format_health
-    from repro.observability import RunMonitor
-    from repro.observability.drift import policy_key
+    from repro.observability import RunMonitor, policy_key
 
     out = cli_logger()
-    if args.trace:
+    spans, live = _spans(args)
+    if live is not None:
+        monitor = live.monitor
+    else:
         # Replay the recorded stream through a fresh monitor: by the
         # online invariant this reproduces the live run's exact health
         # scores and alerts.
-        spans = _load_spans(args.trace)
         monitor = RunMonitor(
             expected_items=args.pairs, policy=policy_key(_config_by_label(args.config))
         ).replay(spans)
-    else:
-        _app, _grid, _result, _spans, monitor = _instrumented_bronze(args)
     out.info("=== CE health ===")
     out.info(format_health(monitor.health_table()))
     flagged = monitor.flagged_ces()
@@ -554,22 +485,15 @@ def cmd_report_health(args: argparse.Namespace) -> int:
 
 def cmd_report_dataflow(args: argparse.Namespace) -> int:
     """Per-link/per-service byte accounting of one instrumented run."""
-    from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.observability import (
         DataFlowCollector,
         InstrumentationBus,
         dataflow_dot,
         format_dataflow_report,
     )
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, grid, config = _bronze_run(args)
     bus = InstrumentationBus()
     # Attach before enacting so the collector sees every transfer; the
     # grid has no bus yet at this point, so subscribe it explicitly for
@@ -586,7 +510,7 @@ def cmd_report_dataflow(args: argparse.Namespace) -> int:
         f"=== data flow: {config.label}, {args.pairs} pairs, "
         f"{args.testbed} testbed (makespan {result.makespan:.1f}s) ==="
     )
-    out.info(format_dataflow_report(collector, counters, top=args.top))
+    out.info(format_dataflow_report(collector, counters))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dataflow_dot(collector))
@@ -600,11 +524,11 @@ def cmd_record_run(args: argparse.Namespace) -> int:
     from repro.observability import RunStore, summarize_run
 
     out = cli_logger()
-    _app, grid, result, spans, _monitor = _instrumented_bronze(args)
+    live = _instrumented_bronze(args)
     summary = summarize_run(
-        result,
-        spans=spans,
-        records=grid.completed_records(),
+        live.result,
+        spans=live.spans,
+        records=live.grid.completed_records(),
         processors=list(BRONZE_CRITICAL_PATH),
         n_items=args.pairs,
         seed=args.seed,
@@ -630,9 +554,7 @@ def cmd_compare_runs(args: argparse.Namespace) -> int:
 
     store = RunStore(args.store)
     try:
-        comparison = compare(
-            store.resolve(args.baseline), store.resolve(args.candidate)
-        )
+        comparison = compare(store.resolve(args.baseline), store.resolve(args.candidate))
     except RunStoreError as exc:
         raise SystemExit(str(exc))
     cli_logger().info(format_run_comparison(comparison))
@@ -648,41 +570,10 @@ def _load_profile(path: str):
         raise SystemExit(str(exc))
 
 
-def cmd_profile_record(args: argparse.Namespace) -> int:
-    from repro.apps.bronze_standard import BronzeStandardApplication
-    from repro.observability.profiling import Profiler, resolve_clock
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
-
-    out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
-    profiler = Profiler(
-        clock=resolve_clock(args.clock),
-        label=f"bronze {config.label} pairs={args.pairs} "
-        f"seed={args.seed} testbed={args.testbed}",
-    )
-    result = app.enact(config, n_pairs=args.pairs, profiler=profiler)
-    profile = profiler.snapshot()
-    path = profile.save(args.out)
-    out.info(
-        f"profiled {config.label} x {args.pairs} pairs "
-        f"(makespan {result.makespan:.1f}s simulated)"
-    )
-    out.info(
-        f"profile written: {path} ({profile.total_time * 1e3:.3f}ms accounted, "
-        f"{profile.clock} clock)"
-    )
-    return 0
-
-
 def cmd_profile_report(args: argparse.Namespace) -> int:
     from repro.observability.profiling import format_profile_report
 
-    cli_logger().info(format_profile_report(_load_profile(args.profile), args.limit))
+    cli_logger().info(format_profile_report(_load_profile(args.profile)))
     return 0
 
 
@@ -690,10 +581,8 @@ def cmd_profile_diff(args: argparse.Namespace) -> int:
     from repro.observability.profiling import diff_profiles, format_profile_diff
 
     out = cli_logger()
-    diff = diff_profiles(
-        _load_profile(args.baseline), _load_profile(args.candidate)
-    )
-    out.info(format_profile_diff(diff, args.limit))
+    diff = diff_profiles(_load_profile(args.baseline), _load_profile(args.candidate))
+    out.info(format_profile_diff(diff))
     top = diff.top_component
     if top is not None:
         out.info(f"\ntop regressed component: {top.component} ({top.delta_us:+.0f}us)")
@@ -728,6 +617,7 @@ def cmd_report_trace(args: argparse.Namespace) -> int:
         DriftError,
         drift_report_from_trace,
         overhead_by_job_from_spans,
+        policy_key,
     )
 
     out = cli_logger()
@@ -735,41 +625,23 @@ def cmd_report_trace(args: argparse.Namespace) -> int:
     out.info(f"{len(spans)} spans from {args.trace}")
     out.info("\n=== phase breakdown ===")
     out.info(format_phase_breakdown(spans))
+    runs = [s for s in spans if s.name == "run"]
+    if not runs:
+        out.info("\n(no run span in the trace: drift report skipped)")
+        return 0
 
-    # Rebuild the enactor's execution trace out of the invocation spans
-    # so the drift reporter can derive the model's T matrix from it.
+    # The enactor's execution trace, out of the invocation spans, gives
+    # the drift reporter the model's T matrix.
     trace = ExecutionTrace()
     for span in spans:
         if span.name == "invocation" and span.end is not None:
-            trace.add(
-                TraceEvent(
-                    processor=str(span.attributes.get("processor", "?")),
-                    label=str(span.attributes.get("label", "?")),
-                    start=span.start,
-                    end=span.end,
-                    kind=str(span.attributes.get("kind", "invocation")),
-                    job_ids=tuple(span.attributes.get("job_ids") or ()),
-                )
-            )
-
-    policy = args.policy
-    if policy is None:
-        runs = [s for s in spans if s.name == "run"]
-        if runs:
-            attrs = runs[-1].attributes
-            dp = bool(attrs.get("data_parallelism"))
-            sp = bool(attrs.get("service_parallelism"))
-            policy = "SP+DP" if dp and sp else "DP" if dp else "SP" if sp else "NOP"
-    if policy is None:
-        out.info("\n(no run span in the trace and no --policy: drift report skipped)")
-        return 0
-
+            trace.add(TraceEvent.from_span(span))
     try:
         report = drift_report_from_trace(
             trace,
-            policy,
+            policy_key(runs[-1]),
             overhead_by_job=overhead_by_job_from_spans(spans),
-            processors=args.processors,
+            processors=BRONZE_CRITICAL_PATH,
         )
     except DriftError as exc:
         out.info(f"\n(drift report unavailable: {exc})")
@@ -777,6 +649,38 @@ def cmd_report_trace(args: argparse.Namespace) -> int:
     out.info("\n=== model drift ===")
     out.info(format_drift(report))
     return 0
+
+
+def _add_run_options(
+    sub_parser: argparse.ArgumentParser, config: str = "SP+DP", trace: bool = False
+) -> None:
+    """The options of every command that runs a Bronze enactment
+    (:func:`_bronze_run`'s inputs), plus a ``--trace`` input if asked."""
+    sub_parser.add_argument("--pairs", type=int, default=12)
+    sub_parser.add_argument("--config", default=config)
+    sub_parser.add_argument("--seed", type=int, default=42)
+    sub_parser.add_argument(
+        "--testbed", choices=["egee", "faulty", "chaotic"], default="egee",
+        help="grid to run on: the EGEE-like production grid, the "
+        "fault-injected monitoring testbed, or the chaos testbed with "
+        "outage schedules, transfer faults and replica repair "
+        "(default: %(default)s)",
+    )
+    sub_parser.add_argument(
+        "--max-attempts", type=int, default=None, metavar="N",
+        help="override the faulty/chaotic testbed's resubmission cap",
+    )
+    sub_parser.add_argument(
+        "--no-repair", action="store_true",
+        help="with --testbed chaotic: disable the background replica-repair "
+        "daemon (the durability ablation)",
+    )
+    if trace:
+        sub_parser.add_argument(
+            "--trace", metavar="PATH",
+            help="read an exported JSONL span stream (bronze --trace) "
+            "instead of running a fresh enactment",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -795,26 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagrams.set_defaults(func=cmd_diagrams)
 
     bronze = sub.add_parser("bronze", help="run one Bronze Standard enactment")
-    bronze.add_argument("--pairs", type=int, default=12)
-    bronze.add_argument("--config", default="SP+DP+JG")
-    bronze.add_argument("--seed", type=int, default=42)
-    bronze.add_argument(
-        "--testbed", choices=["egee", "faulty", "chaotic"], default="egee",
-        help="grid to run on: the EGEE-like production grid, the "
-        "fault-injected monitoring testbed, or the chaos testbed with "
-        "outage schedules, transfer faults and replica repair "
-        "(default: egee)",
-    )
-    bronze.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
-        help="override the faulty/chaotic testbed's resubmission cap "
-        "(only meaningful with --testbed faulty/chaotic)",
-    )
-    bronze.add_argument(
-        "--no-repair", action="store_true",
-        help="with --testbed chaotic: disable the background replica-repair "
-        "daemon (the durability ablation)",
-    )
+    _add_run_options(bronze, config="SP+DP+JG")
     bronze.add_argument(
         "--trace", metavar="PATH",
         help="export the run's span stream as JSONL (read back with report-trace)",
@@ -872,85 +757,34 @@ def build_parser() -> argparse.ArgumentParser:
         "report-trace", help="phase-breakdown + model-drift tables for a JSONL trace"
     )
     report.add_argument("trace", help="JSONL span stream (bronze --trace output)")
-    report.add_argument(
-        "--policy", choices=["NOP", "DP", "SP", "SP+DP"],
-        help="model equation to compare against (default: derived from the run span)",
-    )
-    report.add_argument(
-        "--processors", nargs="+", metavar="NAME",
-        default=list(BRONZE_CRITICAL_PATH),
-        help="critical-path services forming the T matrix rows "
-        "(default: the Bronze Standard critical path)",
-    )
     report.set_defaults(func=cmd_report_trace)
-
-    def add_run_options(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument("--pairs", type=int, default=12)
-        sub_parser.add_argument("--config", default="SP+DP")
-        sub_parser.add_argument("--seed", type=int, default=42)
-        sub_parser.add_argument(
-            "--testbed", choices=["egee", "faulty", "chaotic"], default="egee",
-            help="grid to run on (default: egee)",
-        )
-        sub_parser.add_argument(
-            "--max-attempts", type=int, default=None, metavar="N",
-            help="override the faulty/chaotic testbed's resubmission cap",
-        )
-        sub_parser.add_argument(
-            "--no-repair", action="store_true",
-            help="with --testbed chaotic: disable background replica repair",
-        )
 
     crit = sub.add_parser(
         "report-critical-path",
         help="observed gating chain with phase attribution (+ static diff)",
     )
-    add_run_options(crit)
-    crit.add_argument(
-        "--trace", metavar="PATH",
-        help="analyze an exported JSONL span stream instead of running "
-        "a fresh enactment (run options are then ignored)",
-    )
+    _add_run_options(crit, trace=True)
     crit.set_defaults(func=cmd_report_critical_path)
 
     gantt = sub.add_parser(
         "gantt", help="ASCII Gantt: invocations per processor, jobs per CE"
     )
-    add_run_options(gantt)
-    gantt.add_argument(
-        "--trace", metavar="PATH",
-        help="render an exported JSONL span stream instead of running "
-        "a fresh enactment",
-    )
+    _add_run_options(gantt, trace=True)
     gantt.add_argument("--width", type=int, default=100, help="columns per lane")
-    gantt.add_argument(
-        "--no-queue", action="store_true", help="omit the per-CE queue-depth lanes"
-    )
     gantt.set_defaults(func=cmd_gantt)
 
     health = sub.add_parser(
         "report-health",
         help="per-CE health scores and the alert log (live run or replayed trace)",
     )
-    add_run_options(health)
-    health.add_argument(
-        "--trace", metavar="PATH",
-        help="replay an exported JSONL span stream through a fresh monitor "
-        "instead of running a new enactment (reproduces the live run's "
-        "exact health state)",
-    )
+    _add_run_options(health, trace=True)
     health.set_defaults(func=cmd_report_health)
 
     failures = sub.add_parser(
         "report-failures",
         help="dead-letter report: what a best-effort run lost, and why",
     )
-    add_run_options(failures)
-    failures.add_argument(
-        "--trace", metavar="PATH",
-        help="report from an exported JSONL span stream instead of "
-        "running a fresh best-effort enactment",
-    )
+    _add_run_options(failures, trace=True)
     failures.add_argument(
         "--strict", action="store_true",
         help="exit 3 when the report contains any failure",
@@ -963,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="data-plane durability report for one best-effort chaos run: "
         "items delivered vs lost, repair traffic, transfer faults, alerts",
     )
-    add_run_options(durability)
+    _add_run_options(durability)
     durability.add_argument(
         "--strict", action="store_true",
         help="exit 3 when the run lost any item",
@@ -976,10 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="byte-accounted data plane: top-talker links/services, "
         "per-link bandwidth sparklines, purpose breakdown",
     )
-    add_run_options(dataflow)
-    dataflow.add_argument(
-        "--top", type=int, default=10, help="links/services rows to list"
-    )
+    _add_run_options(dataflow)
     dataflow.add_argument(
         "--dot", metavar="PATH",
         help="also export the site-to-site data-flow graph as Graphviz DOT",
@@ -989,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = sub.add_parser(
         "record-run", help="run one enactment and append its summary to a store"
     )
-    add_run_options(record)
+    _add_run_options(record)
     record.add_argument(
         "--store", default="runstore", metavar="DIR",
         help="run-store directory (created if missing; default: ./runstore)",
@@ -1021,30 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="hot-path profiler: record / report / diff / flame",
+        help="saved profiles (bronze --profile): report / diff / flame",
     )
     profile_sub = profile.add_subparsers(dest="profile_command", required=True)
 
-    p_record = profile_sub.add_parser(
-        "record", help="run one profiled Bronze Standard enactment"
-    )
-    add_run_options(p_record)
-    p_record.add_argument(
-        "--out", default="profile.json", metavar="PATH",
-        help="where to write the profile (default %(default)s)",
-    )
-    p_record.add_argument(
-        "--clock", choices=["deterministic", "wall"], default="deterministic",
-        help="time source: 'deterministic' produces byte-identical "
-        "profiles across same-seed runs; 'wall' measures real time",
-    )
-    p_record.set_defaults(func=cmd_profile_record)
-
     p_report = profile_sub.add_parser("report", help="render a saved profile")
-    p_report.add_argument("profile", help="profile JSON (profile record --out)")
-    p_report.add_argument(
-        "--limit", type=int, default=15, help="hottest scopes to list"
-    )
+    p_report.add_argument("profile", help="profile JSON (bronze --profile)")
     p_report.set_defaults(func=cmd_profile_report)
 
     p_diff = profile_sub.add_parser(
@@ -1052,15 +865,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("baseline", help="baseline profile JSON")
     p_diff.add_argument("candidate", help="candidate profile JSON")
-    p_diff.add_argument(
-        "--limit", type=int, default=10, help="scope moves to list"
-    )
     p_diff.set_defaults(func=cmd_profile_diff)
 
     p_flame = profile_sub.add_parser(
         "flame", help="export a flamegraph (collapsed stacks or speedscope)"
     )
-    p_flame.add_argument("profile", help="profile JSON (profile record --out)")
+    p_flame.add_argument("profile", help="profile JSON (bronze --profile)")
     p_flame.add_argument(
         "--format", choices=["collapsed", "speedscope"], default="collapsed",
         help="collapsed = Brendan Gregg flamegraph.pl input; speedscope = "

@@ -222,7 +222,7 @@ class InstrumentationBus:
 
 
 class InMemoryCollector(Subscriber):
-    """Keeps every finished span in memory, with query helpers."""
+    """Keeps every finished span in memory, with a by-name query."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -236,14 +236,6 @@ class InMemoryCollector(Subscriber):
     def named(self, name: str) -> List[Span]:
         """Finished spans called *name*, start order."""
         return sorted((s for s in self.spans if s.name == name), key=span_sort_key)
-
-    def category(self, category: str) -> List[Span]:
-        """Finished spans of one *category*, start order."""
-        return sorted((s for s in self.spans if s.category == category), key=span_sort_key)
-
-    def clear(self) -> None:
-        """Forget everything collected so far."""
-        self.spans.clear()
 
 
 class JsonlLineWriter:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.observability.drift import policy_key
 from repro.observability.spans import Span
 
 __all__ = [
@@ -146,16 +147,6 @@ class ObservedCriticalPath:
         totals = self.phase_totals()
         return sum(totals.get(key, 0.0) for key in OVERHEAD_KEYS)
 
-    def processors(self) -> List[str]:
-        """Gating processors, chain order, consecutive duplicates folded."""
-        out: List[str] = []
-        for step in self.steps:
-            if step.kind == "wait":
-                continue
-            if not out or out[-1] != step.processor:
-                out.append(step.processor)
-        return out
-
     def services(self) -> List[str]:
         """Distinct gating processors in order of first appearance."""
         seen: Dict[str, None] = {}
@@ -163,18 +154,6 @@ class ObservedCriticalPath:
             if step.kind != "wait":
                 seen.setdefault(step.processor, None)
         return list(seen)
-
-
-def _policy_of(run: Span) -> str:
-    dp = bool(run.attributes.get("data_parallelism"))
-    sp = bool(run.attributes.get("service_parallelism"))
-    if dp and sp:
-        return "SP+DP"
-    if dp:
-        return "DP"
-    if sp:
-        return "SP"
-    return "NOP"
 
 
 def _select_run(spans: Sequence[Span], trace_id: Optional[str]) -> Span:
@@ -353,7 +332,7 @@ def observed_critical_path(
     return ObservedCriticalPath(
         trace_id=run.trace_id,
         workflow=str(run.attributes.get("workflow", "?")),
-        policy=_policy_of(run),
+        policy=policy_key(run),
         run_start=run.start,
         run_end=run.end if run.end is not None else run.start,
         steps=tuple(steps),

@@ -60,14 +60,20 @@ class DriftError(ValueError):
     """The trace cannot be mapped onto the model's T matrix."""
 
 
-def policy_key(config) -> str:
-    """The equation selecting label for *config*: NOP, DP, SP or SP+DP.
+def policy_key(source) -> str:
+    """The equation selecting label for *source*: NOP, DP, SP or SP+DP.
 
-    Job grouping changes the matrix (grouped services collapse into one
+    *source* is an :class:`~repro.core.config.OptimizationConfig` or a
+    ``run`` span, whose attributes carry the config's two flags.  Job
+    grouping changes the matrix (grouped services collapse into one
     row), not the equation, so JG variants map onto the same key.
     """
-    dp = bool(getattr(config, "data_parallelism", False))
-    sp = bool(getattr(config, "service_parallelism", False))
+    attributes = getattr(source, "attributes", None)
+    if attributes is None:
+        dp, sp = source.data_parallelism, source.service_parallelism
+    else:
+        dp = attributes.get("data_parallelism")
+        sp = attributes.get("service_parallelism")
     if dp and sp:
         return "SP+DP"
     if dp:

@@ -170,11 +170,6 @@ class HistogramSnapshot:
         """Sum of observations."""
         return float(sum(self.values))
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty)."""
-        return self.total / self.count if self.values else 0.0
-
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (nearest-rank; 0.0 when empty)."""
         if not 0.0 <= q <= 100.0:

@@ -29,7 +29,6 @@ from repro.observability.profiling.clock import (
     Clock,
     ManualClock,
     TickClock,
-    resolve_clock,
     wall_clock,
 )
 from repro.observability.profiling.flamegraph import (
@@ -52,7 +51,6 @@ __all__ = [
     "wall_clock",
     "TickClock",
     "ManualClock",
-    "resolve_clock",
     "Profiler",
     "Profile",
     "ProfilerError",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-__all__ = ["Clock", "wall_clock", "TickClock", "ManualClock", "resolve_clock"]
+__all__ = ["Clock", "wall_clock", "TickClock", "ManualClock"]
 
 #: anything callable returning "seconds now" works as a clock
 Clock = Callable[[], float]
@@ -74,18 +74,3 @@ class ManualClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-def resolve_clock(spec: "str | Clock | None") -> Clock:
-    """Map a CLI-ish spec to a clock instance.
-
-    ``None``/"wall" -> the shared wall clock; "deterministic"/"tick"
-    -> a fresh :class:`TickClock`; a callable passes through.
-    """
-    if spec is None or spec == "wall":
-        return wall_clock
-    if spec in ("deterministic", "tick"):
-        return TickClock()
-    if callable(spec):
-        return spec
-    raise ValueError(f"unknown clock spec {spec!r} (wall | deterministic)")

@@ -71,28 +71,15 @@ class GridData:
 
 @dataclass(slots=True)
 class InvocationRecord:
-    """One service invocation, for tracing and assertions.
+    """One service invocation's identity and the grid jobs that ran it.
 
-    ``inputs`` is None once the invocation completed: its values live
-    on as their producers' ``outputs``, and a finished run keeps no
-    second mapping of them.
+    ``invocation_id`` labels a batch member's job; the grid-backed
+    services set ``job_ids``, which the enactor copies onto the
+    invocation's trace event.
     """
 
     invocation_id: int
-    service: str
-    inputs: Optional[Dict[str, GridData]]
-    submitted_at: float
-    completed_at: Optional[float] = None
-    outputs: Optional[Dict[str, GridData]] = None
     job_ids: Tuple[int, ...] = ()
-    error: Optional[str] = None
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Wall-clock seconds of the invocation, once completed."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
 
 
 _invocation_ids = itertools.count(1)
@@ -147,12 +134,7 @@ class Service:
                 f"{self.name}: bad invocation ports "
                 f"(missing={sorted(missing)}, unexpected={sorted(extra)})"
             )
-        record = InvocationRecord(
-            invocation_id=next(_invocation_ids),
-            service=self.name,
-            inputs=data,
-            submitted_at=self.engine.now,
-        )
+        record = InvocationRecord(next(_invocation_ids))
         self.calls += 1
         result = self.engine.event(name=f"invoke:{self.name}")
         self.engine.process(self._guarded(record, data, result), name=f"svc:{self.name}")
@@ -162,26 +144,17 @@ class Service:
         try:
             outputs = yield from self._execute(record, data)
         except Exception as exc:
-            record.completed_at = self.engine.now
-            record.inputs = None
-            record.error = str(exc)
             wrapper = ServiceError(f"{self.name}: {exc}")
             # Keep the cause chain: the enactor's failure containment
             # digs through it for the JobFailedError and its record.
             wrapper.__cause__ = exc
             result.fail(wrapper)
             return
-        bad = set(outputs) ^ set(self.output_ports)
-        record.completed_at = self.engine.now
-        record.inputs = None
-        if bad:
-            record.error = f"wrong output ports {sorted(outputs)}"
+        if set(outputs) ^ set(self.output_ports):
             result.fail(ServiceError(f"{self.name}: produced ports {sorted(outputs)}, "
                                      f"declared {sorted(self.output_ports)}"))
             return
-        wrapped = {key: GridData.of(val) for key, val in outputs.items()}
-        record.outputs = wrapped
-        result.succeed(wrapped)
+        result.succeed({key: GridData.of(val) for key, val in outputs.items()})
 
     def _execute(self, record: InvocationRecord, inputs: Dict[str, GridData]):
         """Generator: perform the invocation, returning the outputs dict."""

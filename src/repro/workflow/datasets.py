@@ -54,11 +54,6 @@ class DataItem:
         if self.size < 0:
             raise DataSetError(f"size must be >= 0, got {self.size}")
 
-    @property
-    def is_file(self) -> bool:
-        """True when the item lives on the grid."""
-        return self.gfn is not None
-
     def logical_file(self) -> Optional[LogicalFile]:
         """The grid file identity, if any."""
         if self.gfn is None:

@@ -89,12 +89,14 @@ class TestTraceExport:
         assert "SP+DP" in out and "<- this run" in out  # policy auto-derived
         assert "drift" in out
 
-    def test_report_trace_policy_override(self, capsys, tmp_path):
+    def test_report_trace_policy_from_run_span(self, capsys, tmp_path):
         jsonl = tmp_path / "run.jsonl"
         main(["bronze", "--pairs", "2", "--config", "NOP", "--trace", str(jsonl)])
         capsys.readouterr()
-        assert main(["report-trace", str(jsonl), "--policy", "NOP"]) == 0
-        assert "NOP" in capsys.readouterr().out
+        assert main(["report-trace", str(jsonl)]) == 0
+        out = capsys.readouterr().out
+        assert "model drift" in out
+        assert "predicted (NOP):" in out
 
     def test_report_trace_missing_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -105,3 +107,34 @@ class TestTraceExport:
         jsonl.write_text('{"start": 1.0, "end": 2.0}\n')
         with pytest.raises(SystemExit, match="line 1 is not a span record"):
             main(["report-trace", str(jsonl)])
+
+
+class TestCrashPath:
+    def test_simulated_crash_writes_and_closes_every_output(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.observability import JsonlAlertWriter
+
+        closed = []
+        close = JsonlAlertWriter.close
+        monkeypatch.setattr(
+            JsonlAlertWriter, "close", lambda self: (closed.append(self), close(self))[-1]
+        )
+        jsonl = tmp_path / "run.jsonl"
+        chrome = tmp_path / "run.trace.json"
+        assert main([
+            "bronze", "--pairs", "2", "--config", "SP+DP",
+            "--journal", str(tmp_path / "w.wal"), "--crash-after", "3",
+            "--trace", str(jsonl), "--chrome-trace", str(chrome),
+            "--alerts", str(tmp_path / "alerts.jsonl"),
+        ]) == 4
+        assert "simulated crash after 3 invocations" in capsys.readouterr().out
+
+        import json
+
+        from repro.observability.spans import spans_from_jsonl
+
+        traced = spans_from_jsonl(jsonl.read_text())
+        events = json.loads(chrome.read_text())["traceEvents"]
+        assert traced and events
+        assert len(closed) == 1

@@ -1,4 +1,5 @@
-"""CLI tests for the profile family, bronze --profile, and attribution."""
+"""CLI tests for bronze --profile (the one profile recorder), the profile
+family that reads its files, and attribution."""
 
 import json
 import os
@@ -8,20 +9,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.bronze_standard import BronzeStandardApplication
+from repro.core import OptimizationConfig
 from repro.experiments.__main__ import main
+from repro.grid.testbeds import egee_like_testbed
 from repro.observability.profiling import (
     Profile,
+    Profiler,
     parse_collapsed,
     parse_speedscope,
+    wall_clock,
 )
+from repro.sim.engine import Engine
+from repro.util.rng import RandomStreams
 
 RUN = ["--pairs", "2", "--config", "SP+DP", "--seed", "42"]
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def record_profile(tmp_path, name="profile.json", extra=()):
+def record_profile(tmp_path, name="profile.json"):
     path = tmp_path / name
-    assert main(["profile", "record", *RUN, "--out", str(path), *extra]) == 0
+    assert main(["bronze", *RUN, "--profile", str(path)]) == 0
     return path
 
 
@@ -45,15 +53,23 @@ class TestProfileRecord:
             out = tmp_path / f"hash-{hash_seed}.json"
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
             subprocess.run(
-                [sys.executable, "-m", "repro.experiments", "profile", "record",
-                 *RUN, "--out", str(out)],
+                [sys.executable, "-m", "repro.experiments", "bronze",
+                 *RUN, "--profile", str(out)],
                 check=True, env=env, capture_output=True,
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_wall_clock_opt_in(self, tmp_path):
-        path = record_profile(tmp_path, extra=("--clock", "wall"))
+        """Real timings are a Python API choice: the CLI records ticks."""
+        engine = Engine()
+        streams = RandomStreams(seed=42)
+        grid = egee_like_testbed(engine, streams, n_sites=6, workers_per_ce=40,
+                                 with_background_load=False)
+        app = BronzeStandardApplication(engine, grid, streams)
+        profiler = Profiler(clock=wall_clock)
+        app.enact(OptimizationConfig.sp_dp(), n_pairs=2, profiler=profiler)
+        path = profiler.snapshot().save(tmp_path / "wall.json")
         assert Profile.load(path).clock == "wall"
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.observability.profiling import (
     ManualClock,
     TickClock,
-    resolve_clock,
     wall_clock,
 )
 
@@ -58,22 +57,3 @@ class TestManualClock:
         with pytest.raises(ValueError):
             ManualClock().advance(-1.0)
 
-
-class TestResolveClock:
-    def test_none_and_wall_map_to_shared_helper(self):
-        assert resolve_clock(None) is wall_clock
-        assert resolve_clock("wall") is wall_clock
-
-    def test_deterministic_returns_fresh_tick_clock(self):
-        one = resolve_clock("deterministic")
-        two = resolve_clock("tick")
-        assert isinstance(one, TickClock) and isinstance(two, TickClock)
-        assert one is not two
-
-    def test_callable_passes_through(self):
-        clock = ManualClock()
-        assert resolve_clock(clock) is clock
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown clock"):
-            resolve_clock("sundial")

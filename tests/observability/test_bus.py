@@ -106,12 +106,7 @@ class TestInMemoryCollector:
     def test_named_and_category(self):
         collector, run, job = self._populate()
         assert [s.name for s in collector.named("grid.job")] == ["grid.job"]
-        assert {s.name for s in collector.category("grid")} == {"grid.job", "job.queue"}
-
-    def test_clear(self):
-        collector, _, _ = self._populate()
-        collector.clear()
-        assert len(collector) == 0
+        assert {s.category for s in collector.named("job.queue")} == {"grid"}
 
 
 class TestJsonlExporter:

@@ -61,12 +61,12 @@ class TestServiceContract:
     def test_invocation_log(self, engine):
         service = LocalService(engine, "s", ("x",), ("y",), duration=2.0)
         event, record = service.invoke_recorded({"x": 5})
-        engine.run(until=event)
+        outputs = engine.run(until=event)
         assert service.calls == 1
-        assert record.service == "s"
-        assert record.duration == 2.0
-        assert record.inputs is None
-        assert record.outputs is not None
+        assert engine.now == 2.0
+        assert event.value is outputs
+        assert set(outputs) == {"y"}
+        assert record.job_ids == ()  # a local service runs no grid job
 
     def test_invocation_ids_unique_across_services(self, engine):
         s1 = LocalService(engine, "a", ("x",), ("y",))
@@ -81,8 +81,9 @@ class TestServiceContract:
         service = LocalService(engine, "s", ("x",), ("y",), function=lambda x: {"y": x + 1})
         event, record = service.invoke_recorded({"x": 1})
         outputs = engine.run(until=event)
-        assert record.outputs is outputs
+        assert event.value is outputs
         assert outputs["y"].value == 2
+        assert record.invocation_id > 0
 
 
 class TestLocalService:

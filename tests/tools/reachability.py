@@ -44,6 +44,11 @@ Loads of a method name resolve by class where the receiver says which:
   override the call dispatches to);
 * ``C.m``, where ``C`` names a class under ``src/``, reaches ``m`` as
   defined in ``C`` or in a base of ``C``;
+* ``x.m``, where ``x`` is a parameter annotated with ``src/`` classes
+  (``C``, ``C | None``, ``Optional[C]``, ``Union[C, D]``) or a local whose
+  every binding in the function is ``x = C(...)``, reaches ``m`` as defined
+  in those classes, their bases or their subclasses (a nested function
+  sees the enclosing function's typed names unless it rebinds them);
 * ``x.m`` on any other receiver reaches every method named ``m``.
 
 Bases are matched by simple name, so two classes sharing a name share
@@ -94,6 +99,7 @@ KEPT = {
         "entry_to_document": ROUND_TRIP,
     },
     "repro.core.iteration": {"IterationEngine.buffered": OBSERVED},
+    "repro.core.journal": {"EnactmentJournal.runs": OBSERVED},
     "repro.core.failures": {"FailureReport.by_service": OBSERVED},
     "repro.core.provenance": {
         "HistoryTree.depth": OBSERVED,
@@ -106,6 +112,7 @@ KEPT = {
     "repro.grid.load": {"BackgroundLoad": "kept: paper §5 (other users' load on the production "
                                           "grid, a knob a fit of the Table 1 cells would "
                                           "sweep)"},
+    "repro.grid.resources": {"ComputingElement.completed": OBSERVED},
     "repro.grid.overhead": {"OverheadModel.total_mean": "kept: test seam/reference (the "
                                                          "testbed calibration tests check it)",
                             "OverheadSample.total": OBSERVED},
@@ -142,7 +149,6 @@ KEPT = {
     },
     "repro.observability.spans": {"spans_to_jsonl": ROUND_TRIP},
     "repro.service.scheduler": {"EnactmentService.audit": LIVE_REPLAY},
-    "repro.services.base": {"InvocationRecord.duration": OBSERVED},
     "repro.sim.engine": {"Engine.events_scheduled": OBSERVED},
     "repro.sim.resources": {"Resource.in_use": OBSERVED, "Resource.queue_length": OBSERVED},
     "repro.taskbased.dag": {"StaticDag.edges": OBSERVED},
@@ -164,7 +170,7 @@ DELETED = {
     "repro.apps.imaging": ["ImageDatabase.patients_of"],
     "repro.apps.transforms": ["RigidTransform.identity"],
     "repro.cache": ["ResultCache.key_for", "ResultCache.from_config",
-                    "ResultCache._record_eviction"],
+                    "ResultCache._record_eviction", "ResultCache.clear"],
     "repro.cache.keys": ["fingerprint_value"],
     "repro.cache.policy": ["(module) CachePolicy"],
     "repro.cache.stats": ["CacheStats.record_eviction"],
@@ -180,6 +186,7 @@ DELETED = {
     "repro.core.tokens": ["DataToken.payload_fingerprint"],
     "repro.core.trace": ["ExecutionTrace.iter_events", "ExecutionTrace.makespan",
                          "ExecutionTrace.busy_time", "ExecutionTrace.concurrency_profile"],
+    "repro.experiments.__main__": ["cmd_profile_record", "_make_testbed"],
     "repro.experiments.analysis": ["JobStatistics.retry_fraction", "per_service_statistics"],
     "repro.experiments.reporting": ["format_metrics"],
     "repro.grid.batch": ["ShortestJobFirstPolicy"],
@@ -195,19 +202,22 @@ DELETED = {
     "repro.model.probabilistic": ["expected_stage_barrier_makespan",
                                   "expected_pipelined_makespan",
                                   "GranularityModel.best_group_size"],
-    "repro.observability.bus": ["InMemoryCollector.for_job", "InMemoryCollector.children_of"],
+    "repro.observability.bus": ["InMemoryCollector.for_job", "InMemoryCollector.children_of",
+                                "InMemoryCollector.clear", "InMemoryCollector.category"],
+    "repro.observability.critical_path": ["ObservedCriticalPath.processors", "_policy_of"],
     "repro.observability.dataflow.report": ["link_activity"],
     "repro.observability.drift": ["DriftReport.within"],
     "repro.observability.health": ["RollingSample.z"],
     "repro.observability.logbridge": ["get_logger", "LoggingSubscriber"],
     "repro.observability.metrics": ["MetricsSnapshot.gauge_peak", "HistogramSnapshot.minimum",
-                                    "HistogramSnapshot.maximum"],
+                                    "HistogramSnapshot.maximum", "HistogramSnapshot.mean"],
     "repro.observability.monitor": ["ServiceProgress.pending", "ServiceProgress.fraction"],
     "repro.observability.profiling.attribution": ["PROFILE_PREFIX", "profile_counters",
                                                   "components_from_counters",
                                                   "format_attribution",
                                                   "ComponentDelta.describe"],
     "repro.observability.profiling.churn": ["(module) MemoryTracker"],
+    "repro.observability.profiling.clock": ["resolve_clock"],
     "repro.observability.profiling.profiler": ["Profiler.reset"],
     "repro.observability.runstore": ["Budgets", "Regression", "_check"],
     "repro.observability.timeline": ["ce_utilization", "ce_queue_depth"],
@@ -222,6 +232,7 @@ DELETED = {
                                   "ExecutableDescriptor.parameters"],
     "repro.services.gridrpc": ["(module) GridRpcClient"],
     "repro.services.invocation": ["(module) AsyncInvoker, SyncInvoker, gather"],
+    "repro.services.base": ["InvocationRecord.duration"],
     "repro.services.registry": ["ServiceRegistry.unregister", "ServiceRegistry.find_by_ports",
                                 "ServiceRegistry.find_by_tag", "ServiceRegistry.names"],
     "repro.services.soap": ["(module) SoapBinding, build_envelope, parse_envelope"],
@@ -235,7 +246,8 @@ DELETED = {
                               "require_type"],
     "repro.workflow.analysis": ["all_paths", "critical_path_length"],
     "repro.workflow.builder": ["WorkflowBuilder.coordinate"],
-    "repro.workflow.datasets": ["InputDataSet.add_file", "InputDataSet.restricted_to"],
+    "repro.workflow.datasets": ["InputDataSet.add_file", "InputDataSet.restricted_to",
+                                "DataItem.is_file"],
     "repro.workflow.graph": ["Workflow.replace_processor"],
     "repro.workflow.render": ["(module) to_dot, summarize"],
 }
@@ -373,18 +385,94 @@ def class_hierarchy():
     return up, down
 
 
+def annotation_classes(node, class_names):
+    """The src/ classes an annotation names: ``C``, ``"C"``, ``C | None``,
+    ``Optional[C]`` or ``Union[C, D]``; None when any part is something else
+    (a container, a builtin, a type from outside src/)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.Constant) and node.value is None:
+        return set()
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return {name} if name in class_names else None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        parts = [node.left, node.right]
+    elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+          and node.value.id in ("Optional", "Union")):
+        parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    else:
+        return None
+    classes = set()
+    for part in parts:
+        found = annotation_classes(part, class_names)
+        if found is None:
+            return None
+        classes |= found
+    return classes
+
+
+def receiver_classes(func, inherited, class_names):
+    """Local names of *func* whose src/ class is known: a parameter annotated
+    with src/ classes, or a name every binding of which is ``x = C(...)``.
+    A name *func* binds any other way is untyped, and shadows *inherited*
+    (the enclosing function's typed names)."""
+    bindings = defaultdict(list)  # name -> one class set per binding, None if unknown
+    args = func.args
+    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+        if arg is not None:
+            bindings[arg.arg].append(annotation_classes(arg.annotation, class_names)
+                                     if arg.annotation is not None else None)
+    constructed = {}
+    todo = list(func.body)
+    nodes = []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bindings[node.name].append(None)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        nodes.append(node)
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id in class_names):
+            constructed[id(node.targets[0])] = {node.value.func.id}
+        todo.extend(ast.iter_child_nodes(node))
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bindings[node.id].append(constructed.get(id(node)))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bindings[node.name].append(None)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bindings[(alias.asname or alias.name).split(".")[0]].append(None)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                bindings[name].append(None)
+    typed = {name: classes for name, classes in inherited.items() if name not in bindings}
+    for name, found in bindings.items():
+        if found and all(found):
+            typed[name] = frozenset().union(*found)
+    return typed
+
+
 def references(class_names):
     """Where src/ loads each name, outside imports and ``__all__``.
 
     ("name", n) and ("attr", n) map to the "module:owner" sites of a bare
-    ``n`` and of ``x.n`` on any other receiver.  ("self", n) maps to
+    ``n`` and of ``x.n`` on an untyped receiver.  ("self", n) maps to
     (site, class key) pairs for ``self.n`` / ``cls.n`` inside a class;
     ("class", n) maps to (site, class name) pairs for ``C.n`` where ``C``
-    names a src/ class.  ("import", n) maps to the modules that import
-    *n* or import from it."""
+    names a src/ class; ("typed", n) maps to (site, class names) pairs for
+    ``x.n`` where :func:`receiver_classes` types ``x``.  ("import", n) maps
+    to the modules that import *n* or import from it."""
     sites = defaultdict(set)
 
-    def walk(node, where, separator, owner):
+    def walk(node, where, separator, owner, typed):
         module = where.split(":")[0]
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ImportFrom):
@@ -401,10 +489,11 @@ def references(class_names):
             if isinstance(child, ast.ClassDef):
                 classes = owner[1] if owner else ()
                 walk(child, f"{where}{separator}{child.name}", ".",
-                     (module, classes + (child.name,)))
+                     (module, classes + (child.name,)), typed)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, f"{where}{separator}{child.name}", ".", owner)
+                walk(child, f"{where}{separator}{child.name}", ".", owner,
+                     receiver_classes(child, typed, class_names))
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 sites[("name", child.id)].add(where)
@@ -412,14 +501,16 @@ def references(class_names):
                 receiver = child.value.id if isinstance(child.value, ast.Name) else None
                 if receiver in ("self", "cls") and owner is not None:
                     sites[("self", child.attr)].add((where, owner))
+                elif receiver in typed:
+                    sites[("typed", child.attr)].add((where, typed[receiver]))
                 elif receiver in class_names:
                     sites[("class", child.attr)].add((where, receiver))
                 else:
                     sites[("attr", child.attr)].add(where)
-            walk(child, where, separator, owner)
+            walk(child, where, separator, owner, typed)
 
     for path in sorted(PACKAGE.rglob("*.py")):
-        walk(ast.parse(path.read_text()), module_name(path), ":", None)
+        walk(ast.parse(path.read_text()), module_name(path), ":", None, {})
     return sites
 
 
@@ -429,7 +520,8 @@ def wired_by(entry: Def, sites, live_classes, up, down) -> str | None:
 
     A method of class K is referenced by ``self.m`` / ``cls.m`` inside K, a
     base of K or a subclass of K; by ``C.m`` where C is K or a subclass of
-    K; and by ``x.m`` on any other receiver."""
+    K; by ``x.m`` where ``x`` is typed as K, a base of K or a subclass of K;
+    and by ``x.m`` on any other receiver."""
     own = f"{entry.module}:{entry.qualname.replace('.<locals>', '')}"
     for depth, cls in enumerate(entry.classes, 1):
         if (entry.module, entry.classes[:depth]) in live_classes:
@@ -446,6 +538,9 @@ def wired_by(entry: Def, sites, live_classes, up, down) -> str | None:
         below = down.get(key, set()) | {key}
         related = below | up.get(key, set())
         named |= {site for site, owner in sites.get(("self", name), ()) if owner in related}
+        related_names = {classes[-1] for _, classes in related}
+        named |= {site for site, types in sites.get(("typed", name), ())
+                  if types & related_names}
         below_names = {classes[-1] for _, classes in below}
         named |= {site for site, cls in sites.get(("class", name), ()) if cls in below_names}
     else:
@@ -709,8 +804,9 @@ def build_ledger(defs, reached):
         "Unit tests are not a root.",
         "",
         "An unreached def is *wired* when other code under `src/` names it (the",
-        "first such site is shown after `←`; `self.m`, `cls.m` and `C.m` count",
-        "only for the class hierarchy they resolve to); every other unreached",
+        "first such site is shown after `←`; `self.m`, `cls.m`, `C.m` and `x.m`",
+        "on an annotated or constructed `x` count only for the class hierarchy",
+        "they resolve to); every other unreached",
         "def carries a verdict from the recorder's `KEPT` table, or is deleted.",
         "Defs nested in an unreached def are counted, not listed.",
         "",

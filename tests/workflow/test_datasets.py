@@ -31,13 +31,11 @@ class TestDataItem:
 
     def test_file_item(self):
         item = DataItem(gfn="gfn://a", size=100)
-        assert item.is_file
         assert item.logical_file().size == 100
         assert item.grid_data().gfn == "gfn://a"
 
     def test_value_item(self):
         item = DataItem(value=8)
-        assert not item.is_file
         assert item.logical_file() is None
         assert item.grid_data().value == 8
 
