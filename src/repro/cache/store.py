@@ -91,10 +91,6 @@ class ResultStore(Protocol):
         """Insert (or overwrite) an entry."""
         ...
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        ...
-
     def __len__(self) -> int: ...
 
 

@@ -118,19 +118,34 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the testbeds each testbed-specific run option acts on
+_TAKES = {"max_attempts": ("faulty", "chaotic"), "no_repair": ("chaotic",)}
+
+
 def _bronze_run(args: argparse.Namespace, best_effort: bool = False):
     """The one Bronze Standard front half: ``(app, grid, config)``.
 
     Builds the engine, the ``--seed`` streams, the ``--testbed`` grid,
     the application and the ``--config`` policy (with contained
     failures when *best_effort*).  The caller attaches its subscribers
-    or collectors, then calls ``app.enact``.
+    or collectors, then calls ``app.enact``.  A ``--max-attempts`` or
+    ``--no-repair`` that the chosen testbed would ignore exits 2 before
+    anything is built.
     """
     from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.grid.testbeds import chaotic_testbed, egee_like_testbed, faulty_testbed
     from repro.sim.engine import Engine
     from repro.util.rng import RandomStreams
 
+    for flag, takers in _TAKES.items():
+        if getattr(args, flag) not in (None, False) and args.testbed not in takers:
+            print(
+                f"python -m repro.experiments: error: --{flag.replace('_', '-')} "
+                f"takes effect only with --testbed {' or '.join(takers)}; "
+                f"--testbed {args.testbed} ignores it",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
     engine = Engine()
     streams = RandomStreams(seed=args.seed)
     cap = {} if args.max_attempts is None else {"max_attempts": args.max_attempts}

@@ -29,10 +29,9 @@ Pieces (all deterministic in simulated time, all stdlib-only):
   :class:`~repro.observability.alerts.Alert` records through the
   existing alert machinery when the burn rate crosses its threshold;
 * :mod:`~repro.observability.ops.promexport` — the Prometheus
-  text-exposition exporter (plus a strict parser used to validate it
-  and an optional stdlib scrape endpoint);
-* :mod:`~repro.observability.ops.console` — the ANSI ops console
-  behind ``python -m repro.service top``.
+  text-exposition exporter (plus a strict parser used to validate it);
+* :mod:`~repro.observability.ops.console` — the plain-text ops console
+  frame behind ``python -m repro.service top``.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ from repro.observability.ops.audit import (
     audit_sort_key,
     explain_run,
 )
-from repro.observability.ops.console import CLEAR_SCREEN, render_top
+from repro.observability.ops.console import render_top
 from repro.observability.ops.promexport import (
-    MetricsHTTPServer,
     PromParseError,
     parse_prometheus,
     render_prometheus,
@@ -84,10 +82,8 @@ __all__ = [
     "SLOTracker",
     "default_slos",
     "parse_slo",
-    "MetricsHTTPServer",
     "PromParseError",
     "parse_prometheus",
     "render_prometheus",
-    "CLEAR_SCREEN",
     "render_top",
 ]

@@ -2,11 +2,9 @@
 
 Curses-free by design: :func:`render_top` builds one complete frame as
 a plain string from whatever rollup/SLO/alert state the CLI hands it,
-and the CLI either prints it once (``--once``, CI-friendly) or clears
-the screen with ANSI escapes and re-renders on an interval
-(``--watch``).  Rendering is pure — no I/O, no wall clock — so a frame
-is deterministic for a given service state and the smoke tests can
-assert on its contents.
+and the CLI prints it once.  Rendering is pure — no I/O, no wall clock
+— so a frame is deterministic for a given service state and the smoke
+tests can assert on its contents.
 """
 
 from __future__ import annotations
@@ -18,10 +16,7 @@ from repro.observability.ops.rollup import TenantRollup
 from repro.observability.ops.slo import SLOStatus
 from repro.util.units import format_size
 
-__all__ = ["render_top", "CLEAR_SCREEN"]
-
-#: ANSI: clear screen + home cursor (what ``--watch`` prints per frame)
-CLEAR_SCREEN = "\x1b[2J\x1b[H"
+__all__ = ["render_top"]
 
 _BAR_WIDTH = 10
 
@@ -122,7 +117,7 @@ def render_top(
     """Build one console frame: tenant table, SLOs, recent alerts.
 
     Everything is optional except the rollups; sections without data
-    are omitted so ``--once`` against an empty store still renders.
+    are omitted so a frame of an empty store still renders.
     """
     rows = list(rollups)
     total_weight = sum(r.weight for r in rows)

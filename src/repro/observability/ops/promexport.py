@@ -8,32 +8,20 @@ summary quantiles with ``_sum`` / ``_count``.  The companion
 before samples, valid metric/label grammar, no duplicate series, final
 newline required — used by the tests and the CI smoke job to prove the
 exporter emits clean scrape output rather than trusting it by
-inspection.  :class:`MetricsHTTPServer` serves the rendered text on a
-stdlib HTTP endpoint for real scrapers; nothing here needs a network
-to be useful (``service metrics --out metrics.prom`` writes the same
-bytes to disk).
+inspection.  ``service metrics`` prints the text or writes it to a file
+(``--out metrics.prom``) for a scraper's textfile collector.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.observability.metrics import MetricsSnapshot
 from repro.observability.ops.rollup import TenantRollup
 from repro.observability.ops.slo import SLOStatus
 
-__all__ = [
-    "render_prometheus",
-    "parse_prometheus",
-    "PromParseError",
-    "MetricsHTTPServer",
-]
-
-#: scrape content type for the text exposition format
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+__all__ = ["render_prometheus", "parse_prometheus", "PromParseError"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -355,70 +343,3 @@ def parse_prometheus(text: str) -> Dict[str, Any]:
         samples.append((sample_name, labels, value))
     return {"families": families, "samples": samples}
 
-
-class MetricsHTTPServer:
-    """A stdlib scrape endpoint serving ``GET /metrics``.
-
-    *supplier* is called per request and must return the exposition
-    text (so scrapes always see current state).  Binds to an ephemeral
-    port by default; read :attr:`port` after construction.  Runs the
-    serve loop in a daemon thread: :meth:`start` / :meth:`stop`, or use
-    it as a context manager.
-    """
-
-    def __init__(
-        self,
-        supplier: Callable[[], str],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.supplier = supplier
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-                if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-                    self.send_error(404)
-                    return
-                body = outer.supplier().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: Any) -> None:
-                pass  # scrape traffic stays out of stderr
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with the default ephemeral 0)."""
-        return self._server.server_address[1]
-
-    def start(self) -> "MetricsHTTPServer":
-        """Begin serving in a daemon thread; returns self."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-metrics-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the serve loop down and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsHTTPServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

@@ -268,7 +268,7 @@ def rollups_from_records(
 
     *records* are :class:`~repro.service.logic.RunRecord`-shaped
     objects (duck-typed: ``tenant``, ``state.value``, ``submitted_at``,
-    ``started_at``, ``result``).  This is what ``service top --once``
+    ``started_at``, ``result``).  This is what ``service top``
     and ``service metrics`` use against a state store written by
     another process: control-plane facts only — span-derived fields
     (CPU-seconds, grid queue waits, invocations) come from the run

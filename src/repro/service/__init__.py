@@ -17,12 +17,11 @@ innermost first:
     :class:`~repro.core.enactor.MoteurEnactor` enactments over one
     shared simulated grid, with admission control and crash recovery.
 
-``api`` holds the client-facing run status, and
-``python -m repro.service`` is the CLI (submit / status / cancel /
-tenants / drain / demo).
+``python -m repro.service`` is the CLI: tenants / submit / status /
+cancel / drain / demo, plus the read-only ops views audit / metrics /
+top.
 """
 
-from repro.service.api import RunStatus, run_status
 from repro.service.logic import (
     AdmissionDecision,
     FairShareLedger,
@@ -33,17 +32,12 @@ from repro.service.logic import (
     TransitionError,
     pick_next_explained,
 )
-from repro.service.scheduler import (
-    TESTBEDS,
-    EnactmentService,
-    EnactmentServiceError,
-)
+from repro.service.scheduler import EnactmentService, EnactmentServiceError
 from repro.service.store import InMemoryStateStore, SQLiteStateStore, StateStore
 
 __all__ = [
     "EnactmentService",
     "EnactmentServiceError",
-    "TESTBEDS",
     "RunState",
     "RunRecord",
     "TenantSpec",
@@ -55,6 +49,4 @@ __all__ = [
     "StateStore",
     "InMemoryStateStore",
     "SQLiteStateStore",
-    "RunStatus",
-    "run_status",
 ]

@@ -13,11 +13,10 @@ Concurrency model
 -----------------
 The discrete-event engine is cooperative and single-owner: exactly one
 thread steps it.  The service therefore serializes everything — API
-calls *and* scheduler progress — under one re-entrant lock, and the
-optional background worker (:meth:`start`) is a single thread that
-repeatedly calls :meth:`tick`.  Submissions from any thread are safe;
-run concurrency comes from the enactors interleaving on the engine,
-not from Python threads racing the simulation.
+calls *and* scheduler progress (:meth:`tick`, :meth:`drain`) — under
+one re-entrant lock, so calls from any thread are safe; run concurrency
+comes from the enactors interleaving on the engine, not from Python
+threads racing the simulation.
 
 Every admitted run gets its own :class:`~repro.util.rng.RandomStreams`
 seeded from the run record, its own enactor with
@@ -58,12 +57,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.enactor import EnactmentCancelled, MoteurEnactor
 from repro.grid.job import JobState
 from repro.grid.middleware import Grid
-from repro.grid.testbeds import (
-    cluster_testbed,
-    egee_like_testbed,
-    faulty_testbed,
-    ideal_testbed,
-)
+from repro.grid.testbeds import cluster_testbed
 from repro.observability import InstrumentationBus
 from repro.observability.alerts import Alert
 from repro.observability.ops.audit import AuditEvent
@@ -82,15 +76,13 @@ from repro.service.store import StateStore
 from repro.sim.engine import Engine, Event
 from repro.util.rng import RandomStreams
 
-__all__ = ["EnactmentService", "EnactmentServiceError", "TESTBEDS"]
+__all__ = ["EnactmentService", "EnactmentServiceError"]
 
-#: named testbed factories the service can host runs on
-TESTBEDS: Dict[str, Callable[[Engine, RandomStreams], Grid]] = {
-    "ideal": ideal_testbed,
-    "cluster": cluster_testbed,
-    "egee": egee_like_testbed,
-    "faulty": faulty_testbed,
-}
+#: fair-share usage decay half-life, in simulated seconds
+HALF_LIFE = 4 * 3600.0
+#: provisional charge for an active run of a tenant with no completed
+#: history yet, in simulated seconds
+NOMINAL_MAKESPAN = 600.0
 
 
 class EnactmentServiceError(RuntimeError):
@@ -132,8 +124,9 @@ class EnactmentService:
         Global cap on simultaneously executing enactments (the worker
         pool size); per-tenant caps come from each tenant's spec.
     testbed:
-        Name from :data:`TESTBEDS` or a ``(engine, streams) -> Grid``
-        factory.  All runs share this one grid.
+        A ``(engine, streams) -> Grid`` factory (default
+        :func:`~repro.grid.testbeds.cluster_testbed`).  All runs share
+        this one grid.
     seed:
         Seed for the grid's *environment* randomness (overheads,
         faults, background load).  Per-run randomness comes from each
@@ -145,10 +138,6 @@ class EnactmentService:
     instrumentation:
         Optional shared :class:`InstrumentationBus`; spans and metrics
         from every layer carry ``tenant``/``run`` attributes.
-    half_life, nominal_makespan:
-        Fair-share tuning: usage decay half-life (simulated seconds)
-        and the provisional charge assumed for an active run of a
-        tenant with no completed history yet.
     slos:
         Objectives for the built-in :class:`SLOTracker` (defaults to
         :func:`~repro.observability.ops.slo.default_slos`).
@@ -163,12 +152,10 @@ class EnactmentService:
         store: StateStore,
         policy: str = "fair-share",
         max_concurrent_runs: int = 4,
-        testbed: "str | Callable[[Engine, RandomStreams], Grid]" = "cluster",
+        testbed: Callable[[Engine, RandomStreams], Grid] = cluster_testbed,
         seed: int = 0,
         runstore: Optional[RunStore] = None,
         instrumentation: Optional[InstrumentationBus] = None,
-        half_life: float = 4 * 3600.0,
-        nominal_makespan: float = 600.0,
         slos: Optional[List[SLO]] = None,
         alert_sinks: Optional[List[Callable[[Alert], None]]] = None,
         profiler: Optional[Profiler] = None,
@@ -178,22 +165,12 @@ class EnactmentService:
         self.max_concurrent_runs = max_concurrent_runs
         self.runstore = runstore
         self.instrumentation = instrumentation
-        self.nominal_makespan = nominal_makespan
         self.engine = Engine()
-        if callable(testbed):
-            factory = testbed
-        else:
-            try:
-                factory = TESTBEDS[testbed]
-            except KeyError:
-                raise EnactmentServiceError(
-                    f"unknown testbed {testbed!r}; options: {sorted(TESTBEDS)}"
-                ) from None
-        self.grid = factory(self.engine, RandomStreams(seed=seed))
+        self.grid = testbed(self.engine, RandomStreams(seed=seed))
         if instrumentation is not None and self.grid.instrumentation is None:
             self.grid.instrumentation = instrumentation
         self.ledger = FairShareLedger(
-            half_life=half_life, initial=store.load_usage()
+            half_life=HALF_LIFE, initial=store.load_usage()
         )
         self._configs = {
             c.label: c for c in OptimizationConfig.paper_configurations()
@@ -203,8 +180,6 @@ class EnactmentService:
         #: completed makespans per tenant (provisional fair-share charge)
         self._makespans: Dict[str, List[float]] = {}
         self._dirty = True  # queue may hold admissible work
-        self._thread: Optional[threading.Thread] = None
-        self._stop_flag = threading.Event()
         #: live per-tenant rollups, fed by spans and audit events
         self.telemetry = ControlPlaneTelemetry()
         if instrumentation is not None:
@@ -424,7 +399,7 @@ class EnactmentService:
     def _typical_makespan(self, tenant: str) -> float:
         history = self._makespans.get(tenant)
         if not history:
-            return self.nominal_makespan
+            return NOMINAL_MAKESPAN
         return sum(history) / len(history)
 
     def _provisional(self) -> Dict[str, float]:
@@ -682,32 +657,6 @@ class EnactmentService:
                 self._dirty = True
         return requeued
 
-    # -- background worker -------------------------------------------------
-    def start(self, poll: float = 0.005) -> None:
-        """Run the scheduler loop in a daemon thread until :meth:`stop`."""
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._stop_flag.clear()
-            self._thread = threading.Thread(
-                target=self._worker, args=(poll,), name="enactment-service", daemon=True
-            )
-            self._thread.start()
-
-    def _worker(self, poll: float) -> None:
-        while not self._stop_flag.is_set():
-            if self.tick() == 0:
-                self._stop_flag.wait(poll)
-
-    def stop(self) -> None:
-        """Stop the background worker (idempotent; joins the thread)."""
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop_flag.set()
-        thread.join()
-        self._thread = None
-
     # -- introspection -----------------------------------------------------
     def perf_counters(self) -> Dict[str, float]:
         """Wall-clock throughput counters (the ``perf.*`` keys).
@@ -742,8 +691,7 @@ class EnactmentService:
             return out
 
     def close(self) -> None:
-        """Stop the worker, close in-flight runs' journals, release the store."""
-        self.stop()
+        """Close in-flight runs' journals and release the store."""
         with self._lock:
             for active in self._active.values():
                 if active.enactor.journal is not None:

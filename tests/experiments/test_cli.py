@@ -45,6 +45,29 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown configuration"):
             main(["bronze", "--pairs", "2", "--config", "TURBO"])
 
+    @pytest.mark.parametrize(
+        "argv,takers",
+        [
+            (["bronze", "--max-attempts", "1"], "faulty or chaotic"),
+            (["bronze", "--no-repair"], "chaotic"),
+            (["bronze", "--testbed", "faulty", "--no-repair"], "chaotic"),
+            (["report-failures", "--no-repair"], "chaotic"),
+        ],
+    )
+    def test_run_option_the_testbed_ignores_is_rejected(
+        self, argv, takers, monkeypatch, capsys
+    ):
+        import repro.sim.engine
+
+        def no_engine():
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(repro.sim.engine, "Engine", no_engine)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--pairs", "2"])
+        assert excinfo.value.code == 2
+        assert f"only with --testbed {takers};" in capsys.readouterr().err
+
     def test_table1_tiny_sweep(self, capsys):
         assert main(["table1", "--sizes", "2", "4", "--seed", "3"]) == 0
         out = capsys.readouterr().out

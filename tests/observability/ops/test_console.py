@@ -1,7 +1,7 @@
 """Tests for the pure-string ops console frames."""
 
 from repro.observability.alerts import Alert
-from repro.observability.ops.console import CLEAR_SCREEN, render_top
+from repro.observability.ops.console import render_top
 from repro.observability.ops.rollup import TenantRollup
 from repro.observability.ops.slo import SLOStatus
 
@@ -79,9 +79,6 @@ class TestRenderTop:
     def test_frames_are_deterministic(self):
         kwargs = dict(rollups=[make_rollup()], now=60.0)
         assert render_top(**kwargs) == render_top(**kwargs)
-
-    def test_clear_screen_is_ansi(self):
-        assert CLEAR_SCREEN.startswith("\x1b[")
 
 
 class TestDataPlaneColumns:

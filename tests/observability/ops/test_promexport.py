@@ -1,14 +1,9 @@
-"""Tests for the Prometheus exporter, its strict parser, and the endpoint."""
-
-import urllib.error
-import urllib.request
+"""Tests for the Prometheus exporter and its strict parser."""
 
 import pytest
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.ops.promexport import (
-    CONTENT_TYPE,
-    MetricsHTTPServer,
     PromParseError,
     parse_prometheus,
     render_prometheus,
@@ -146,39 +141,6 @@ class TestStrictParser:
     def test_empty_text_rejected(self):
         with pytest.raises(PromParseError):
             parse_prometheus("")
-
-
-class TestHTTPEndpoint:
-    def test_scrape_round_trip(self):
-        text = render_prometheus([make_rollup()])
-        with MetricsHTTPServer(lambda: text) as server:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"] == CONTENT_TYPE
-                body = response.read().decode("utf-8")
-        assert body == text
-        parse_prometheus(body)
-
-    def test_unknown_path_is_404(self):
-        with MetricsHTTPServer(lambda: "") as server:
-            url = f"http://127.0.0.1:{server.port}/nope"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(url, timeout=5)
-            assert excinfo.value.code == 404
-
-    def test_supplier_called_per_scrape(self):
-        calls = []
-
-        def supplier():
-            calls.append(1)
-            return "# TYPE a counter\na %d\n" % len(calls)
-
-        with MetricsHTTPServer(supplier) as server:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            first = urllib.request.urlopen(url, timeout=5).read()
-            second = urllib.request.urlopen(url, timeout=5).read()
-        assert first != second
 
 
 class TestTenantBytesFamily:

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+import repro.service.__main__ as cli
+from repro.service import SQLiteStateStore
 from repro.service.__main__ import main
 
 
@@ -24,29 +28,44 @@ def test_submit_for_unknown_tenant_fails_cleanly(tmp_path):
     assert main(base + ["submit", "--tenant", "nobody"]) == 2
 
 
-def test_demo_replays_a_traffic_script(tmp_path):
-    script = {
-        "tenants": [
-            {"name": "a", "weight": 2.0, "max_concurrent_runs": 2},
-            {"name": "b", "weight": 1.0, "max_concurrent_runs": 1},
-        ],
-        "runs": [
-            {"tenant": "a", "n_items": 1},
-            {"tenant": "b", "n_items": 1},
-            {"tenant": "a", "n_items": 1, "not_before": 100.0},
-        ],
-    }
-    path = tmp_path / "traffic.json"
-    path.write_text(json.dumps(script), encoding="utf-8")
-    code = main(
-        [
-            "--store",
-            "memory",
-            "--state",
-            str(tmp_path / "unused"),
-            "demo",
-            "--script",
-            str(path),
-        ]
+def test_demo_replays_a_traffic_script(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli,
+        "DEMO_SCRIPT",
+        {
+            "tenants": [
+                {"name": "a", "weight": 2.0, "max_concurrent_runs": 2},
+                {"name": "b", "weight": 1.0, "max_concurrent_runs": 1},
+            ],
+            "runs": [
+                {"tenant": "a", "n_items": 1},
+                {"tenant": "b", "n_items": 1},
+                {"tenant": "a", "n_items": 1, "not_before": 100.0},
+            ],
+        },
     )
+    code = main(["--store", "memory", "--state", str(tmp_path / "unused"), "demo"])
     assert code == 0
+
+
+def test_bad_slo_spec_is_a_usage_error_before_anything_opens(tmp_path, capsys):
+    state = tmp_path / "state"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--state", str(state), "--slo", "bogus", "drain"])
+    assert excinfo.value.code == 2
+    assert "--slo" in capsys.readouterr().err
+    assert not state.exists()
+
+
+def test_status_prints_the_stored_run_record(tmp_path, capsys):
+    base = ["--state", str(tmp_path / "state")]
+    assert main(base + ["tenants", "--add", "a"]) == 0
+    assert main(base + ["submit", "--tenant", "a", "--pairs", "1"]) == 0
+    capsys.readouterr()
+    assert main(base + ["status", "svc-0001"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    store = SQLiteStateStore(str(tmp_path / "state"))
+    try:
+        assert document == store.get_run("svc-0001").to_dict()
+    finally:
+        store.close()

@@ -1,7 +1,6 @@
 """Smoke tests for the observability subcommands: audit, metrics, top."""
 
-import json
-
+import repro.service.__main__ as cli
 from repro.observability.ops import (
     audit_events_from_jsonl,
     parse_prometheus,
@@ -89,7 +88,7 @@ class TestMetricsCommand:
 class TestTopCommand:
     def test_once_renders_tenant_table(self, tmp_path, capsys):
         base = seeded_state(tmp_path)
-        assert main(base + ["top", "--once"]) == 0
+        assert main(base + ["top"]) == 0
         frame = capsys.readouterr().out
         assert "TENANT" in frame
         assert "\na" in frame and "\nb" in frame
@@ -97,7 +96,7 @@ class TestTopCommand:
 
     def test_once_against_empty_state(self, tmp_path, capsys):
         base = ["--state", str(tmp_path / "fresh")]
-        assert main(base + ["top", "--once"]) == 0
+        assert main(base + ["top"]) == 0
         assert "(no tenants)" in capsys.readouterr().out
 
     def test_top_shows_alerts_from_jsonl(self, tmp_path, capsys):
@@ -109,7 +108,7 @@ class TestTopCommand:
             slos=["share-deviation=0.01"],
         )
         assert main(
-            base + ["--alerts", alerts, "top", "--once"]
+            base + ["--alerts", alerts, "top"]
         ) == 0
         frame = capsys.readouterr().out
         assert "Recent alerts" in frame
@@ -117,20 +116,22 @@ class TestTopCommand:
 
 
 class TestDemoTelemetry:
-    def test_demo_reports_rollups_and_slo_burns(self, tmp_path, capsys):
-        script = {
-            "tenants": [
-                {"name": "a", "weight": 2.0, "max_concurrent_runs": 2},
-                {"name": "b", "weight": 1.0, "max_concurrent_runs": 1},
-            ],
-            "runs": [
-                {"tenant": "a", "n_items": 1},
-                {"tenant": "b", "n_items": 1},
-                {"tenant": "b", "n_items": 1},
-            ],
-        }
-        path = tmp_path / "traffic.json"
-        path.write_text(json.dumps(script), encoding="utf-8")
+    def test_demo_reports_rollups_and_slo_burns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "DEMO_SCRIPT",
+            {
+                "tenants": [
+                    {"name": "a", "weight": 2.0, "max_concurrent_runs": 2},
+                    {"name": "b", "weight": 1.0, "max_concurrent_runs": 1},
+                ],
+                "runs": [
+                    {"tenant": "a", "n_items": 1},
+                    {"tenant": "b", "n_items": 1},
+                    {"tenant": "b", "n_items": 1},
+                ],
+            },
+        )
         alerts = str(tmp_path / "alerts.jsonl")
         code = main(
             [
@@ -140,7 +141,6 @@ class TestDemoTelemetry:
                 "--alerts", alerts,
                 "--slo", "share-deviation=0.01",
                 "demo",
-                "--script", str(path),
             ]
         )
         assert code == 0

@@ -214,29 +214,6 @@ class TestRecovery:
         assert requeued[0].started_at is None
 
 
-class TestBackgroundWorker:
-    def test_threaded_service_front_completes_submissions(self):
-        service = make_service()
-        service.add_tenant(TenantSpec(name="a", max_concurrent_runs=2))
-        service.start(poll=0.001)
-        try:
-            first = service.submit("a", n_items=1)
-            second = service.submit("a", n_items=1)
-            import time
-
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                states = {service.status(r.run_id).state for r in (first, second)}
-                if states == {RunState.DONE}:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("background worker did not finish the runs")
-        finally:
-            service.stop()
-        assert service.status(first.run_id).result["grid_jobs"] == 6
-
-
 class _CountingLedger(JobLedger):
     """``grid.records`` that counts the job rows a reader scans or is handed."""
 

@@ -1,9 +1,10 @@
 """The reachability recorder types a receiver only where the code says which
-class it is: an annotated parameter, or a local bound only by ``C(...)``."""
+class it is: an annotated parameter, a local bound only by ``C(...)``, or a
+``self`` attribute every binding of which in the class hierarchy is typed."""
 
 import ast
 
-from tests.tools.reachability import receiver_classes
+from tests.tools.reachability import receiver_classes, references
 
 CLASSES = {"Span", "Grid", "Config"}
 
@@ -44,3 +45,61 @@ def test_any_other_binding_untypes_a_name():
 def test_nested_function_inherits_unless_it_rebinds():
     assert typed("def g(): pass", {"grid": {"Grid"}}) == {"grid": {"Grid"}}
     assert typed("def g(grid): pass", {"grid": {"Grid"}}) == {}
+
+
+
+ATTRIBUTES = """
+class Grid: pass
+
+class Span: pass
+
+class Config:
+    cache = {}
+
+    def __init__(self, grid: Grid, name):
+        self.index = {}
+        self.grid = grid
+        self.span = None
+        self.other = name
+        self.bag: Dict[str, int] = make()
+        self.moved = grid
+
+    def attach(self):
+        self.span = Span()
+
+    def use(self):
+        self.index.a()
+        self.cache.b()
+        self.bag.c()
+        self.grid.d()
+        self.span.e()
+        self.other.f()
+        self.moved.g()
+        self.shared.h()
+
+class Child(Config):
+    def rebind(self, anything):
+        self.shared = Grid()
+        anything.moved = None
+"""
+
+
+def test_self_attribute_receivers():
+    """``self.a.m`` resolves through every binding of ``a`` in the class
+    hierarchy: builtin values reach no src/ def, typed ones their classes;
+    one untyped binding, or a store of ``a`` on another receiver, leaves it
+    to name matching."""
+    keys = {name: ("m", (name,)) for name in ("Grid", "Span", "Config", "Child")}
+    up = {key: set() for key in keys.values()}
+    down = {key: set() for key in keys.values()}
+    up[keys["Child"]] = {keys["Config"]}
+    down[keys["Config"]] = {keys["Child"]}
+    sites = references(up, down, [("m", ast.parse(ATTRIBUTES))])
+    typed = {
+        method: sorted(types)
+        for method in "abcdefgh"
+        for _site, types in sites.get(("typed", method), ())
+    }
+    assert typed == {"a": [], "b": [], "c": [], "d": ["Grid"], "e": ["Span"], "h": ["Grid"]}
+    assert sites[("attr", "f")] == sites[("attr", "g")] == {"m:Config.use"}
+    assert ("attr", "a") not in sites

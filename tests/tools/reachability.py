@@ -45,10 +45,19 @@ Loads of a method name resolve by class where the receiver says which:
 * ``C.m``, where ``C`` names a class under ``src/``, reaches ``m`` as
   defined in ``C`` or in a base of ``C``;
 * ``x.m``, where ``x`` is a parameter annotated with ``src/`` classes
-  (``C``, ``C | None``, ``Optional[C]``, ``Union[C, D]``) or a local whose
-  every binding in the function is ``x = C(...)``, reaches ``m`` as defined
+  (``C``, ``C | None``, ``Optional[C]``, ``Union[C, D]``; a ``Protocol``
+  types nothing, since its implementations need not inherit it) or a local
+  whose every binding in the function is ``x = C(...)``, reaches ``m`` as defined
   in those classes, their bases or their subclasses (a nested function
   sees the enclosing function's typed names unless it rebinds them);
+* ``self.a.m`` / ``cls.a.m`` inside class ``C`` types ``self.a`` from every
+  binding of ``a`` in ``C``'s hierarchy (bases and subclasses): ``self.a =``
+  a typed local, ``C(...)``, a literal or a builtin container, an annotation
+  in a method or the class body.  It reaches ``m`` as defined in those
+  classes, their bases or their subclasses, and no def at all when every
+  binding is a builtin value (``self._index = {}``).  One binding the rule
+  cannot type, or a store of ``a`` on any other receiver anywhere under
+  ``src/``, leaves ``self.a`` untyped;
 * ``x.m`` on any other receiver reaches every method named ``m``.
 
 Bases are matched by simple name, so two classes sharing a name share
@@ -60,12 +69,10 @@ import ast
 import os
 import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 from collections import defaultdict
 from pathlib import Path
 
@@ -97,6 +104,8 @@ KEPT = {
         "InMemoryStore": "kept: test seam/reference (the in-process store the cache tests "
                          "substitute)",
         "entry_to_document": ROUND_TRIP,
+        "EntryLog.clear": "kept: test seam/reference (truncates a live log, so the tests can "
+                          "check that another instance's stale offsets read as misses)",
     },
     "repro.core.iteration": {"IterationEngine.buffered": OBSERVED},
     "repro.core.journal": {"EnactmentJournal.runs": OBSERVED},
@@ -177,7 +186,8 @@ DELETED = {
     "repro.cache.store": ["FileStore._evict_to_fit", "FileStore._notify", "InMemoryStore._notify",
                           "FileStore._path", "FileStore._read", "FileStore._remove",
                           "estimate_entry_bytes", "_json_scalar", "_encode_datum",
-                          "_decode_datum", "EntryLog._open", "_complete_lines"],
+                          "_decode_datum", "EntryLog._open", "_complete_lines",
+                          "ResultStore.clear"],
     "repro.core.config": ["OptimizationConfig.with_cache"],
     "repro.core.journal": ["EnactmentJournal._ensure_open", "JournalEntry",
                            "JournalEntry.to_document", "JournalEntry.from_document",
@@ -212,6 +222,8 @@ DELETED = {
     "repro.observability.metrics": ["MetricsSnapshot.gauge_peak", "HistogramSnapshot.minimum",
                                     "HistogramSnapshot.maximum", "HistogramSnapshot.mean"],
     "repro.observability.monitor": ["ServiceProgress.pending", "ServiceProgress.fraction"],
+    "repro.observability.ops.console": ["CLEAR_SCREEN"],
+    "repro.observability.ops.promexport": ["MetricsHTTPServer", "CONTENT_TYPE"],
     "repro.observability.profiling.attribution": ["PROFILE_PREFIX", "profile_counters",
                                                   "components_from_counters",
                                                   "format_attribution",
@@ -221,11 +233,14 @@ DELETED = {
     "repro.observability.profiling.profiler": ["Profiler.reset"],
     "repro.observability.runstore": ["Budgets", "Regression", "_check"],
     "repro.observability.timeline": ["ce_utilization", "ce_queue_depth"],
+    "repro.service.__main__": ["_open_store", "_service", "_slos", "_sinks"],
     "repro.service.api": ["SubmitRequest", "TenantStatus", "ServiceStatus", "TelemetryStatus",
-                          "telemetry_status"],
+                          "telemetry_status", "(module) RunStatus, run_status"],
     "repro.service.logic": ["pick_next"],
     "repro.service.scheduler": ["EnactmentService.telemetry_status",
-                                "EnactmentService.active_runs"],
+                                "EnactmentService.active_runs", "TESTBEDS",
+                                "EnactmentService.start", "EnactmentService._worker",
+                                "EnactmentService.stop"],
     "repro.services.composite": ["CompositeService.stage_port_for_input",
                                  "CompositeService.stage_port_for_output"],
     "repro.services.descriptor": ["ExecutableDescriptor.file_inputs",
@@ -460,7 +475,133 @@ def receiver_classes(func, inherited, class_names):
     return typed
 
 
-def references(class_names):
+#: builtin containers and scalars: a value built by one, or an annotation
+#: naming one, holds no src/ object
+PLAIN = {"dict", "list", "set", "frozenset", "tuple", "str", "int", "float", "bool",
+         "bytes", "bytearray", "defaultdict", "deque", "OrderedDict", "Counter",
+         "Dict", "List", "Set", "FrozenSet", "Tuple", "DefaultDict", "Deque"}
+LITERALS = (ast.Constant, ast.JoinedStr, ast.Dict, ast.List, ast.Set, ast.Tuple,
+            ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def simple_name(node):
+    return node.id if isinstance(node, ast.Name) else (
+        node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def on_self(node):
+    """True for ``self.<attr>`` / ``cls.<attr>``."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls"))
+
+
+def value_classes(node, class_names, typed):
+    """The src/ classes an assigned value can be: none for a literal or a builtin
+    container/scalar call, ``{C}`` for ``C(...)``, a typed local's classes;
+    None when the value says nothing."""
+    if isinstance(node, LITERALS):
+        return set()
+    if isinstance(node, ast.Name) and node.id in typed:
+        return set(typed[node.id])
+    if isinstance(node, ast.Call):
+        name = simple_name(node.func)
+        if name in class_names:
+            return {name}
+        if name in PLAIN:
+            return set()
+    return None
+
+
+def declared_classes(annotation, class_names):
+    """:func:`annotation_classes`, plus none for a builtin container or scalar."""
+    found = annotation_classes(annotation, class_names)
+    if found is not None:
+        return found
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return set() if simple_name(annotation) in PLAIN else None
+
+
+def attribute_bindings(module, tree, class_names):
+    """Per class key, attr -> one class set per binding of ``self.<attr>`` /
+    ``cls.<attr>`` in its methods or ``<attr>`` in its body (None where the
+    binding says nothing: tuple targets, loops, augmented assignment, a
+    method of that name); and the attr names code stores on any other
+    receiver, which no class can type."""
+    bindings = defaultdict(lambda: defaultdict(list))
+    foreign = set()
+
+    def method(func, key):
+        typed = receiver_classes(func, {}, class_names)
+        handled = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in filter(on_self, node.targets):
+                    bindings[key][target.attr].append(
+                        value_classes(node.value, class_names, typed))
+                    handled.add(id(target))
+            elif isinstance(node, ast.AnnAssign) and on_self(node.target):
+                bindings[key][node.target.attr].append(
+                    declared_classes(node.annotation, class_names))
+                handled.add(id(node.target))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and id(node) not in handled):
+                if on_self(node):
+                    bindings[key][node.attr].append(None)
+                else:
+                    foreign.add(node.attr)
+
+    def walk(node, classes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                key = (module, classes + (child.name,))
+                for item in child.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        bindings[key][item.name].append(None)
+                        method(item, key)
+                    elif isinstance(item, ast.Assign):
+                        for target in item.targets:
+                            if isinstance(target, ast.Name):
+                                bindings[key][target.id].append(
+                                    value_classes(item.value, class_names, {}))
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        bindings[key][item.target.id].append(
+                            declared_classes(item.annotation, class_names))
+                walk(child, key[1])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, classes)
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store) \
+                        and not classes:
+                    foreign.add(child.attr)
+                walk(child, classes)
+
+    walk(tree, ())
+    return bindings, foreign
+
+
+def attribute_classes(bindings, foreign, related, attr):
+    """The src/ classes ``self.<attr>`` can hold in a class whose hierarchy
+    (itself, its bases and subclasses) is *related*: the union over every
+    binding there; None when one says nothing, there is none, or code
+    stores *attr* on another receiver."""
+    found = [b for key in related for b in bindings.get(key, {}).get(attr, ())]
+    if attr in foreign or not found or any(b is None for b in found):
+        return None
+    return frozenset().union(*found)
+
+
+def source_trees():
+    return [(module_name(path), ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.rglob("*.py"))]
+
+
+def references(up, down, trees=None):
     """Where src/ loads each name, outside imports and ``__all__``.
 
     ("name", n) and ("attr", n) map to the "module:owner" sites of a bare
@@ -468,8 +609,24 @@ def references(class_names):
     (site, class key) pairs for ``self.n`` / ``cls.n`` inside a class;
     ("class", n) maps to (site, class name) pairs for ``C.n`` where ``C``
     names a src/ class; ("typed", n) maps to (site, class names) pairs for
-    ``x.n`` where :func:`receiver_classes` types ``x``.  ("import", n) maps
-    to the modules that import *n* or import from it."""
+    ``x.n`` where :func:`receiver_classes` types ``x``, and for
+    ``self.a.n`` where :func:`attribute_classes` types ``self.a``.
+    ("import", n) maps to the modules that import *n* or import from it.
+    *up* and *down* are :func:`class_hierarchy`; *trees* are (module, AST)
+    pairs, by default every module under src/repro."""
+    trees = source_trees() if trees is None else trees
+    # a Protocol names a structural type: its implementations need not
+    # inherit from it, so it types no receiver
+    structural = {node.name for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(
+                      simple_name(b.value if isinstance(b, ast.Subscript) else b) == "Protocol"
+                      for b in node.bases)}
+    class_names = {classes[-1] for _, classes in up} - structural
+    bindings, foreign = {}, set()
+    for module, tree in trees:
+        found, stored = attribute_bindings(module, tree, class_names)
+        bindings.update(found)
+        foreign |= stored
     sites = defaultdict(set)
 
     def walk(node, where, separator, owner, typed):
@@ -499,8 +656,14 @@ def references(class_names):
                 sites[("name", child.id)].add(where)
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 receiver = child.value.id if isinstance(child.value, ast.Name) else None
+                held = None
+                if owner is not None and on_self(child.value):
+                    related = {owner} | up.get(owner, set()) | down.get(owner, set())
+                    held = attribute_classes(bindings, foreign, related, child.value.attr)
                 if receiver in ("self", "cls") and owner is not None:
                     sites[("self", child.attr)].add((where, owner))
+                elif held is not None:
+                    sites[("typed", child.attr)].add((where, held))
                 elif receiver in typed:
                     sites[("typed", child.attr)].add((where, typed[receiver]))
                 elif receiver in class_names:
@@ -509,8 +672,8 @@ def references(class_names):
                     sites[("attr", child.attr)].add(where)
             walk(child, where, separator, owner, typed)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
-        walk(ast.parse(path.read_text()), module_name(path), ":", None, {})
+    for module, tree in trees:
+        walk(tree, module, ":", None, {})
     return sites
 
 
@@ -654,32 +817,6 @@ class Runner:
                 self.failures.append(f"{label}: exit {done.returncode}, expected {expect}\n{tail}")
         print(f"  [{status}] {time.monotonic() - start:6.1f}s  {label}", flush=True)
 
-    def serve_and_scrape(self, command, cwd):
-        """Start ``metrics --serve``, scrape it once, stop it with Ctrl-C."""
-        start = time.monotonic()
-        process = subprocess.Popen(["bash", "-c", f"exec {command}"], cwd=cwd, env=self.env,
-                                   stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        port = re.search(r"--port (\d+)", command).group(1)
-        body = None
-        try:
-            for _ in range(300):
-                try:
-                    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics",
-                                                timeout=5) as response:
-                        body = response.read()
-                    break
-                except OSError:
-                    time.sleep(0.1)
-        finally:
-            process.send_signal(signal.SIGINT)
-            output = process.communicate(timeout=60)[0]
-        ok = body is not None and process.returncode == 0
-        print(f"  [{'ok' if ok else 'FAIL'}] {time.monotonic() - start:6.1f}s  {command}",
-              flush=True)
-        if not ok:
-            self.failures.append(f"{command}: scrape={'ok' if body else 'none'}, "
-                                 f"exit {process.returncode}\n{output[-2000:]}")
-
 
 def run_roots(work: Path, records: Path) -> list:
     userbase = work / "userbase"
@@ -720,9 +857,6 @@ def run_roots(work: Path, records: Path) -> list:
         for marker, setup in PREPARE.items():
             if marker in command:
                 runner.run(f"(prepare) {setup}", ["bash", "-eo", "pipefail", "-c", setup], cwd)
-        if "--serve" in command:
-            runner.serve_and_scrape(command, cwd)
-            continue
         expect = next((code for marker, code in EXPECTED_EXIT.items() if marker in command), 0)
         runner.run(command, ["bash", "-eo", "pipefail", "-c", command], cwd, expect=expect)
     for example in sorted((ROOT / "examples").glob("*.py")):
@@ -744,7 +878,7 @@ def reached_keys(records: Path):
 
 def build_ledger(defs, reached):
     up, down = class_hierarchy()
-    sites = references({classes[-1] for _, classes in up})
+    sites = references(up, down)
     live_classes = {(d.module, d.classes[:depth]) for key, d in defs.items() if key in reached
                     for depth in range(1, len(d.classes) + 1)}
     problems = []
@@ -804,9 +938,9 @@ def build_ledger(defs, reached):
         "Unit tests are not a root.",
         "",
         "An unreached def is *wired* when other code under `src/` names it (the",
-        "first such site is shown after `←`; `self.m`, `cls.m`, `C.m` and `x.m`",
-        "on an annotated or constructed `x` count only for the class hierarchy",
-        "they resolve to); every other unreached",
+        "first such site is shown after `←`; `self.m`, `cls.m`, `C.m`, `x.m`",
+        "on an annotated or constructed `x` and `self.a.m` on a typed attribute",
+        "count only for the class hierarchy they resolve to); every other unreached",
         "def carries a verdict from the recorder's `KEPT` table, or is deleted.",
         "Defs nested in an unreached def are counted, not listed.",
         "",
