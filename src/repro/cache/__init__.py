@@ -136,7 +136,7 @@ class ResultCache:
         slot = (id(engine), key)
         if slot in self._inflight:
             raise CacheStoreError(f"flight already open for key {key[:16]}...")
-        event = engine.event(name=f"cache-flight:{key[:12]}")
+        event = engine.event(name="cache-flight")
         # Pre-defuse: if the leader fails and no follower is waiting,
         # the failed event must not crash the engine when popped.
         event.defused = True

@@ -138,10 +138,13 @@ class _ProcessorState:
         "collected",
         "collected_histories",
         "tracks_draining",
+        "process_name",
     )
 
     def __init__(self, processor: Processor) -> None:
         self.processor = processor
+        #: the name of every invocation process this processor spawns
+        self.process_name = f"moteur:{processor.name}"
         self.iteration: Optional[IterationEngine] = None
         self.gate: Optional[Resource] = None
         self.emitted: Dict[str, int] = {
@@ -486,7 +489,7 @@ class MoteurEnactor:
                     state.preds_drained = self.engine.all_of(
                         pred_events, name=f"preds-drained:{name}"
                     )
-                    state.preds_drained.callbacks.append(
+                    state.preds_drained.add_waiter(
                         lambda _evt, s=state: self._check_drained(s)
                     )
             if name in self._sync:
@@ -644,9 +647,7 @@ class MoteurEnactor:
         if self._cancelled:
             return  # a cancelled run starts no new work
         self._note_in_flight(+1)
-        self.engine.process(
-            self._invoke(state, binding), name=f"moteur:{state.processor.name}"
-        )
+        self.engine.process(self._invoke(state, binding), name=state.process_name)
 
     def _invoke(self, state: _ProcessorState, binding: Binding):
         """An ordinary invocation: one token per port."""
@@ -1012,6 +1013,22 @@ class MoteurEnactor:
         if self._in_flight == 0:
             self._close_journal()
             self._completion.succeed(self._build_result())
+            self._release_working_set()
+
+    def _release_working_set(self) -> None:
+        """Drop the tokens a finished enactment no longer matches or gathers.
+
+        ``run(until=completion)`` returns with the completion and its
+        same-time siblings still queued, and their waiters keep this
+        enactor alive for as long as the engine lives.  The dot buffers
+        and the barrier inputs (with every payload they reference) are
+        dead weight by then: no invocation is in flight, so no token
+        arrives any more, and the events still queued only settle the
+        drained/barrier bookkeeping, which reads neither.
+        """
+        for state in self._states.values():
+            state.iteration = None
+            state.sync_buffers = {}
 
     def _close_journal(self) -> None:
         """Commit and close the journal before the completion triggers.

@@ -50,17 +50,12 @@ class HistoryTree:
         self.index = index
         self.parents = tuple(parents)
         self.iteration = iteration
-        lineage: Dict[str, FrozenSet[int]] = {}
         if index is not None:
-            lineage[producer] = frozenset((index,))
+            self._lineage: Lineage = {producer: frozenset((index,))}
+        elif self.parents:
+            self._lineage = _merged_lineage(self.parents)
         else:
-            for parent in self.parents:
-                for source, indices in parent.lineage.items():
-                    if source in lineage:
-                        lineage[source] = lineage[source] | indices
-                    else:
-                        lineage[source] = indices
-        self._lineage: Lineage = lineage
+            self._lineage = {}
         self._hash = hash(
             (self.producer, self.index, self.parents, self.iteration)
         )
@@ -103,7 +98,11 @@ class HistoryTree:
     # -- derived views ----------------------------------------------------------
     @property
     def lineage(self) -> Lineage:
-        """source name -> frozenset of item indices this datum derives from."""
+        """source name -> frozenset of item indices this datum derives from.
+
+        Read-only: a node shares its first parent's mapping whenever its
+        other parents add no index to it.
+        """
         return self._lineage
 
     @property
@@ -151,6 +150,30 @@ class HistoryTree:
 
     def __repr__(self) -> str:
         return f"<HistoryTree {self.label()} by {self.producer!r}>"
+
+
+def _merged_lineage(parents: Tuple[HistoryTree, ...]) -> Lineage:
+    """The per-source union of the *parents*' lineages.
+
+    The first parent's mapping is returned as is when the others add
+    no index to it (always, for a single parent), and a union is built
+    only for a source where neither side's index set holds the other.
+    """
+    first = parents[0].lineage
+    merged: Optional[Dict[str, FrozenSet[int]]] = None  # copied on the first addition
+    for parent in parents[1:]:
+        for source, indices in parent.lineage.items():
+            current = (first if merged is None else merged).get(source)
+            if current is not None and (current is indices or indices <= current):
+                continue
+            if current is None or current <= indices:
+                union = indices
+            else:
+                union = current | indices
+            if merged is None:
+                merged = dict(first)
+            merged[source] = union
+    return first if merged is None else merged
 
 
 def compatible(a: HistoryTree, b: HistoryTree) -> bool:

@@ -48,7 +48,7 @@ class NoData:
 NO_DATA = NoData()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataToken:
     """One datum on one link: payload + provenance.
 

@@ -61,7 +61,7 @@ class QueuePolicy:
         """
         if self._getter is not None:
             raise RuntimeError(f"{type(self).__name__} already has a pending get")
-        evt = self.engine.event(name=f"dequeue:{type(self).__name__}")
+        evt = self.engine.event(name="dequeue")
         if len(self) > 0:
             evt.succeed(self._dequeue())
         else:

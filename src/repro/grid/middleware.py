@@ -113,6 +113,8 @@ class SubmissionHandle:
     attempt failed.
     """
 
+    __slots__ = ("record", "completion")
+
     def __init__(self, record: JobRecord, completion: Event) -> None:
         self.record = record
         self.completion = completion
@@ -782,7 +784,7 @@ class Grid:
                 )
         record = JobRecord(description)
         row = self.records.append(record)
-        completion = self.engine.event(name=f"job:{description.name}")
+        completion = self.engine.event(name="job")
         job_span: Optional[Span] = None
         bus = self.instrumentation
         if bus is not None:
@@ -800,9 +802,7 @@ class Grid:
                 job_name=description.name,
                 **tenancy,
             )
-        self.engine.process(
-            self._run_job(record, row, completion, job_span), name=f"job:{record.job_id}"
-        )
+        self.engine.process(self._run_job(record, row, completion, job_span), name="job")
         return SubmissionHandle(record, completion)
 
     # -- monitoring feedback ------------------------------------------------
@@ -1044,9 +1044,7 @@ class Grid:
             try:
                 if policy.attempt_timeout is not None:
                     timer = engine.timeout(policy.attempt_timeout)
-                    winner, _value = yield engine.any_of(
-                        [done_on_ce, timer], name=f"attempt:{record.job_id}"
-                    )
+                    winner, _value = yield engine.any_of([done_on_ce, timer], name="attempt")
                     timed_out = winner is timer
                 else:
                     yield done_on_ce

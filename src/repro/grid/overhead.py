@@ -41,7 +41,7 @@ from repro.util.distributions import Constant, Distribution, as_distribution
 __all__ = ["OverheadModel", "OverheadSample"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverheadSample:
     """One job's sampled overhead phases, in seconds."""
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["WorkerNode", "ComputingElement", "Site", "QueueEntry"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkerNode:
     """A worker node: some CPU slots at a relative speed.
 
@@ -52,7 +52,7 @@ class WorkerNode:
             raise ValueError(f"speed must be > 0, got {self.speed}")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueEntry:
     """One job waiting in a CE batch queue."""
 
@@ -141,7 +141,7 @@ class ComputingElement:
         """
         record.enter(JobState.QUEUED, self.engine.now)
         record.computing_element = self.name
-        completion = self.engine.event(name=f"done:{record.name}")
+        completion = self.engine.event(name="done")
         entry = QueueEntry(record=record, completion=completion)
         if queue_extra > 0:
             self.engine.process(self._delayed_put(entry, queue_extra))
@@ -241,9 +241,7 @@ class ComputingElement:
                     break
                 yield self.engine.timeout(resume - self.engine.now)
             self._dispatching -= 1
-            self.engine.process(
-                self._run(entry, request), name=f"run:{entry.record.name}"
-            )
+            self.engine.process(self._run(entry, request), name="run")
 
     def _run(self, entry: QueueEntry, slot_request: Event):
         record = entry.record

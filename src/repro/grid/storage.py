@@ -61,7 +61,7 @@ class ReplicaUnavailableError(LookupError):
 
 
 @codec.register("LogicalFile")
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicalFile:
     """A grid file: logical name (GFN) + size in bytes.
 

@@ -486,7 +486,7 @@ class EnactmentService:
         # The scheduler harvests failures via callback; an undefused
         # failed event would crash the shared engine for every run.
         completion.defused = True
-        completion.callbacks.append(
+        completion.add_waiter(
             lambda event, run_id=record.run_id: self._harvest(run_id, event)
         )
         self._active[record.run_id] = _ActiveRun(

@@ -103,6 +103,8 @@ class Service:
             raise ValueError(f"duplicate output ports on {name!r}: {output_ports}")
         self.engine = engine
         self.name = name
+        #: names of the result event and the process of every call
+        self._event_names = (f"invoke:{name}", f"svc:{name}")
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(output_ports)
         #: invocations made so far (grouped job names count them)
@@ -136,8 +138,9 @@ class Service:
             )
         record = InvocationRecord(next(_invocation_ids))
         self.calls += 1
-        result = self.engine.event(name=f"invoke:{self.name}")
-        self.engine.process(self._guarded(record, data, result), name=f"svc:{self.name}")
+        result_name, process_name = self._event_names
+        result = self.engine.event(name=result_name)
+        self.engine.process(self._guarded(record, data, result), name=process_name)
         return result, record
 
     def _guarded(self, record: InvocationRecord, data: Dict[str, GridData], result: Event):

@@ -86,10 +86,10 @@ class BatchingService(Service):
     def _execute(self, record: InvocationRecord, inputs: Dict[str, GridData]):
         batch = self._current
         if batch is None or batch.closed:
-            batch = _Batch(done=self.engine.event(name=f"batch:{self.name}"))
+            batch = _Batch(done=self.engine.event(name="batch"))
             self._current = batch
             if self.max_wait is not None:
-                self.engine.process(self._flush_timer(batch), name=f"batch-timer:{self.name}")
+                self.engine.process(self._flush_timer(batch), name="batch-timer")
         prepared = self.inner.prepare_job(inputs, label=f"{self.name}#{record.invocation_id}")
         index = len(batch.members)
         batch.members.append(prepared)
@@ -108,7 +108,7 @@ class BatchingService(Service):
         before the flush — whose processes have not started yet — join
         the batch first.
         """
-        self.engine.process(self._deferred_flush(), name=f"batch-flush:{self.name}")
+        self.engine.process(self._deferred_flush(), name="batch-flush")
 
     def _deferred_flush(self):
         if self._current is not None and not self._current.closed and self._current.members:
@@ -127,7 +127,7 @@ class BatchingService(Service):
         if self._current is batch:
             self._current = None
         self.batches_submitted += 1
-        self.engine.process(self._run_batch(batch), name=f"batch-run:{self.name}")
+        self.engine.process(self._run_batch(batch), name="batch-run")
 
     def _run_batch(self, batch: _Batch):
         members = batch.members

@@ -44,7 +44,7 @@ __all__ = ["GenericWrapperService", "PreparedJob"]
 Program = Callable[..., Mapping[str, Any]]
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedJob:
     """A composed job plus the plan to decode its outputs."""
 

@@ -38,6 +38,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.name = name
+        self._request_name = f"request:{name}"
         self._in_use = 0
         self._waiting: Deque[Event] = deque()
         self._granted: set[int] = set()  # ids of live grants, to catch bad releases
@@ -54,7 +55,7 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""
-        req = self.engine.event(name=f"request:{self.name}")
+        req = self.engine.event(name=self._request_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             self._granted.add(id(req))

@@ -85,7 +85,7 @@ class DagmanExecutor:
             started_at=started_at, finished_at=started_at, task_count=dag.task_count
         )
         done_events: Dict[int, Event] = {
-            task.task_id: self.engine.event(name=f"task:{task.task_id}") for task in dag.tasks
+            task.task_id: self.engine.event(name="task") for task in dag.tasks
         }
         throttle = (
             Resource(self.engine, self.max_concurrent, name="dagman-throttle")
@@ -95,7 +95,7 @@ class DagmanExecutor:
         for task in dag.tasks:
             self.engine.process(
                 self._run_task(dag, task, done_events, throttle, result),
-                name=f"dag-task:{task.task_id}",
+                name="dag-task",
             )
         if done_events:
             yield self.engine.all_of(list(done_events.values()))

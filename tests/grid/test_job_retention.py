@@ -26,7 +26,11 @@ For scale: with every finished job kept as its live record (a
 ``JobDescription`` and the payload's result) and each invocation
 keeping its inputs mapping, a job read 28.2 objects, 71.7 blocks and
 5 038 bytes at 256 pairs; as a ledger row, 16.4 objects, 42.1 blocks
-and 3 484 bytes.
+and 3 484 bytes.  Later, 12.8 objects, 32.8 blocks and 2 903 bytes
+while the finished enactor (kept alive by its completion's queued
+same-time siblings) still held its dot buffers and barrier inputs, and
+tokens, files and handles had a ``__dict__`` each; 8.27, 21.9 and
+1 797 once it drops them and those classes use slots.
 """
 
 import sys
@@ -41,9 +45,9 @@ from repro.util.rng import RandomStreams
 from tests.tools.cost import retained_per_job
 
 #: committed ceilings at 256 pairs, per grid job
-MAX_OBJECTS_PER_JOB = 16.6
-MAX_BLOCKS_PER_JOB = 43.0
-MAX_BYTES_PER_JOB = 3550.0
+MAX_OBJECTS_PER_JOB = 8.4
+MAX_BLOCKS_PER_JOB = 22.3
+MAX_BYTES_PER_JOB = 1830.0
 #: the large size over the small one
 MAX_GROWTH = 1.1
 

@@ -202,6 +202,13 @@ class TestLogBridge:
         cli_logger().info("jobs: %d", 18)
         assert capsys.readouterr().out == "jobs: 18\n"
 
+    def test_cli_logger_writes_warnings_and_errors_to_stderr(self, capsys):
+        cli_logger().warning("slow")
+        cli_logger().error("unknown run %r", "x")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "slow\nunknown run 'x'\n"
+
     def test_cli_logger_is_idempotent(self):
         logger = cli_logger()
         assert cli_logger() is logger

@@ -98,3 +98,40 @@ class TestCrossProductProperties:
         b = token("B", j)
         node = HistoryTree.derive("X", (a.history, b.history))
         assert node.lineage == {"A": frozenset({i}), "B": frozenset({j})}
+
+
+def union_of_lineages(parents):
+    """The per-source union of the parents' lineages, one dict per node."""
+    merged = {}
+    for parent in parents:
+        for source, indices in parent.lineage.items():
+            merged[source] = merged[source] | indices if source in merged else indices
+    return merged
+
+
+#: a random provenance DAG: leaves, then nodes over 1-3 earlier nodes
+leaves = st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 3)), min_size=1, max_size=5)
+derivations = st.lists(st.lists(st.integers(0, 50), min_size=1, max_size=3), max_size=12)
+
+
+class TestSharedLineage:
+    @given(leaves, derivations)
+    def test_shared_lineage_is_the_union_and_never_mutates_a_parent(self, roots, nodes):
+        trees = [HistoryTree.leaf(source, index) for source, index in roots]
+        for k, picks in enumerate(nodes):
+            parents = tuple(trees[i % len(trees)] for i in picks)
+            before = [(p.lineage, dict(p.lineage)) for p in parents]
+            node = HistoryTree.derive(f"P{k}", parents)
+            expected = union_of_lineages(parents)
+            assert list(node.lineage.items()) == list(expected.items())
+            for parent, (mapping, snapshot) in zip(parents, before):
+                assert parent.lineage is mapping
+                assert parent.lineage == snapshot
+            if expected == parents[0].lineage:
+                assert node.lineage is parents[0].lineage
+            for source, indices in node.lineage.items():
+                owned = [p.lineage[source] for p in parents if source in p.lineage]
+                if all(s == owned[0] for s in owned):
+                    # the union of equal sets is one of them, never a new set
+                    assert any(indices is s for s in owned)
+            trees.append(node)

@@ -23,6 +23,15 @@ def test_submit_drain_status_cancel_round_trip(tmp_path):
     assert main(base + ["status", "svc-9999"]) == 1
 
 
+@pytest.mark.parametrize("command", [["status", "svc-9999"], ["audit", "svc-9999", "--json"]])
+def test_unknown_run_error_goes_to_stderr_not_stdout(tmp_path, capsys, command):
+    # stdout may be redirected into a JSON(L) file; the error must not land there
+    assert main(["--state", str(tmp_path / "state"), *command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown run 'svc-9999'" in captured.err
+
+
 def test_submit_for_unknown_tenant_fails_cleanly(tmp_path):
     base = ["--state", str(tmp_path / "state")]
     assert main(base + ["submit", "--tenant", "nobody"]) == 2

@@ -173,7 +173,7 @@ class TestDeterminism:
         order = []
         for i in range(10):
             evt = engine.event()
-            evt.callbacks.append(lambda e, i=i: order.append(i))
+            evt.add_waiter(lambda e, i=i: order.append(i))
             evt.succeed()
         engine.run()
         assert order == list(range(10))
